@@ -10,7 +10,9 @@
 
 #include "bench_util.h"
 #include "core/report.h"
-#include "sim/perf_sim.h"
+#include "sim/pipeline.h"
+#include "sim/pipeline_account.h"
+#include "sim/trace.h"
 #include "workloads/registry.h"
 
 using namespace rfh;
@@ -21,12 +23,14 @@ main()
     bench::header("Table 2 / two-level scheduler performance",
                   "no performance loss with >=8 active warps (of 32)");
 
-    PerfConfig base;
+    PipelineConfig cfg;
+    RunConfig rc;
+    rc.numWarps = 32;
     std::printf("\nSimulation parameters (Table 2): 32-wide SIMT, ALU %d, "
                 "SFU %d, shared mem %d,\nTEX %d, DRAM %d cycles; %d "
                 "resident warps.\n\n",
-                base.aluLatency, base.sfuLatency, base.sharedMemLatency,
-                base.texLatency, base.dramLatency, base.numWarps);
+                cfg.aluLatency, cfg.sfuLatency, cfg.sharedMemLatency,
+                cfg.texLatency, cfg.dramLatency, rc.numWarps);
 
     const int kActiveSet[] = {1, 2, 4, 6, 8, 12, 16, 32};
 
@@ -39,17 +43,20 @@ main()
                              "hotspot", "sortingnetworks"};
     for (const char *name : samples) {
         const Workload &w = workloadByName(name);
+        DecodedTrace trace = recordDecodedTrace(w.kernel, rc);
+        ReplayDecode dec(w.kernel);
         std::vector<std::string> row = {w.name};
         double ipc8 = 0, ipc32 = 0;
         for (int a : kActiveSet) {
-            PerfConfig cfg = base;
             cfg.activeWarps = a;
-            PerfResult res = runPerfSim(w.kernel, cfg);
-            row.push_back(fmt(res.ipc(), 3));
+            AccessCounts counts;
+            auto acct = makeFlatAccounting(w.kernel, &dec, counts);
+            double ipc = runPipeline(trace, dec, *acct, cfg).stats.ipc();
+            row.push_back(fmt(ipc, 3));
             if (a == 8)
-                ipc8 = res.ipc();
+                ipc8 = ipc;
             if (a == 32)
-                ipc32 = res.ipc();
+                ipc32 = ipc;
         }
         t.addRow(row);
         sum8 += ipc8;

@@ -68,10 +68,10 @@
  *   --active N         two-level active-set size for --perf
  *   --resamples N      bootstrap resamples per band (default 200)
  *   --confidence F     band confidence level (default 0.95)
- *   --socket PATH      run via a serve/router fleet at PATH instead
- *                      of in-process (same aggregate bytes)
- *   --connections N    fleet client connections (default 4)
- *   --retries N        max retries of shed fleet requests (default 8)
+ *   --socket PATH      run via `rfhc serve` at PATH instead of
+ *                      in-process (same aggregate bytes)
+ *   --connections N    client connections (default 4)
+ *   --retries N        max retries of shed requests (default 8)
  *   --json             print the rfh-corpus-v1 JSON instead of the
  *                      summary table
  *   --out F            also write the corpus JSON to F
@@ -105,18 +105,6 @@
  *   --manifest F       write a session manifest on drain
  *   --trace-events F   record per-request chrome://tracing spans
  *
- * Options (router):
- *   --socket PATH      front socket (default rfhc-router.sock)
- *   --fleet N          worker processes (default 4)
- *   --cache-dir D      shared persistent disk cache for the fleet
- *   --cache-max-bytes N disk-cache size cap before LRU eviction
- *   --worker-threads N RFH_THREADS for each worker (default: inherit)
- *   --queue N          per-worker admission queue (default 64)
- *   --batch N          per-worker batch cap (default 8)
- *   --vnodes N         virtual ring nodes per worker (default 64)
- *   --max-restarts N   restart budget per worker (default 8)
- *   --manifest F       write a router session manifest on drain
- *
  * Options (loadgen):
  *   --socket PATH      server socket (default rfhc.sock)
  *   --clients N        concurrent connections (default 4)
@@ -128,8 +116,6 @@
  *   --deadline MS      per-request deadline in milliseconds
  *   --retries N        max retries of shed requests (default 8)
  *   --verify           byte-compare every result vs local runScheme()
- *   --router           target is a router fleet: per-shard breakdown
- *                      and disk-cache hit ratio in the report
  *   --shutdown         send {"op":"shutdown"} when done
  *   --manifest F       write a loadgen manifest (throughput, p50/p99)
  *
@@ -163,7 +149,6 @@
 #include "ir/printer.h"
 #include "service/corpus_client.h"
 #include "service/loadgen.h"
-#include "service/router.h"
 #include "service/server.h"
 #include "sim/baseline_exec.h"
 #include "verify/oracle.h"
@@ -214,18 +199,12 @@ usage()
                  "[--cache-max-bytes N]\n"
                  "            [--manifest out.json] "
                  "[--trace-events out.json]\n"
-                 "       rfhc router [--socket PATH] [--fleet N] "
-                 "[--cache-dir DIR]\n"
-                 "            [--cache-max-bytes N] "
-                 "[--worker-threads N] [--queue N]\n"
-                 "            [--batch N] [--vnodes N] "
-                 "[--max-restarts N] [--manifest out.json]\n"
                  "       rfhc loadgen [--socket PATH] [--clients N] "
                  "[--requests N]\n"
                  "            [--workload W] [--scheme S] [--entries N] "
                  "[--warps N]\n"
                  "            [--deadline MS] [--retries N] [--verify] "
-                 "[--router] [--shutdown]\n"
+                 "[--shutdown]\n"
                  "            [--manifest out.json]\n");
     return 2;
 }
@@ -399,11 +378,11 @@ splitList(const std::string &s)
 
 /**
  * `rfhc corpus`: stream a population of generated kernels from the
- * named scenario profiles through the replay engine (or a service
- * fleet with --socket) and print streaming population statistics per
- * (profile, scheme, entries) cell. The rfh-corpus-v1 JSON document is
- * byte-identical across runs, thread counts, shard layouts, and the
- * local/fleet substrates.
+ * named scenario profiles through the replay engine (or a running
+ * `rfhc serve` with --socket) and print streaming population
+ * statistics per (profile, scheme, entries) cell. The rfh-corpus-v1
+ * JSON document is byte-identical across runs, thread counts, and the
+ * local/served substrates.
  */
 int
 corpusMain(int argc, char **argv)
@@ -583,7 +562,7 @@ corpusMain(int argc, char **argv)
                      return k;
                  }()),
                  static_cast<unsigned long long>(res.totalErrors),
-                 res.wallSec, remote ? " (fleet)" : "");
+                 res.wallSec, remote ? " (served)" : "");
     return res.totalErrors > 0 ? 1 : 0;
 }
 
@@ -872,67 +851,6 @@ serveMain(int argc, char **argv)
     return runServe(so);
 }
 
-/**
- * `rfhc router`: sharded fleet front-end. Spawns and supervises N
- * `rfhc serve` workers and routes requests by kernel fingerprint
- * (see docs/service.md).
- */
-int
-routerMain(int argc, char **argv)
-{
-    RouterOptions ro;
-    for (int i = 2; i < argc; i++) {
-        std::string a = argv[i];
-        auto next_int = [&](int &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = std::atoi(argv[++i]);
-            return out > 0;
-        };
-        auto next_str = [&](std::string &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = argv[++i];
-            return !out.empty();
-        };
-        if (a == "--socket") {
-            if (!next_str(ro.socketPath))
-                return usage();
-        } else if (a == "--fleet") {
-            if (!next_int(ro.workers))
-                return usage();
-        } else if (a == "--cache-dir") {
-            if (!next_str(ro.cacheDir))
-                return usage();
-        } else if (a == "--cache-max-bytes") {
-            if (i + 1 >= argc)
-                return usage();
-            ro.cacheMaxBytes = std::strtoull(argv[++i], nullptr, 10);
-        } else if (a == "--worker-threads") {
-            if (!next_int(ro.workerThreads))
-                return usage();
-        } else if (a == "--queue") {
-            if (!next_int(ro.queueCapacity))
-                return usage();
-        } else if (a == "--batch") {
-            if (!next_int(ro.batchMax))
-                return usage();
-        } else if (a == "--vnodes") {
-            if (!next_int(ro.virtualNodes))
-                return usage();
-        } else if (a == "--max-restarts") {
-            if (!next_int(ro.maxRestarts))
-                return usage();
-        } else if (a == "--manifest") {
-            if (!next_str(ro.manifestPath))
-                return usage();
-        } else {
-            return usage();
-        }
-    }
-    return runRouter(ro);
-}
-
 /** `rfhc loadgen`: drive a running service (see docs/service.md). */
 int
 loadgenMain(int argc, char **argv)
@@ -984,8 +902,6 @@ loadgenMain(int argc, char **argv)
                 return usage();
         } else if (a == "--verify") {
             lo.verify = true;
-        } else if (a == "--router") {
-            lo.router = true;
         } else if (a == "--shutdown") {
             lo.shutdownAfter = true;
         } else if (a == "--manifest") {
@@ -1014,8 +930,6 @@ main(int argc, char **argv)
         return fuzzMain(argc, argv);
     if (cmd == "serve")
         return serveMain(argc, argv);
-    if (cmd == "router")
-        return routerMain(argc, argv);
     if (cmd == "loadgen")
         return loadgenMain(argc, argv);
     if (argc < 3)

@@ -14,9 +14,12 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/report.h"
-#include "sim/perf_sim.h"
+#include "sim/pipeline.h"
+#include "sim/pipeline_account.h"
+#include "sim/trace.h"
 #include "workloads/registry.h"
 
 int
@@ -28,31 +31,30 @@ main(int argc, char **argv)
     const Workload &w = workloadByName(name);
     std::printf("Two-level scheduler study: %s\n\n", w.name.c_str());
 
-    PerfConfig base;
-    PerfResult flat;
+    // One recorded stream of the 32 resident warps drives every
+    // active-set size.
+    RunConfig rc;
+    rc.numWarps = 32;
+    DecodedTrace trace = recordDecodedTrace(w.kernel, rc);
+    ReplayDecode dec(w.kernel);
+    PipelineConfig cfg;
+    const int kActiveSet[] = {1, 2, 4, 6, 8, 12, 16, 24, 32};
+    std::vector<PipelineStats> runs;
+    for (int a : kActiveSet) {
+        cfg.activeWarps = a;
+        AccessCounts counts;
+        auto acct = makeFlatAccounting(w.kernel, &dec, counts);
+        runs.push_back(runPipeline(trace, dec, *acct, cfg).stats);
+    }
+    const PipelineStats &flat = runs.back();
     TextTable t({"Active warps", "IPC", "vs flat", "Deschedules"});
-    for (int a : {1, 2, 4, 6, 8, 12, 16, 24, 32}) {
-        PerfConfig cfg = base;
-        cfg.activeWarps = a;
-        PerfResult r = runPerfSim(w.kernel, cfg);
-        if (a == 32)
-            flat = r;
-        t.addRow({std::to_string(a), fmt(r.ipc(), 3), "",
-                  std::to_string(r.deschedules)});
-    }
-    // Fill in the ratio column now that the flat result is known.
-    TextTable t2({"Active warps", "IPC", "vs flat", "Deschedules"});
-    for (int a : {1, 2, 4, 6, 8, 12, 16, 24, 32}) {
-        PerfConfig cfg = base;
-        cfg.activeWarps = a;
-        PerfResult r = runPerfSim(w.kernel, cfg);
-        t2.addRow({std::to_string(a), fmt(r.ipc(), 3),
-                   pct(flat.ipc() > 0 ? r.ipc() / flat.ipc() : 0),
-                   std::to_string(r.deschedules)});
-    }
-    std::printf("%s\n", t2.str().c_str());
-    std::printf("32 resident warps; ALU %d cy, shared mem %d cy, "
-                "DRAM %d cy (Table 2).\n", base.aluLatency,
-                base.sharedMemLatency, base.dramLatency);
+    for (std::size_t i = 0; i < runs.size(); i++)
+        t.addRow({std::to_string(kActiveSet[i]), fmt(runs[i].ipc(), 3),
+                  pct(flat.ipc() > 0 ? runs[i].ipc() / flat.ipc() : 0),
+                  std::to_string(runs[i].swaps)});
+    std::printf("%s\n", t.str().c_str());
+    std::printf("%d resident warps; ALU %d cy, shared mem %d cy, "
+                "DRAM %d cy (Table 2).\n", rc.numWarps, cfg.aluLatency,
+                cfg.sharedMemLatency, cfg.dramLatency);
     return 0;
 }

@@ -19,7 +19,6 @@
 #   scripts/check.sh --no-golden  # skip the golden figure-shape gate
 #   scripts/check.sh --no-pipeline # skip the cycle-level pipeline gate
 #   scripts/check.sh --no-serve   # skip the serve+loadgen smoke
-#   scripts/check.sh --no-router  # skip the router fleet smoke
 #   scripts/check.sh --no-vec     # skip the vectorize-report gate
 #   scripts/check.sh --no-compare # skip the leaderboard smoke
 #   scripts/check.sh --no-corpus  # skip the corpus population gate
@@ -42,7 +41,6 @@ run_fuzz=1
 run_golden=1
 run_pipeline=1
 run_serve=1
-run_router=1
 run_vec=1
 run_compare=1
 run_corpus=1
@@ -54,7 +52,6 @@ for arg in "$@"; do
     [[ "$arg" == "--no-golden" ]] && run_golden=0
     [[ "$arg" == "--no-pipeline" ]] && run_pipeline=0
     [[ "$arg" == "--no-serve" ]] && run_serve=0
-    [[ "$arg" == "--no-router" ]] && run_router=0
     [[ "$arg" == "--no-vec" ]] && run_vec=0
     [[ "$arg" == "--no-compare" ]] && run_compare=0
     [[ "$arg" == "--no-corpus" ]] && run_corpus=0
@@ -111,50 +108,41 @@ if [[ "$run_golden" == 1 ]]; then
 fi
 
 if [[ "$run_serve" == 1 ]]; then
-    echo "== batch service smoke: serve + loadgen over a Unix socket =="
+    echo "== batch service smoke: serve + loadgen, cold and warm disk cache =="
     sock="$(mktemp -u /tmp/rfhc-check-XXXXXX.sock)"
-    "$repo/build/examples/rfhc" serve --socket "$sock" --queue 8 &
-    serve_pid=$!
-    # loadgen retries until the socket appears, verifies every result
-    # byte-for-byte against a local runScheme(), and sends shutdown;
-    # the server must then drain and exit 0 on its own.
-    if ! "$repo/build/examples/rfhc" loadgen --socket "$sock" \
-        --clients 4 --requests 50 --verify --shutdown; then
-        kill "$serve_pid" 2>/dev/null || true
-        echo "check.sh: service loadgen failed" >&2
+    cache="$(mktemp -d /tmp/rfhc-cache-XXXXXX)"
+    # Two sessions on one cache directory: the first fills it, the
+    # restarted server must start warm from it. loadgen retries until
+    # the socket appears, verifies every result byte-for-byte against
+    # a local runScheme(), reports the server's cache counters, and
+    # sends shutdown; the server must then drain and exit 0 on its own.
+    for session in cold warm; do
+        "$repo/build/examples/rfhc" serve --socket "$sock" --queue 8 \
+            --cache-dir "$cache" &
+        serve_pid=$!
+        if ! "$repo/build/examples/rfhc" loadgen --socket "$sock" \
+            --clients 4 --requests 50 --verify --shutdown \
+            | tee "$cache.log"; then
+            kill "$serve_pid" 2>/dev/null || true
+            rm -rf "$cache" "$cache.log"
+            echo "check.sh: service loadgen failed ($session)" >&2
+            exit 1
+        fi
+        if ! wait "$serve_pid"; then
+            rm -rf "$cache" "$cache.log"
+            echo "check.sh: rfhc serve did not exit cleanly" >&2
+            exit 1
+        fi
+        rm -f "$sock"
+    done
+    if ! grep -q "verify: 0 mismatches" "$cache.log" ||
+        ! grep -qE "disk cache: [1-9][0-9]* hits" "$cache.log"; then
+        rm -rf "$cache" "$cache.log"
+        echo "check.sh: restarted serve did not start warm from" \
+             "its disk cache" >&2
         exit 1
     fi
-    if ! wait "$serve_pid"; then
-        echo "check.sh: rfhc serve did not exit cleanly" >&2
-        exit 1
-    fi
-    rm -f "$sock"
-fi
-
-if [[ "$run_router" == 1 ]]; then
-    echo "== router fleet smoke: 3 workers + shared disk cache =="
-    rsock="$(mktemp -u /tmp/rfhc-router-XXXXXX.sock)"
-    rcache="$(mktemp -d /tmp/rfhc-cache-XXXXXX)"
-    "$repo/build/examples/rfhc" router --socket "$rsock" --fleet 3 \
-        --cache-dir "$rcache" &
-    router_pid=$!
-    # loadgen verifies every result byte-for-byte, prints the
-    # per-shard breakdown and disk-cache hit ratio, and sends
-    # shutdown; the router must then drain its fleet and exit 0.
-    if ! "$repo/build/examples/rfhc" loadgen --socket "$rsock" \
-        --clients 4 --requests 60 --verify --router --shutdown; then
-        kill "$router_pid" 2>/dev/null || true
-        rm -rf "$rcache"
-        echo "check.sh: router loadgen failed" >&2
-        exit 1
-    fi
-    if ! wait "$router_pid"; then
-        rm -rf "$rcache"
-        echo "check.sh: rfhc router did not exit cleanly" >&2
-        exit 1
-    fi
-    rm -f "$rsock"
-    rm -rf "$rcache"
+    rm -rf "$cache" "$cache.log"
 fi
 
 if [[ "$run_compare" == 1 ]]; then
@@ -189,7 +177,7 @@ if [[ "$run_corpus" == 1 ]]; then
 
     # Byte-identity smoke at the CLI: the same small corpus must
     # produce identical aggregate JSON at 1 and 4 threads, and again
-    # when served over a Unix socket fleet.
+    # when served by one `rfhc serve` over a Unix socket.
     c1="$(mktemp)"; c4="$(mktemp)"; cs="$(mktemp)"
     corpus_args=(corpus --profiles balanced,divergent --n 64
                  --schemes sw3,hw2 --entries 3 --json)
@@ -210,7 +198,7 @@ if [[ "$run_corpus" == 1 ]]; then
             --socket "$csock" >"$cs"; then
             kill "$corpus_serve_pid" 2>/dev/null || true
             rm -f "$c1" "$c4" "$cs"
-            echo "check.sh: corpus fleet run failed" >&2
+            echo "check.sh: corpus served run failed" >&2
             exit 1
         fi
         kill "$corpus_serve_pid" 2>/dev/null || true
@@ -218,7 +206,7 @@ if [[ "$run_corpus" == 1 ]]; then
         rm -f "$csock"
         if ! cmp -s "$c1" "$cs"; then
             rm -f "$c1" "$c4" "$cs"
-            echo "check.sh: corpus JSON differs local vs fleet" >&2
+            echo "check.sh: corpus JSON differs local vs served" >&2
             exit 1
         fi
     fi

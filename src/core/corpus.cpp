@@ -111,7 +111,7 @@ corpusSampleFromOutcome(const RunOutcome &o)
 {
     CorpusSample s;
     // The one real-valued sample: quantize it through the result-JSON
-    // wire format so local and fleet-parsed samples are identical.
+    // wire format so local and service-parsed samples are identical.
     s.normalizedEnergy = wireRound(o.normalizedEnergy());
     for (int l = 0; l < 3; l++) {
         Level lv = static_cast<Level>(l);

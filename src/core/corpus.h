@@ -16,10 +16,9 @@
  * result-JSON wire format before folding and the fold itself is exact
  * integer arithmetic, so the aggregate document is byte-identical
  * across thread counts, across repeated runs, and across execution
- * substrates — a local run, a single `rfhc serve` process, and a
- * sharded router fleet of any size all produce the same bytes
- * (service/corpus_client.h drives the remote variants through this
- * module's accumulator).
+ * substrates — a local run and a run served by `rfhc serve` produce
+ * the same bytes (service/corpus_client.h drives the served variant
+ * through this module's accumulator).
  */
 
 #ifndef RFH_CORE_CORPUS_H
@@ -162,7 +161,7 @@ struct CorpusResult
 
 /**
  * Order-canonical fold of samples into per-(profile, cell) streaming
- * statistics. Shared by the local runner and the fleet client so both
+ * statistics. Shared by the local runner and the corpus client so both
  * substrates aggregate identically; thanks to the exact merge the
  * fold order cannot change any byte, but callers still fold in
  * (kernel index, cell index) order by convention.
@@ -222,7 +221,7 @@ std::string renderCorpusSummary(const CorpusResult &r);
 /**
  * Resolve and validate @p cfg without running anything: expand
  * profiles, default empty cells, range-check entries and scheme
- * registration. Shared by the local runner and the fleet client.
+ * registration. Shared by the local runner and the corpus client.
  */
 bool resolveCorpusConfig(const CorpusConfig &cfg,
                          std::vector<ScenarioProfile> &profiles,

@@ -8,8 +8,8 @@
  * depend only on the kernel fingerprint (core/memo.h) and the run
  * configuration — never on which process computed them. DiskCache
  * persists those memo entries across processes and restarts, in the
- * spirit of ccache/sccache: a cold `rfhc serve` worker starts warm,
- * and a whole router fleet shares one compilation of each kernel.
+ * spirit of ccache/sccache: a restarted `rfhc serve` starts warm
+ * instead of recompiling every kernel it has seen.
  *
  * Storage model (one directory, one file per entry):
  *  - Entries are keyed by a 64-bit content hash; the full key string

@@ -15,7 +15,7 @@
  * across any number of workers or shards and merging in any order
  * reproduces the sequential state bit for bit, which is what lets the
  * corpus engine (core/corpus.h) promise byte-identical aggregate JSON
- * across thread counts and fleet layouts.
+ * across thread counts and execution substrates.
  *
  * The derived figures (mean, variance, quantiles, bootstrap band) are
  * pure functions of that exact state, so they inherit the guarantee.
@@ -38,7 +38,7 @@ class JsonWriter;
  * real-valued sample through this before folding, so samples derived
  * locally (from full-precision RunOutcome doubles) and remotely (from
  * parsed service result documents) are identical, and local and
- * fleet corpus aggregates agree byte for byte.
+ * served corpus aggregates agree byte for byte.
  */
 double wireRound(double v);
 

@@ -1,9 +1,8 @@
 /**
  * @file
- * Fleet-backed corpus runs: stream the corpus request population
- * through `rfhc serve` (one worker) or the `rfhc router` shard fleet
- * and fold the responses into the same streaming aggregate the local
- * runner produces.
+ * Served corpus runs: stream the corpus request population through
+ * `rfhc serve` and fold the responses into the same streaming
+ * aggregate the local runner produces.
  *
  * Kernels are generated locally (the scenario profiles are
  * deterministic), shipped as inline RPTX text, and executed remotely;
@@ -12,7 +11,7 @@
  * Because every folded value is either an exact integer count or the
  * wire-rounded energy ratio (see core/stats.h), the aggregate JSON is
  * byte-identical to a local runCorpus() of the same configuration —
- * for any connection count and any shard layout.
+ * for any connection count.
  */
 
 #ifndef RFH_SERVICE_CORPUS_CLIENT_H
@@ -24,10 +23,10 @@
 
 namespace rfh {
 
-/** Transport knobs of a fleet corpus run. */
+/** Transport knobs of a served corpus run. */
 struct CorpusClientOptions
 {
-    /** Unix socket of the server or router front end. */
+    /** Unix socket of the server. */
     std::string socketPath = "/tmp/rfhc.sock";
     /** Concurrent client connections. */
     int connections = 4;
@@ -36,7 +35,7 @@ struct CorpusClientOptions
 };
 
 /**
- * Run corpus configuration @p cfg against the fleet at
+ * Run corpus configuration @p cfg against the server at
  * @p opts.socketPath. Transport failures and non-overload service
  * errors surface as folded cell errors (mirroring local run errors);
  * connection loss fails the whole run. @return false with @p err on

@@ -199,18 +199,10 @@ class LatencyHistogram
     std::uint64_t total_ = 0;
 };
 
-/** Per-shard slice of the run (router mode; shard -1 = unknown). */
-struct ShardTally
-{
-    int ok = 0;
-    LatencyHistogram latency;
-};
-
 /** Per-client tallies, merged after the join. */
 struct ClientResult
 {
     LatencyHistogram latency;
-    std::map<int, ShardTally> shards;
     int ok = 0;
     int mismatches = 0;
     int timeouts = 0;
@@ -250,16 +242,8 @@ clientLoop(const LoadgenOptions &opts, int clientIndex,
                 break;
             }
             if (parsed.value.boolOr("ok", false)) {
-                double ms = sw.elapsedSec() * 1e3;
-                int shard = static_cast<int>(
-                    parsed.value.numberOr("shard", -1.0));
-                out.latency.add(ms);
+                out.latency.add(sw.elapsedSec() * 1e3);
                 out.ok++;
-                if (shard >= 0) {
-                    ShardTally &t = out.shards[shard];
-                    t.ok++;
-                    t.latency.add(ms);
-                }
                 if (opts.verify) {
                     auto it = expected.find(
                         {plan.workload, plan.scheme, plan.entries});
@@ -270,11 +254,10 @@ clientLoop(const LoadgenOptions &opts, int clientIndex,
                             std::fprintf(
                                 stderr,
                                 "rfhc loadgen: MISMATCH on request "
-                                "%d (%s/%s/%d, shard %d):\n"
+                                "%d (%s/%s/%d):\n"
                                 "  got      %s\n  expected %s\n",
                                 i, plan.workload.c_str(),
                                 plan.scheme.c_str(), plan.entries,
-                                shard,
                                 extractResult(response).c_str(),
                                 it == expected.end()
                                     ? "<none>"
@@ -309,22 +292,22 @@ clientLoop(const LoadgenOptions &opts, int clientIndex,
 }
 
 /**
- * Fleet cache counters pulled from the `stats` op after the run
- * (router mode): the disk-cache hit ratio proves whether a restarted
- * fleet actually started warm.
+ * Server cache counters pulled from the `stats` op after the run: the
+ * disk-cache hit ratio proves whether a restarted server actually
+ * started warm.
  */
-struct FleetStats
+struct ServerStats
 {
     bool ok = false;
+    bool diskAttached = false;
     double diskHits = 0, diskMisses = 0;
     double memoHits = 0, memoMisses = 0;
-    double routed = 0, rerouted = 0, restarts = 0;
 };
 
-FleetStats
+ServerStats
 queryStats(const std::string &socketPath)
 {
-    FleetStats fs;
+    ServerStats fs;
     int fd = netConnect(socketPath);
     if (fd < 0)
         return fs;
@@ -339,22 +322,19 @@ queryStats(const std::string &socketPath)
         return fs;
     if (const JsonValue *stats = parsed.value.find("stats")) {
         if (const JsonValue *disk = stats->find("disk")) {
+            fs.diskAttached = disk->boolOr("attached", false);
             fs.diskHits = disk->numberOr("hits", 0.0);
             fs.diskMisses = disk->numberOr("misses", 0.0);
         }
         if (const JsonValue *memo = stats->find("memo")) {
-            fs.memoHits = memo->numberOr("baseline_hits", 0.0) +
-                          memo->numberOr("analysis_hits", 0.0) +
-                          memo->numberOr("trace_hits", 0.0);
-            fs.memoMisses = memo->numberOr("baseline_misses", 0.0) +
-                            memo->numberOr("analysis_misses", 0.0) +
-                            memo->numberOr("trace_misses", 0.0);
+            for (const char *map :
+                 {"baseline", "analysis", "trace", "decode"}) {
+                fs.memoHits +=
+                    memo->numberOr(std::string(map) + "_hits", 0.0);
+                fs.memoMisses +=
+                    memo->numberOr(std::string(map) + "_misses", 0.0);
+            }
         }
-    }
-    if (const JsonValue *router = parsed.value.find("router")) {
-        fs.routed = router->numberOr("routed", 0.0);
-        fs.rerouted = router->numberOr("rerouted", 0.0);
-        fs.restarts = router->numberOr("restarts", 0.0);
     }
     fs.ok = true;
     return fs;
@@ -425,11 +405,6 @@ runLoadgen(const LoadgenOptions &opts)
         total.exhausted += r.exhausted;
         transportFailed |= r.transportFailed;
         total.latency.merge(r.latency);
-        for (const auto &[shard, t] : r.shards) {
-            ShardTally &agg = total.shards[shard];
-            agg.ok += t.ok;
-            agg.latency.merge(t.latency);
-        }
     }
     double p50 = total.latency.percentileMs(0.50);
     double p99 = total.latency.percentileMs(0.99);
@@ -448,33 +423,20 @@ runLoadgen(const LoadgenOptions &opts)
         std::printf("  verify: %d mismatches across %d results\n",
                     total.mismatches, total.ok);
 
-    FleetStats fleet;
-    if (opts.router) {
-        for (const auto &[shard, t] : total.shards)
-            std::printf("  shard %d: %d ok, %.1f req/s, p50 %.2f ms, "
-                        "p99 %.2f ms\n",
-                        shard, t.ok,
-                        wallSec > 0 ? t.ok / wallSec : 0.0,
-                        t.latency.percentileMs(0.50),
-                        t.latency.percentileMs(0.99));
-        fleet = queryStats(opts.socketPath);
-        if (fleet.ok) {
-            double diskTotal = fleet.diskHits + fleet.diskMisses;
-            double memoTotal = fleet.memoHits + fleet.memoMisses;
-            std::printf(
-                "  disk cache: %.0f hits / %.0f misses (hit ratio "
-                "%.2f), memo hit ratio %.2f\n",
-                fleet.diskHits, fleet.diskMisses,
-                diskTotal > 0 ? fleet.diskHits / diskTotal : 0.0,
-                memoTotal > 0 ? fleet.memoHits / memoTotal : 0.0);
-            std::printf("  router: %.0f routed, %.0f rerouted, "
-                        "%.0f restarts\n",
-                        fleet.routed, fleet.rerouted, fleet.restarts);
-        } else {
-            std::fprintf(stderr,
-                         "rfhc loadgen: stats query failed; no cache "
-                         "report\n");
-        }
+    ServerStats server = queryStats(opts.socketPath);
+    double diskTotal = server.diskHits + server.diskMisses;
+    double diskRatio = diskTotal > 0 ? server.diskHits / diskTotal : 0.0;
+    if (server.ok) {
+        double memoTotal = server.memoHits + server.memoMisses;
+        std::printf(
+            "  disk cache: %.0f hits / %.0f misses (hit ratio "
+            "%.2f), memo hit ratio %.2f\n",
+            server.diskHits, server.diskMisses, diskRatio,
+            memoTotal > 0 ? server.memoHits / memoTotal : 0.0);
+    } else {
+        std::fprintf(stderr,
+                     "rfhc loadgen: stats query failed; no cache "
+                     "report\n");
     }
     if (transportFailed)
         std::fprintf(stderr,
@@ -506,7 +468,6 @@ runLoadgen(const LoadgenOptions &opts)
             {"clients", std::to_string(opts.clients)},
             {"requests", std::to_string(opts.requests)},
             {"verify", opts.verify ? "true" : "false"},
-            {"router", opts.router ? "true" : "false"},
         };
         m.timing.wallSec = wallSec;
         m.timing.threads = opts.clients;
@@ -515,13 +476,9 @@ runLoadgen(const LoadgenOptions &opts)
             {"rfhc.loadgen/p50", p50, "ms", false},
             {"rfhc.loadgen/p99", p99, "ms", false},
         };
-        if (opts.router && fleet.ok) {
-            double diskTotal = fleet.diskHits + fleet.diskMisses;
-            m.benchmarks.push_back(
-                {"rfhc.loadgen/disk_hit_ratio",
-                 diskTotal > 0 ? fleet.diskHits / diskTotal : 0.0,
-                 "ratio", true});
-        }
+        if (server.diskAttached)
+            m.benchmarks.push_back({"rfhc.loadgen/disk_hit_ratio",
+                                    diskRatio, "ratio", true});
         if (!opts.manifestPath.empty()) {
             if (!writeManifest(opts.manifestPath, m)) {
                 std::fprintf(stderr, "rfhc: cannot write %s\n",

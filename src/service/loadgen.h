@@ -13,12 +13,8 @@
  * response's result document is compared byte-for-byte against a
  * locally computed runScheme() of the same configuration — the
  * end-to-end check that the service path changes nothing about the
- * numbers.
- *
- * Against an `rfhc router` fleet (`--router`), responses carry a
- * `"shard":<n>` field; loadgen additionally reports per-shard request
- * counts, throughput, and p50/p99, and queries the fleet's `stats` op
- * after the run to report the persistent disk-cache hit ratio.
+ * numbers. After the run, loadgen queries the server's `stats` op and
+ * reports the memo-cache and persistent disk-cache hit ratios.
  */
 
 #ifndef RFH_SERVICE_LOADGEN_H
@@ -51,12 +47,6 @@ struct LoadgenOptions
     int maxRetries = 8;
     /** Compare every result byte-for-byte against local runScheme(). */
     bool verify = false;
-    /**
-     * Target is an `rfhc router` fleet: read the `"shard"` field of
-     * each response, print the per-shard breakdown, and query the
-     * aggregated `stats` op for the disk-cache hit ratio afterwards.
-     */
-    bool router = false;
     /** Send `{"op":"shutdown"}` once all clients finish. */
     bool shutdownAfter = false;
     /** Manifest output path ("" = only $RFH_MANIFEST). */

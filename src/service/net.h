@@ -2,7 +2,7 @@
  * @file
  * Shared Unix-socket client plumbing for the service tools.
  *
- * The load generator and the corpus fleet client speak the same
+ * The load generator and the corpus client speak the same
  * NDJSON-over-AF_UNIX transport; the line-level helpers live here so
  * both use identical framing, connect retry, and partial-send
  * handling.

@@ -111,11 +111,10 @@ struct ParsedRequest
 ParsedRequest parseServiceRequest(const std::string &line);
 
 /**
- * Canonical re-serialization of a parsed request. The router forwards
- * client lines to workers with a router-assigned id; since clients may
- * order fields arbitrarily, it re-serialises through this (id first,
- * then every field in a fixed order) rather than patching text.
- * parseServiceRequest(serviceRequestToJson(r)) reproduces r exactly.
+ * Canonical serialization of a request: id first, then every field in
+ * a fixed order. The corpus client builds its request lines through
+ * this; parseServiceRequest(serviceRequestToJson(r)) reproduces r
+ * exactly.
  */
 std::string serviceRequestToJson(const ServiceRequest &req);
 

@@ -430,6 +430,8 @@ BatchService::makeStatsLine(const std::string &idJson) const
     w.key("analysis_misses").value(mc.analysisMisses);
     w.key("trace_hits").value(mc.traceHits);
     w.key("trace_misses").value(mc.traceMisses);
+    w.key("decode_hits").value(mc.decodeHits);
+    w.key("decode_misses").value(mc.decodeMisses);
     w.key("entries").value(
         static_cast<std::uint64_t>(cache.entryCount()));
     w.endObject();
@@ -667,8 +669,8 @@ runServe(const ServeOptions &opts)
         TraceEventLog::global().enable();
 
     // Attach the persistent compile cache before serving: memo misses
-    // then hydrate from disk (a restarted worker skips recompilation)
-    // and write computed entries back for the rest of the fleet.
+    // then hydrate from disk (a restarted server skips recompilation)
+    // and write computed entries back for the next session.
     std::unique_ptr<DiskCache> diskCache;
     if (!opts.cacheDir.empty()) {
         DiskCacheOptions dco;

@@ -133,9 +133,8 @@ class BatchService
 
     /**
      * `op:"stats"` response: service counters plus the memo-cache and
-     * (when attached) disk-cache counters. The router fans this out to
-     * aggregate a fleet-wide cache picture; loadgen reports the disk
-     * hit ratio from it.
+     * (when attached) disk-cache counters; loadgen reports the memo
+     * and disk hit ratios from it.
      */
     std::string makeStatsLine(const std::string &idJson) const;
 
@@ -198,8 +197,8 @@ struct ServeOptions
     /**
      * Persistent compile-cache directory (core/diskcache.h); empty
      * disables. When set, memo misses consult and populate the disk
-     * cache, so a restarted worker skips recompiling every kernel it
-     * (or any fleet sibling sharing the directory) has seen.
+     * cache, so a restarted server skips recompiling every kernel it
+     * has seen.
      */
     std::string cacheDir;
     /** Disk-cache size cap before LRU eviction (0 = unlimited). */

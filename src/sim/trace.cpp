@@ -1,8 +1,5 @@
 #include "sim/trace.h"
 
-#include <algorithm>
-#include <sstream>
-
 #include "core/metrics.h"
 #include "core/trace_events.h"
 #include "ir/cfg_analysis.h"
@@ -47,82 +44,6 @@ noteRecording(const Kernel &k, const DecodedTrace &trace, double sec)
 }
 
 } // namespace
-
-KernelTrace
-recordTrace(const Kernel &k, const RunConfig &cfg)
-{
-    KernelTrace trace;
-    trace.blockCounts.assign(k.blocks.size(), 0);
-    for (int w = 0; w < cfg.numWarps; w++) {
-        WarpContext warp;
-        warp.reset(static_cast<std::uint32_t>(w));
-        std::vector<int> path;
-        std::uint64_t executed = 0;
-        while (!warp.done && executed < cfg.maxInstrsPerWarp) {
-            if (warp.idx == 0) {
-                // Entering a block (including re-entry via a loop).
-                path.push_back(warp.block);
-                trace.blockCounts[warp.block]++;
-            }
-            step(k, warp);
-            executed++;
-            trace.instructions++;
-        }
-        trace.warpPaths.push_back(std::move(path));
-    }
-    return trace;
-}
-
-std::string
-validateTrace(const Kernel &k, const KernelTrace &trace)
-{
-    Cfg cfg(k);
-    std::ostringstream err;
-    for (int w = 0; w < trace.numWarps(); w++) {
-        const auto &path = trace.warpPaths[w];
-        if (path.empty()) {
-            err << "warp " << w << ": empty path";
-            return err.str();
-        }
-        if (path.front() != 0) {
-            err << "warp " << w << ": does not start at the entry block";
-            return err.str();
-        }
-        for (std::size_t i = 0; i + 1 < path.size(); i++) {
-            const auto &succs = cfg.succs(path[i]);
-            if (std::find(succs.begin(), succs.end(), path[i + 1]) ==
-                succs.end()) {
-                err << "warp " << w << ": illegal transition "
-                    << path[i] << " -> " << path[i + 1];
-                return err.str();
-            }
-        }
-        // The final block must be able to terminate the kernel.
-        const auto &bb = k.blocks[path.back()];
-        if (bb.instrs.empty() || bb.instrs.back().op != Opcode::EXIT) {
-            err << "warp " << w << ": path ends in block "
-                << path.back() << " which has no exit";
-            return err.str();
-        }
-    }
-    // Block counts must agree with the paths.
-    std::vector<std::uint64_t> counts(k.blocks.size(), 0);
-    for (const auto &path : trace.warpPaths)
-        for (int b : path)
-            counts[b]++;
-    if (counts != trace.blockCounts)
-        return "block counts disagree with recorded paths";
-    return "";
-}
-
-std::vector<std::uint64_t>
-dynamicInstrsPerBlock(const Kernel &k, const KernelTrace &t)
-{
-    std::vector<std::uint64_t> out(k.blocks.size(), 0);
-    for (std::size_t b = 0; b < k.blocks.size(); b++)
-        out[b] = t.blockCounts[b] * k.blocks[b].instrs.size();
-    return out;
-}
 
 DecodedTrace
 recordDecodedTrace(const Kernel &k, const RunConfig &cfg)

@@ -5,16 +5,13 @@
  * frequencies, and a custom trace-based simulator reconstructs likely
  * warp interleavings from them).
  *
- * Two trace representations are provided:
- *
- *  - KernelTrace: per warp, the sequence of basic blocks visited —
- *    feeds profile-style analyses (hot blocks, dynamic strand mix).
- *  - DecodedTrace: the flat, pre-decoded dynamic instruction stream
- *    that drives the replay executors. Recorded once per
- *    (kernel, RunConfig) — the functional machine runs exactly once —
- *    and then replayed by every (scheme x entries) grid cell doing
- *    only hierarchy state updates and access counting: no opcode
- *    dispatch, no value computation, no branch evaluation.
+ * The one trace representation is DecodedTrace: the flat, pre-decoded
+ * dynamic instruction stream that drives the replay executors and the
+ * cycle-level pipeline. It is recorded once per (kernel, RunConfig) —
+ * the functional machine runs exactly once — and then replayed by
+ * every (scheme x entries) grid cell doing only hierarchy state
+ * updates and access counting: no opcode dispatch, no value
+ * computation, no branch evaluation.
  *
  * The dynamic stream is a structure-of-arrays: one int32 linear
  * instruction index and one flags byte per dynamic instruction, with
@@ -38,42 +35,6 @@
 namespace rfh {
 
 class ReachingDefs;
-
-/** Recorded dynamic behaviour of one kernel launch. */
-struct KernelTrace
-{
-    /** Per warp: the sequence of basic-block ids executed. */
-    std::vector<std::vector<int>> warpPaths;
-    /** Dynamic execution count of each basic block (all warps). */
-    std::vector<std::uint64_t> blockCounts;
-    /** Total dynamic instructions across all warps. */
-    std::uint64_t instructions = 0;
-
-    int
-    numWarps() const
-    {
-        return static_cast<int>(warpPaths.size());
-    }
-};
-
-/** Execute @p k functionally and record each warp's block path. */
-KernelTrace recordTrace(const Kernel &k, const RunConfig &cfg = {});
-
-/**
- * Validate that @p trace is a legal execution of @p k: every recorded
- * transition must be a CFG edge, every path starts at the entry block,
- * and every path ends at a block that can terminate.
- *
- * @return empty string if consistent, else a description.
- */
-std::string validateTrace(const Kernel &k, const KernelTrace &trace);
-
-/**
- * Per-block dynamic instruction histogram: how many instructions each
- * block contributes to the dynamic stream (blockCounts × block size).
- */
-std::vector<std::uint64_t> dynamicInstrsPerBlock(const Kernel &k,
-                                                 const KernelTrace &t);
 
 // ---- Pre-decoded replay stream ----
 

@@ -534,7 +534,7 @@ corpusWorkload(const ScenarioProfile &p, std::uint64_t seed,
             generateFuzzKernel(w.name, fuzzParamsFor(p, seed, index));
     // Only the warp count deviates from the default run configuration:
     // the service builds inline-kernel workloads with default limits,
-    // and local and fleet corpus runs must execute identically.
+    // and local and served corpus runs must execute identically.
     w.run.numWarps = p.warps;
     return w;
 }

@@ -134,7 +134,7 @@ TEST(CorpusProfiles, SeedCorpusSliceFingerprintsArePinned)
 
 TEST(CorpusSamples, OutcomeAndResultJsonExtractIdentically)
 {
-    // The fleet client folds samples parsed from service result
+    // The corpus client folds samples parsed from service result
     // documents; the local runner folds them straight from
     // RunOutcome. Byte-identity of the aggregates requires the two
     // extractions to agree exactly — in particular the wire's

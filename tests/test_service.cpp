@@ -143,9 +143,10 @@ TEST(ServiceProtocol, EnvelopesAreExactBytes)
 
 TEST(ServiceProtocol, CanonicalSerializationRoundTrips)
 {
-    // The router re-serializes parsed requests before forwarding, so
-    // parse(toJson(parse(line))) must reproduce every field exactly —
-    // regardless of the original key order.
+    // corpus_client and perfbench build request lines with
+    // serviceRequestToJson, so parse(toJson(parse(line))) must
+    // reproduce every field exactly — regardless of the original key
+    // order.
     const char *lines[] = {
         R"({"id":7,"op":"run","workload":"vectoradd"})",
         R"({"scheme":"hw2","id":"abc","op":"run","entries":4,)"
@@ -222,7 +223,8 @@ TEST(ServiceServer, StatsOpReportsServiceAndCacheCounters)
     so.pool = &pool;
     BatchService svc(so);
     svc.start();
-    runOne(svc, R"({"id":1,"workload":"vectoradd","scheme":"sw3"})");
+    runOne(svc, R"({"id":1,"workload":"vectoradd","scheme":"hw2",)"
+                R"("engine":"replay"})");
     std::string resp = runOne(svc, R"({"id":2,"op":"stats"})");
     svc.drain();
 
@@ -235,7 +237,17 @@ TEST(ServiceServer, StatsOpReportsServiceAndCacheCounters)
     ASSERT_NE(service, nullptr);
     EXPECT_EQ(service->numberOr("completed", -1.0), 1.0);
     EXPECT_EQ(service->numberOr("ok", -1.0), 1.0);
-    ASSERT_NE(stats->find("memo"), nullptr);
+    const JsonValue *memo = stats->find("memo");
+    ASSERT_NE(memo, nullptr);
+    // All four memo maps report; the replay run consulted the decode map.
+    for (const char *map : {"baseline", "analysis", "trace", "decode"}) {
+        EXPECT_NE(memo->find(std::string(map) + "_hits"), nullptr) << map;
+        EXPECT_NE(memo->find(std::string(map) + "_misses"), nullptr)
+            << map;
+    }
+    EXPECT_GE(memo->numberOr("decode_hits", 0.0) +
+                  memo->numberOr("decode_misses", 0.0),
+              1.0);
     const JsonValue *disk = stats->find("disk");
     ASSERT_NE(disk, nullptr);
     // No disk cache is attached in this test.

@@ -1,17 +1,74 @@
 /**
  * @file
- * Tests for control-flow trace recording and validation.
+ * Tests for decoded-trace recording: every warp's record stream must
+ * be a legal execution of the recorded kernel.
  */
 
 #include <gtest/gtest.h>
 
+#include "ir/cfg_analysis.h"
 #include "ir/parser.h"
-#include "sim/perf_sim.h"
 #include "sim/trace.h"
 #include "workloads/registry.h"
 
 namespace rfh {
 namespace {
+
+/**
+ * Check that every warp's @c lin stream in @p t walks @p k legally: it
+ * starts at block 0, steps to the next instruction of the same block
+ * or along a CFG edge at a block end, and ends at an EXIT or at the
+ * warpEndLin cap (whose step is checked like any other).
+ *
+ * @return empty string if consistent, else the first violation.
+ */
+std::string
+streamError(const Kernel &k, const DecodedTrace &t)
+{
+    Cfg cfg(k);
+    for (int w = 0; w < t.numWarps(); w++) {
+        std::string at = "warp " + std::to_string(w) + ": ";
+        if (t.warpBegin[w] == t.warpBegin[w + 1])
+            return at + "empty stream";
+        if (t.lin[t.warpBegin[w]] != k.blockStart(0))
+            return at + "does not start at block 0";
+        for (std::uint32_t i = t.warpBegin[w]; i < t.warpBegin[w + 1];
+             i++) {
+            int cur = t.lin[i];
+            int next = t.nextLin(w, i);
+            InstrRef r = k.ref(cur);
+            int blockSize =
+                static_cast<int>(k.blocks[r.block].instrs.size());
+            std::string step = at + "record " + std::to_string(i) +
+                ": " + std::to_string(cur) + " -> " +
+                std::to_string(next);
+            if (next < 0) {
+                if (k.instr(cur).op != Opcode::EXIT)
+                    return step + " ends without an exit";
+            } else if (r.idx + 1 < blockSize) {
+                if (next != cur + 1)
+                    return step + " leaves its block mid-way";
+            } else {
+                bool edge = false;
+                for (int s : cfg.succs(r.block))
+                    edge |= next == k.blockStart(s);
+                if (!edge)
+                    return step + " is not a CFG edge";
+            }
+        }
+    }
+    return "";
+}
+
+/** Records per basic block across all warps of @p t. */
+std::vector<std::uint64_t>
+recordsPerBlock(const Kernel &k, const DecodedTrace &t)
+{
+    std::vector<std::uint64_t> out(k.blocks.size(), 0);
+    for (std::int32_t lin : t.lin)
+        out[k.ref(lin).block]++;
+    return out;
+}
 
 TEST(Trace, StraightLinePathIsOneBlock)
 {
@@ -23,12 +80,12 @@ entry:
 )");
     RunConfig cfg;
     cfg.numWarps = 2;
-    KernelTrace t = recordTrace(k, cfg);
+    DecodedTrace t = recordDecodedTrace(k, cfg);
     ASSERT_EQ(t.numWarps(), 2);
-    EXPECT_EQ(t.warpPaths[0], std::vector<int>({0}));
-    EXPECT_EQ(t.blockCounts[0], 2u);
-    EXPECT_EQ(t.instructions, 6u);
-    EXPECT_EQ(validateTrace(k, t), "");
+    EXPECT_EQ(t.lin, std::vector<std::int32_t>({0, 1, 2, 0, 1, 2}));
+    EXPECT_EQ(t.warpEndLin, std::vector<std::int32_t>({-1, -1}));
+    EXPECT_EQ(t.instructions(), 6u);
+    EXPECT_EQ(streamError(k, t), "");
 }
 
 TEST(Trace, LoopRecordsEveryIteration)
@@ -45,11 +102,19 @@ out:
 )");
     RunConfig cfg;
     cfg.numWarps = 1;
-    KernelTrace t = recordTrace(k, cfg);
-    // entry, 4x body, out.
-    EXPECT_EQ(t.blockCounts[1], 4u);
-    EXPECT_EQ(t.warpPaths[0].size(), 6u);
-    EXPECT_EQ(validateTrace(k, t), "");
+    DecodedTrace t = recordDecodedTrace(k, cfg);
+    // entry, 4x body (3 instructions each), out.
+    std::vector<std::uint64_t> perBlock = recordsPerBlock(k, t);
+    EXPECT_EQ(perBlock, std::vector<std::uint64_t>({1, 12, 1}));
+    EXPECT_EQ(t.takenBranches, 3u);
+    EXPECT_EQ(streamError(k, t), "");
+
+    // A capped run ends mid-loop; its next instruction is still legal.
+    cfg.maxInstrsPerWarp = 5;
+    DecodedTrace capped = recordDecodedTrace(k, cfg);
+    EXPECT_EQ(capped.instructions(), 5u);
+    EXPECT_EQ(capped.warpEndLin, std::vector<std::int32_t>({2}));
+    EXPECT_EQ(streamError(k, capped), "");
 }
 
 TEST(Trace, DivergentWarpsTakeDifferentPaths)
@@ -69,17 +134,21 @@ out:
 )");
     RunConfig cfg;
     cfg.numWarps = 8;
-    KernelTrace t = recordTrace(k, cfg);
+    DecodedTrace t = recordDecodedTrace(k, cfg);
     // Warps 0 and 1 (tid < 2) take "low"; the rest take "high".
-    EXPECT_EQ(t.blockCounts[2], 2u);
-    EXPECT_EQ(t.blockCounts[1], 6u);
-    EXPECT_EQ(validateTrace(k, t), "");
+    std::vector<std::uint64_t> perBlock = recordsPerBlock(k, t);
+    EXPECT_EQ(perBlock[2], 2u);
+    EXPECT_EQ(perBlock[1], 6u * 2u);
+    EXPECT_EQ(streamError(k, t), "");
 }
 
 TEST(Trace, ValidationCatchesIllegalTransitions)
 {
     Kernel k = parseKernelOrDie(R"(.kernel v
 entry:
+    setlt R1, R0, #2
+    @R1 bra skip
+mid:
     iadd R1, R0, #1
 skip:
     st.global [R0], R1
@@ -87,72 +156,23 @@ skip:
 )");
     RunConfig cfg;
     cfg.numWarps = 1;
-    KernelTrace t = recordTrace(k, cfg);
-    ASSERT_EQ(validateTrace(k, t), "");
-    KernelTrace bad = t;
-    bad.warpPaths[0] = {1, 0};  // backwards, not a CFG edge chain
-    EXPECT_NE(validateTrace(k, bad), "");
-    KernelTrace bad2 = t;
-    bad2.blockCounts[0] += 5;
-    EXPECT_NE(validateTrace(k, bad2), "");
-}
+    DecodedTrace t = recordDecodedTrace(k, cfg);
+    ASSERT_EQ(t.lin, std::vector<std::int32_t>({0, 1, 3, 4}));
+    ASSERT_EQ(streamError(k, t), "");
 
-TEST(Trace, DynamicInstrHistogram)
-{
-    Kernel k = parseKernelOrDie(R"(.kernel h
-entry:
-    mov R1, #3
-body:
-    isub R1, R1, #1
-    setgt R2, R1, #0
-    @R2 bra body
-out:
-    exit
-)");
-    RunConfig cfg;
-    cfg.numWarps = 2;
-    KernelTrace t = recordTrace(k, cfg);
-    auto hist = dynamicInstrsPerBlock(k, t);
-    EXPECT_EQ(hist[0], 2u);       // 1 instr x 2 warps
-    EXPECT_EQ(hist[1], 2u * 9u);  // 3 instrs x 3 iters x 2 warps
-    std::uint64_t total = 0;
-    for (auto h : hist)
-        total += h;
-    EXPECT_EQ(total, t.instructions);
-}
-
-TEST(Trace, ReplayMatchesLiveSimulation)
-{
-    // Replaying a trace through the SM model must produce the same
-    // instruction count and (for uniform-control-flow kernels) the
-    // same cycle count as live execution.
-    for (const char *name : {"scalarprod", "hotspot", "nbody"}) {
-        const Workload &w = workloadByName(name);
-        PerfConfig cfg;
-        cfg.numWarps = 8;
-        cfg.activeWarps = 4;
-        RunConfig rc;
-        rc.numWarps = cfg.numWarps;
-        KernelTrace t = recordTrace(w.kernel, rc);
-        PerfResult live = runPerfSim(w.kernel, cfg);
-        PerfResult replay = runPerfSimFromTrace(w.kernel, t, cfg);
-        EXPECT_EQ(replay.instructions, live.instructions) << name;
-        EXPECT_EQ(replay.cycles, live.cycles) << name;
-    }
-}
-
-TEST(Trace, ReplayScalesWarpsRoundRobin)
-{
-    const Workload &w = workloadByName("histogram");
-    RunConfig rc;
-    rc.numWarps = 4;
-    KernelTrace t = recordTrace(w.kernel, rc);
-    PerfConfig cfg;
-    cfg.numWarps = 16;  // more warps than recorded paths
-    cfg.activeWarps = 8;
-    PerfResult r = runPerfSimFromTrace(w.kernel, t, cfg);
-    EXPECT_GT(r.instructions, t.instructions);
-    EXPECT_GT(r.ipc(), 0.0);
+    // Hand-made illegal streams, one fault each.
+    DecodedTrace bad = t;
+    bad.lin = {2, 3, 4};  // starts outside block 0
+    bad.warpBegin = {0, 3};
+    EXPECT_NE(streamError(k, bad), "");
+    bad.lin = {0, 3, 4};  // skips the branch mid-block
+    EXPECT_NE(streamError(k, bad), "");
+    bad.lin = {0, 1, 4};  // jumps from a block end along no edge
+    EXPECT_NE(streamError(k, bad), "");
+    bad = t;
+    bad.lin.pop_back();  // ends on the store, not the exit
+    bad.warpBegin = {0, 3};
+    EXPECT_NE(streamError(k, bad), "");
 }
 
 TEST(Trace, AllWorkloadsProduceValidTraces)
@@ -160,9 +180,9 @@ TEST(Trace, AllWorkloadsProduceValidTraces)
     for (const Workload &w : allWorkloads()) {
         RunConfig cfg = w.run;
         cfg.numWarps = 2;
-        KernelTrace t = recordTrace(w.kernel, cfg);
-        EXPECT_EQ(validateTrace(w.kernel, t), "") << w.name;
-        EXPECT_GT(t.instructions, 0u) << w.name;
+        DecodedTrace t = recordDecodedTrace(w.kernel, cfg);
+        EXPECT_EQ(streamError(w.kernel, t), "") << w.name;
+        EXPECT_GT(t.instructions(), 0u) << w.name;
     }
 }
 
