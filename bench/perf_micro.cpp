@@ -94,8 +94,11 @@ BM_HwCacheExec(benchmark::State &state)
     const Kernel &k = bigKernel();
     HwCacheConfig cfg;
     cfg.useLRF = true;
+    RunConfig run;
     for (auto _ : state) {
-        AccessCounts c = runHwCache(k, cfg);
+        AccessCounts c;
+        makeHwCacheAccounting(k, cfg, nullptr, nullptr, c)
+            ->execute(k, run);
         benchmark::DoNotOptimize(c.instructions);
         state.SetItemsProcessed(state.items_processed() +
                                 c.instructions);

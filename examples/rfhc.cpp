@@ -89,7 +89,7 @@
  *   --warps N          warps per oracle leg (default 4)
  *   --entries N        ORF/RFC entries per thread (default 3)
  *   --no-hw            skip the hardware-cache differential pairs
- *   --no-simt          skip the SIMT differential pairs
+ *   --no-simt          skip the SIMT differential checks
  *   --manifest F       write an rfh-manifest-v1 campaign manifest to F
  *
  * Options (serve):

@@ -243,6 +243,14 @@ if [[ "$run_asan" == 1 ]]; then
     # parsing (length-prefixed reads over untrusted file bytes).
     "$repo/build-asan/tests/rfh_tests" \
         --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:DiskCache.*'
+    # The scheme accountants: the hw2/hw3/ccrfc/regdem replay engine,
+    # the software hierarchy's per-record fallback, and the pipeline
+    # driving them at issue (SwFailingRun.* walks every structural
+    # fault through replay, the REPLAY engine, and the pipeline).
+    cmake --build "$repo/build-asan" -j "$jobs" \
+        --target rfh_pipeline_tests
+    "$repo/build-asan/tests/rfh_pipeline_tests" \
+        --gtest_filter='Pipeline.*:PerfSim.*:SwFailingRun.*'
     if [[ "$run_fuzz" == 1 ]]; then
         # The differential oracle over the checked-in corpus: every
         # scheme x engine pair runs under ASan, so an out-of-bounds
@@ -263,7 +271,7 @@ if command -v doxygen >/dev/null 2>&1; then
             >/dev/null)
     # New-in-this-layer headers must stay warning-free; the gate is
     # scoped so pre-existing debt elsewhere does not block CI.
-    gated='core/metrics\.|core/trace_events\.|core/manifest\.|core/benchdiff\.|sim/replay_kernels\.|sim/replay_arena\.|core/scheme\.|core/leaderboard\.|sim/cc_rfc\.|sim/regdem\.|sim/greener\.|sim/rfc_ring\.|sim/tick\.|sim/port\.|sim/pipeline|core/stats\.|core/corpus\.|workloads/profiles\.|service/corpus_client\.|service/net\.'
+    gated='core/metrics\.|core/trace_events\.|core/manifest\.|core/benchdiff\.|sim/replay_kernels\.|sim/replay_arena\.|core/scheme\.|core/leaderboard\.|sim/cc_rfc\.|sim/hw_cache\.|sim/sw_exec|sim/regdem\.|sim/greener\.|sim/rfc_ring\.|sim/tick\.|sim/port\.|sim/pipeline|core/stats\.|core/corpus\.|workloads/profiles\.|service/corpus_client\.|service/net\.'
     if grep -E "$gated" "$doxlog"; then
         echo "check.sh: doxygen warnings in gated headers (above)" >&2
         exit 1

@@ -47,7 +47,7 @@
 namespace rfh {
 
 /** Bump when any serialized payload layout changes. */
-inline constexpr std::uint32_t kDiskCacheVersion = 1;
+inline constexpr std::uint32_t kDiskCacheVersion = 2;
 
 /** DiskCache configuration. */
 struct DiskCacheOptions

@@ -230,9 +230,12 @@ ExperimentCache::trace(const Kernel &k, const RunConfig &run)
                            std::get<2>(key), std::get<3>(key));
             std::string payload;
             if (dc->load(dkey, payload)) {
+                // A payload that parses but breaks the trace invariant
+                // (say, truncated planes) would index out of bounds in
+                // replay: treat it as a miss and re-record.
                 ByteReader r(payload);
                 DecodedTrace t = deserializeDecodedTrace(r);
-                if (r.ok() && r.atEnd()) {
+                if (r.ok() && r.atEnd() && t.wellFormed(k.numInstrs())) {
                     e->trace = std::make_shared<const DecodedTrace>(
                         std::move(t));
                     return;

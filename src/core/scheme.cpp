@@ -30,6 +30,27 @@ SchemeBackend::allocate(Kernel &, const ExperimentConfig &,
     return AllocStats{};
 }
 
+SchemeSimResult
+SchemeBackend::simulate(const SchemeRunContext &ctx) const
+{
+    SchemeSimResult r;
+    PipelineBuildContext build;
+    build.kernel = ctx.kernel;
+    build.cfg = ctx.cfg;
+    build.analyses = ctx.analyses;
+    build.decode = ctx.decode;
+    build.counts = &r.counts;
+    std::unique_ptr<PipelineAccounting> acct =
+        makePipelineAccounting(build);
+    if (!acct)
+        r.error = "scheme builds no accounting";
+    else if (ctx.engine == ResolvedEngine::REPLAY)
+        r.error = acct->replay(*ctx.trace);
+    else
+        r.error = acct->execute(*ctx.kernel, ctx.workload->run);
+    return r;
+}
+
 bool
 SchemeBackend::splitLrfEnergy(const ExperimentConfig &) const
 {

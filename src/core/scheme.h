@@ -129,7 +129,7 @@ struct SchemeCaps
      * (checkAllocationInvariants) against the annotated kernel.
      */
     bool usesAllocator = false;
-    /** SIMT executors exist; the oracle runs the SIMT pairs. */
+    /** SIMT executors exist; the oracle runs the SIMT checks. */
     bool hasSimt = false;
     /**
      * Hardware-managed caching scheme: skipped by the oracle when
@@ -252,8 +252,16 @@ class SchemeBackend
     virtual AllocStats allocate(Kernel &k, const ExperimentConfig &cfg,
                                 const AnalysisBundle *analyses) const;
 
-    /** Execute phase: produce the access counts of one run. */
-    virtual SchemeSimResult simulate(const SchemeRunContext &ctx) const = 0;
+    /**
+     * Execute phase: produce the access counts of one run. The default
+     * builds makePipelineAccounting() over ctx.kernel and drives it
+     * with the trace driver on REPLAY (ctx.trace) or the
+     * functional-machine driver on DIRECT (sim/pipeline_account.h), so
+     * one per-warp state machine serves every engine. Backends with
+     * their own executors (a memoized count set, a value-verifying
+     * interpreter) override it.
+     */
+    virtual SchemeSimResult simulate(const SchemeRunContext &ctx) const;
 
     /**
      * Price the LRF as split per-operand-slot banks when building the
@@ -285,11 +293,12 @@ class SchemeBackend
                       const AccessCounts &baseline) const;
 
     /**
-     * Build the per-warp accounting the cycle-level pipeline
-     * (sim/pipeline.h) drives at issue. Must replicate simulate()'s
-     * counting exactly — the verify oracle enforces identical counts
-     * per scheme and warp count. Only called when caps().pipelined;
-     * the default returns null.
+     * Build the scheme's per-warp accounting: the state machine the
+     * default simulate() drives on both engines and the cycle-level
+     * pipeline (sim/pipeline.h) drives at issue. A backend that
+     * overrides simulate() must count exactly what this accounting
+     * counts — the verify oracle enforces identical counts per scheme
+     * and warp count. The default returns null.
      */
     virtual std::unique_ptr<PipelineAccounting>
     makePipelineAccounting(const PipelineBuildContext &ctx) const;

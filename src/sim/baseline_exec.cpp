@@ -1,12 +1,8 @@
 #include "sim/baseline_exec.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "sim/machine.h"
-#include "sim/replay_arena.h"
-#include "sim/replay_kernels.h"
-#include "sim/trace.h"
 
 namespace rfh {
 
@@ -32,54 +28,6 @@ runBaseline(const Kernel &k, const RunConfig &cfg)
             executed++;
         }
     }
-    return counts;
-}
-
-AccessCounts
-replayBaseline(const Kernel &k, const DecodedTrace &trace,
-               const ReplayDecode *dec)
-{
-    // Pre-resolve the two per-instruction quantities the flat-MRF
-    // accounting needs (or borrow them from a shared decode).
-    const int n = k.numInstrs();
-    std::optional<ReplayDecode> local;
-    if (!dec)
-        dec = &local.emplace(k);
-    AccessCounts counts;
-    const std::size_t total = trace.lin.size();
-    if (trace.hasPlanes()) {
-        // Flat-MRF accounting is a pure sum of per-instruction deltas:
-        // histogram the stream by static instruction and apply each
-        // delta once. The rare not-executed records come from a
-        // popcount-style sweep of the executed bit-plane's clear bits.
-        ReplayArena &arena = acquireThreadReplayArena();
-        std::uint32_t *histAll = arena.allocZeroed<std::uint32_t>(n);
-        std::uint32_t *histOff = arena.allocZeroed<std::uint32_t>(n);
-        histogramRecords(trace.lin.data(), total, histAll);
-        if (trace.executedInstrs != total)
-            histogramClearBits(trace.execWords.data(),
-                               trace.lin.data(), total, histOff);
-        for (int lin = 0; lin < n; lin++) {
-            const std::uint64_t all = histAll[lin];
-            if (all == 0)
-                continue;
-            const Datapath dp =
-                static_cast<Datapath>(dec->datapath[lin]);
-            counts.read(Level::MRF, dp, dec->regReads[lin] * all);
-            counts.write(Level::MRF, dp,
-                         dec->regWrites[lin] * (all - histOff[lin]));
-        }
-    } else {
-        for (std::size_t t = 0; t < total; t++) {
-            const int lin = trace.lin[t];
-            const Datapath dp =
-                static_cast<Datapath>(dec->datapath[lin]);
-            counts.read(Level::MRF, dp, dec->regReads[lin]);
-            if (trace.flags[t] & kReplayExecuted)
-                counts.write(Level::MRF, dp, dec->regWrites[lin]);
-        }
-    }
-    counts.instructions = trace.instructions();
     return counts;
 }
 

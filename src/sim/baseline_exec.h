@@ -31,20 +31,6 @@ struct RunConfig
 /** Execute @p k against a flat MRF and count accesses. */
 AccessCounts runBaseline(const Kernel &k, const RunConfig &cfg = {});
 
-struct DecodedTrace;
-struct ReplayDecode;
-
-/**
- * Replay-mode counterpart of runBaseline: derive the flat-MRF counts
- * from a pre-decoded trace of @p k without re-executing the machine.
- * Identical counts to runBaseline on the trace's RunConfig.
- *
- * @param dec optional shared pre-decode of @p k (e.g. from
- *        ExperimentCache::decode); built locally when null.
- */
-AccessCounts replayBaseline(const Kernel &k, const DecodedTrace &trace,
-                            const ReplayDecode *dec = nullptr);
-
 /** Dynamic register-usage statistics (Figure 2). */
 struct UsageStats
 {

@@ -2,13 +2,10 @@
 
 #include <optional>
 
-#include "core/metrics.h"
 #include "ir/liveness.h"
-#include "sim/machine.h"
 #include "sim/pipeline_account.h"
 #include "sim/replay_arena.h"
 #include "sim/rfc_ring.h"
-#include "sim/trace.h"
 
 namespace rfh {
 
@@ -16,14 +13,13 @@ namespace {
 
 /**
  * Hierarchy state + access accounting of one warp under the
- * compiler-assisted RFC. The direct executor drives it from the
- * functional machine; the replay executor drives it from a
- * pre-decoded trace. Both feed the same onInstr(), so their counts
- * are identical by construction: everything value-dependent is folded
- * into the @c enabled input, and the compile-time hints are a pure
- * function of the static kernel.
+ * compiler-assisted RFC: the scheme's one counting model, driven by
+ * every engine (sim/pipeline_account.h). Everything value-dependent is
+ * folded into the @c enabled input, and the compile-time hints are a
+ * pure function of the static kernel. RFC hits become collector
+ * bypass operands.
  */
-class CcWarpSim
+class CcWarpSim final : public WarpAccountant
 {
   public:
     CcWarpSim(const ReplayDecode &dec, const CcRfcConfig &cfg,
@@ -35,20 +31,9 @@ class CcWarpSim
     {
     }
 
-    /** Reset the hierarchy for a fresh warp. */
     void
-    beginWarp()
-    {
-        rfc_.clear();
-        pending_.reset();
-    }
-
-    /**
-     * Account one dynamic instruction. @p enabled is the predicate
-     * outcome at issue.
-     */
-    void
-    onInstr(int lin, bool enabled)
+    onIssue(int lin, bool enabled, bool /*taken*/,
+            std::int32_t /*nextLin*/, OperandPlan &plan) override
     {
         const ReplayOp &o = dec_.op[lin];
         const Datapath dp = static_cast<Datapath>(o.dp);
@@ -72,12 +57,10 @@ class CcWarpSim
         auto read_one = [&](Reg r) {
             const bool hit = rfc_.contains(r);
             counts_.read(hit ? Level::ORF : Level::MRF, dp);
-            if (plan_) {
-                if (hit)
-                    plan_->numBypass++;
-                else
-                    plan_->mrfReg[plan_->numMrf++] = r;
-            }
+            if (hit)
+                plan.numBypass++;
+            else
+                plan.mrfReg[plan.numMrf++] = r;
         };
         for (int s = 0; s < o.nsrc; s++)
             read_one(o.src[s]);
@@ -125,17 +108,6 @@ class CcWarpSim
         counts_.instructions++;
     }
 
-    /**
-     * Capture the operand sourcing of subsequent onInstr() calls into
-     * @p plan (MRF reads vs RFC bypasses); null to stop. Timing-only:
-     * the captured plan never feeds the counters.
-     */
-    void
-    setPlan(OperandPlan *plan)
-    {
-        plan_ = plan;
-    }
-
   private:
     /** Flush everything live back to the MRF (deschedule). */
     void
@@ -158,37 +130,10 @@ class CcWarpSim
     AccessCounts &counts_;
     RfcRing rfc_;
     RegSet pending_;
-    OperandPlan *plan_ = nullptr;
-};
-
-/** Pipeline adapter: one CcWarpSim driven at issue. */
-class CcWarpAccountant final : public WarpAccountant
-{
-  public:
-    CcWarpAccountant(const ReplayDecode &dec, const CcRfcConfig &cfg,
-                     const Liveness &liveness,
-                     const std::vector<std::uint8_t> &hints,
-                     AccessCounts &counts, ReplayArena &arena)
-        : sim_(dec, cfg, liveness, hints, counts, arena)
-    {
-        sim_.beginWarp();
-    }
-
-    void
-    onIssue(int lin, bool enabled, bool /*taken*/,
-            std::int32_t /*nextLin*/, OperandPlan &plan) override
-    {
-        sim_.setPlan(&plan);
-        sim_.onInstr(lin, enabled);
-        sim_.setPlan(nullptr);
-    }
-
-  private:
-    CcWarpSim sim_;
 };
 
 /** Pipeline accounting factory for the compiler-assisted RFC. */
-class CcAccounting final : public PipelineAccounting
+class CcAccounting final : public AccountingOf<CcWarpSim>
 {
   public:
     CcAccounting(const Kernel &k, const CcRfcConfig &cfg,
@@ -198,14 +143,18 @@ class CcAccounting final : public PipelineAccounting
           hints_(ccRfcAllocationHints(k, cfg.entries))
     {
         analyses_ = analyses ? analyses : &localAnalyses_.emplace(k);
+        // Any decode works here: the compiler-assisted RFC never reads
+        // the kOpLrfAble flag, so shared-consumer info is not required.
         dec_ = dec ? dec : &localDec_.emplace(k);
     }
 
-    std::unique_ptr<WarpAccountant>
-    makeWarp(int /*warp*/) override
+  protected:
+    std::unique_ptr<CcWarpSim>
+    newWarp(int /*warp*/) override
     {
-        return std::make_unique<CcWarpAccountant>(
-            *dec_, cfg_, analyses_->liveness, hints_, counts_, arena_);
+        return std::make_unique<CcWarpSim>(*dec_, cfg_,
+                                           analyses_->liveness, hints_,
+                                           counts_, arena_);
     }
 
   private:
@@ -220,32 +169,6 @@ class CcAccounting final : public PipelineAccounting
     // thread-local replay arena, which other code resets freely.
     ReplayArena arena_;
 };
-
-/** Compiler-assisted-RFC observability, fed by both drivers. */
-void
-noteCcRun(const AccessCounts &counts, bool replay)
-{
-    static Counter &runs = globalMetrics().counter("sim.ccrfc.runs");
-    static Counter &replays =
-        globalMetrics().counter("sim.ccrfc.runs.replay");
-    static Counter &instrs =
-        globalMetrics().counter("sim.ccrfc.instrs");
-    runs.add();
-    if (replay)
-        replays.add();
-    instrs.add(counts.instructions);
-}
-
-const ReplayDecode &
-resolveDecode(const Kernel &k, const ReplayDecode *dec,
-              std::optional<ReplayDecode> &local)
-{
-    // Any decode works here: the compiler-assisted RFC never reads
-    // the kOpLrfAble flag, so shared-consumer info is not required.
-    if (dec)
-        return *dec;
-    return local.emplace(k);
-}
 
 } // namespace
 
@@ -294,67 +217,6 @@ ccRfcAllocationHints(const Kernel &k, int entries)
         }
     }
     return hint;
-}
-
-AccessCounts
-runCcRfc(const Kernel &k, const CcRfcConfig &cfg,
-         const AnalysisBundle *analyses, const ReplayDecode *dec)
-{
-    std::optional<AnalysisBundle> local;
-    if (!analyses)
-        analyses = &local.emplace(k);
-    std::optional<ReplayDecode> localDec;
-    const ReplayDecode &d = resolveDecode(k, dec, localDec);
-    const std::vector<std::uint8_t> hints =
-        ccRfcAllocationHints(k, cfg.entries);
-
-    ReplayArena &arena = acquireThreadReplayArena();
-    AccessCounts counts;
-    CcWarpSim sim(d, cfg, analyses->liveness, hints, counts, arena);
-    for (int w = 0; w < cfg.run.numWarps; w++) {
-        WarpContext warp;
-        warp.reset(static_cast<std::uint32_t>(w));
-        sim.beginWarp();
-        std::uint64_t executed = 0;
-        while (!warp.done && executed < cfg.run.maxInstrsPerWarp) {
-            int lin = warp.pc(k);
-            const Instruction &in = k.instr(lin);
-            bool enabled = !in.pred || warp.regs[*in.pred] != 0;
-            step(k, warp);
-            executed++;
-            sim.onInstr(lin, enabled);
-        }
-    }
-    noteCcRun(counts, /*replay=*/false);
-    return counts;
-}
-
-AccessCounts
-replayCcRfc(const Kernel &k, const CcRfcConfig &cfg,
-            const DecodedTrace &trace, const AnalysisBundle *analyses,
-            const ReplayDecode *dec)
-{
-    std::optional<AnalysisBundle> local;
-    if (!analyses)
-        analyses = &local.emplace(k);
-    std::optional<ReplayDecode> localDec;
-    const ReplayDecode &d = resolveDecode(k, dec, localDec);
-    const std::vector<std::uint8_t> hints =
-        ccRfcAllocationHints(k, cfg.entries);
-
-    ReplayArena &arena = acquireThreadReplayArena();
-    AccessCounts counts;
-    CcWarpSim sim(d, cfg, analyses->liveness, hints, counts, arena);
-    for (int w = 0; w < trace.numWarps(); w++) {
-        sim.beginWarp();
-        for (std::uint32_t t = trace.warpBegin[w];
-             t < trace.warpBegin[w + 1]; t++) {
-            int lin = trace.lin[t];
-            sim.onInstr(lin, trace.flags[t] & kReplayExecuted);
-        }
-    }
-    noteCcRun(counts, /*replay=*/true);
-    return counts;
 }
 
 std::unique_ptr<PipelineAccounting>

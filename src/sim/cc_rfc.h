@@ -18,9 +18,9 @@
  *
  * Long-latency results bypass the hierarchy and deschedule handling
  * matches the hardware scheme (all live cached values flush to the
- * MRF when the warp swaps out). Both executors drive the same per-warp
- * accounting model, so direct and replay counts are identical by
- * construction.
+ * MRF when the warp swaps out). One per-warp accounting model serves
+ * every engine, so direct, replay, and pipeline counts are identical
+ * by construction.
  */
 
 #ifndef RFH_SIM_CC_RFC_H
@@ -33,11 +33,9 @@
 #include "ir/analysis_bundle.h"
 #include "ir/kernel.h"
 #include "sim/access_counters.h"
-#include "sim/baseline_exec.h"
 
 namespace rfh {
 
-struct DecodedTrace;
 struct ReplayDecode;
 
 /** Compiler-assisted RFC configuration. */
@@ -45,7 +43,6 @@ struct CcRfcConfig
 {
     /** RFC entries per thread (1..8). */
     int entries = 3;
-    RunConfig run;
 };
 
 /**
@@ -60,44 +57,28 @@ int ccRfcHintWindow(int entries);
  * Compute the per-instruction allocation hints of @p k for a cache of
  * @p entries: hint[lin] is non-zero when the result defined at @p lin
  * should be inserted into the RFC. Wide (64-bit) and long-latency
- * results always bypass. Deterministic and purely static, so both
- * executors derive identical hints.
+ * results always bypass. Deterministic and purely static, so every
+ * engine derives identical hints.
  */
 std::vector<std::uint8_t> ccRfcAllocationHints(const Kernel &k,
                                                int entries);
 
+class PipelineAccounting;
+
 /**
- * Execute @p k under the compiler-assisted RFC and count accesses.
+ * The compiler-assisted RFC's per-warp accounting
+ * (sim/pipeline_account.h): its one counting model, driven by the
+ * trace and functional-machine drivers and by the cycle-level pipeline
+ * at issue. RFC hits become collector bypass operands.
  *
  * @param analyses optional precomputed analyses (liveness feeds the
  *        last-read hints and writeback elision); computed locally
  *        when null.
  * @param dec optional shared pre-decode (ExperimentCache::decode);
  *        built locally when null.
- */
-AccessCounts runCcRfc(const Kernel &k, const CcRfcConfig &cfg = {},
-                      const AnalysisBundle *analyses = nullptr,
-                      const ReplayDecode *dec = nullptr);
-
-/**
- * Replay-mode counterpart of runCcRfc: walk the pre-decoded dynamic
- * stream @p trace (recorded from @p k under the same RunConfig as
- * @p cfg.run). Counts are identical to runCcRfc by construction —
- * both drive the same per-warp accounting model.
- */
-AccessCounts replayCcRfc(const Kernel &k, const CcRfcConfig &cfg,
-                         const DecodedTrace &trace,
-                         const AnalysisBundle *analyses = nullptr,
-                         const ReplayDecode *dec = nullptr);
-
-class PipelineAccounting;
-
-/**
- * Per-warp compiler-assisted-RFC accounting for the cycle-level
- * pipeline (sim/pipeline.h): the same CcWarpSim state machine the
- * executors drive, called once per dynamic instruction at issue. RFC
- * hits become collector bypass operands. @p k, @p analyses, @p dec,
- * and @p counts must outlive the returned object.
+ *
+ * @p k, @p analyses, @p dec, and @p counts must outlive the returned
+ * object.
  */
 std::unique_ptr<PipelineAccounting> makeCcRfcAccounting(
     const Kernel &k, const CcRfcConfig &cfg,

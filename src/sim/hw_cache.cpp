@@ -1,16 +1,11 @@
 #include "sim/hw_cache.h"
 
 #include <optional>
-#include <vector>
 
-#include "core/metrics.h"
 #include "ir/liveness.h"
-#include "ir/reaching_defs.h"
-#include "sim/machine.h"
 #include "sim/pipeline_account.h"
 #include "sim/replay_arena.h"
 #include "sim/rfc_ring.h"
-#include "sim/trace.h"
 
 namespace rfh {
 
@@ -21,18 +16,17 @@ using Rfc = RfcRing;
 
 /**
  * Hierarchy state + access accounting of one warp under the hardware
- * cache. The direct executor drives it from the functional machine;
- * the replay executor drives it from a pre-decoded trace. Both feed
- * the same onInstr(), so their counts are identical by construction:
- * everything value-dependent is folded into the @c enabled and
- * @c branchTaken inputs.
+ * cache: the scheme's one counting model, driven by every engine
+ * (sim/pipeline_account.h). Everything value-dependent is folded into
+ * the @c enabled and @c taken inputs. RFC/LRF hits become collector
+ * bypass operands.
  *
  * The inner loop reads only the compact ReplayOp records and the
  * derived register sets of the decode — never the Instruction
  * snapshots — so a decode shared across annotated copies is safe.
  * The decode must carry shared-consumer info (kOpLrfAble).
  */
-class HwWarpSim
+class HwWarpSim final : public WarpAccountant
 {
   public:
     HwWarpSim(const ReplayDecode &dec, const HwCacheConfig &cfg,
@@ -43,22 +37,9 @@ class HwWarpSim
     {
     }
 
-    /** Reset the hierarchy for a fresh warp. */
     void
-    beginWarp()
-    {
-        rfc_.clear();
-        lrf_valid_ = false;
-        lrf_reg_ = 0;
-        pending_.reset();
-    }
-
-    /**
-     * Account one dynamic instruction. @p enabled is the predicate
-     * outcome at issue; @p branch_taken whether a BRA was taken.
-     */
-    void
-    onInstr(int lin, bool enabled, bool branch_taken)
+    onIssue(int lin, bool enabled, bool taken, std::int32_t /*nextLin*/,
+            OperandPlan &plan) override
     {
         const ReplayOp &o = dec_.op[lin];
         const Datapath dp = static_cast<Datapath>(o.dp);
@@ -81,16 +62,13 @@ class HwWarpSim
         auto read_one = [&](Reg r) {
             if (cfg_.useLRF && !shared && lrf_valid_ && lrf_reg_ == r) {
                 counts_.read(Level::LRF, dp);
-                if (plan_)
-                    plan_->numBypass++;
+                plan.numBypass++;
             } else if (rfc_.contains(r)) {
                 counts_.read(Level::ORF, dp);
-                if (plan_)
-                    plan_->numBypass++;
+                plan.numBypass++;
             } else {
                 counts_.read(Level::MRF, dp);
-                if (plan_)
-                    plan_->mrfReg[plan_->numMrf++] = r;
+                plan.mrfReg[plan.numMrf++] = r;
             }
         };
         for (int s = 0; s < o.nsrc; s++)
@@ -143,20 +121,9 @@ class HwWarpSim
         counts_.instructions++;
 
         // Backward branch taken: optional flush variant.
-        if (cfg_.flushOnBackwardBranch && branch_taken &&
+        if (cfg_.flushOnBackwardBranch && taken &&
             (o.flags & kOpBackward))
             flushAll(liveness_.liveAfter(lin));
-    }
-
-    /**
-     * Capture the operand sourcing of subsequent onInstr() calls into
-     * @p plan (MRF reads vs upper-level bypasses); null to stop.
-     * Timing-only: the captured plan never feeds the counters.
-     */
-    void
-    setPlan(OperandPlan *plan)
-    {
-        plan_ = plan;
     }
 
   private:
@@ -213,36 +180,10 @@ class HwWarpSim
     bool lrf_valid_ = false;
     Reg lrf_reg_ = 0;
     RegSet pending_;
-    OperandPlan *plan_ = nullptr;
-};
-
-/** Pipeline adapter: one HwWarpSim driven at issue. */
-class HwWarpAccountant final : public WarpAccountant
-{
-  public:
-    HwWarpAccountant(const ReplayDecode &dec, const HwCacheConfig &cfg,
-                     const Liveness &liveness, AccessCounts &counts,
-                     ReplayArena &arena)
-        : sim_(dec, cfg, liveness, counts, arena)
-    {
-        sim_.beginWarp();
-    }
-
-    void
-    onIssue(int lin, bool enabled, bool taken, std::int32_t /*nextLin*/,
-            OperandPlan &plan) override
-    {
-        sim_.setPlan(&plan);
-        sim_.onInstr(lin, enabled, taken);
-        sim_.setPlan(nullptr);
-    }
-
-  private:
-    HwWarpSim sim_;
 };
 
 /** Pipeline accounting factory for the hardware cache scheme. */
-class HwAccounting final : public PipelineAccounting
+class HwAccounting final : public AccountingOf<HwWarpSim>
 {
   public:
     HwAccounting(const Kernel &k, const HwCacheConfig &cfg,
@@ -256,11 +197,13 @@ class HwAccounting final : public PipelineAccounting
             : &localDec_.emplace(k, &analyses_->reachingDefs);
     }
 
-    std::unique_ptr<WarpAccountant>
-    makeWarp(int /*warp*/) override
+  protected:
+    std::unique_ptr<HwWarpSim>
+    newWarp(int /*warp*/) override
     {
-        return std::make_unique<HwWarpAccountant>(
-            *dec_, cfg_, analyses_->liveness, counts_, arena_);
+        return std::make_unique<HwWarpSim>(*dec_, cfg_,
+                                           analyses_->liveness, counts_,
+                                           arena_);
     }
 
   private:
@@ -275,97 +218,7 @@ class HwAccounting final : public PipelineAccounting
     ReplayArena arena_;
 };
 
-/** Hardware-scheme observability, fed by both execution drivers. */
-void
-noteHwRun(const AccessCounts &counts, bool replay)
-{
-    static Counter &runs = globalMetrics().counter("sim.hw.runs");
-    static Counter &replays =
-        globalMetrics().counter("sim.hw.runs.replay");
-    static Counter &instrs = globalMetrics().counter("sim.hw.instrs");
-    runs.add();
-    if (replay)
-        replays.add();
-    instrs.add(counts.instructions);
-}
-
-/**
- * Resolve the shared decode for the hardware executors: use the
- * caller's when it carries shared-consumer info, else build one
- * locally from the (cached or local) analyses.
- */
-const ReplayDecode &
-resolveDecode(const Kernel &k, const ReplayDecode *dec,
-              const AnalysisBundle &analyses,
-              std::optional<ReplayDecode> &local)
-{
-    if (dec && dec->hasSharedConsumerInfo())
-        return *dec;
-    return local.emplace(k, &analyses.reachingDefs);
-}
-
 } // namespace
-
-AccessCounts
-runHwCache(const Kernel &k, const HwCacheConfig &cfg,
-           const AnalysisBundle *analyses, const ReplayDecode *dec)
-{
-    // The analyses are structure-only, so a shared precomputed bundle
-    // is equivalent to computing them here.
-    std::optional<AnalysisBundle> local;
-    if (!analyses)
-        analyses = &local.emplace(k);
-    std::optional<ReplayDecode> localDec;
-    const ReplayDecode &d = resolveDecode(k, dec, *analyses, localDec);
-
-    ReplayArena &arena = acquireThreadReplayArena();
-    AccessCounts counts;
-    HwWarpSim sim(d, cfg, analyses->liveness, counts, arena);
-    for (int w = 0; w < cfg.run.numWarps; w++) {
-        WarpContext warp;
-        warp.reset(static_cast<std::uint32_t>(w));
-        sim.beginWarp();
-        std::uint64_t executed = 0;
-        while (!warp.done && executed < cfg.run.maxInstrsPerWarp) {
-            int lin = warp.pc(k);
-            const Instruction &in = k.instr(lin);
-            bool enabled = !in.pred || warp.regs[*in.pred] != 0;
-            StepInfo si = step(k, warp);
-            executed++;
-            sim.onInstr(lin, enabled, si.branchTaken);
-        }
-    }
-    noteHwRun(counts, /*replay=*/false);
-    return counts;
-}
-
-AccessCounts
-replayHwCache(const Kernel &k, const HwCacheConfig &cfg,
-              const DecodedTrace &trace, const AnalysisBundle *analyses,
-              const ReplayDecode *dec)
-{
-    std::optional<AnalysisBundle> local;
-    if (!analyses)
-        analyses = &local.emplace(k);
-    std::optional<ReplayDecode> localDec;
-    const ReplayDecode &d = resolveDecode(k, dec, *analyses, localDec);
-
-    ReplayArena &arena = acquireThreadReplayArena();
-    AccessCounts counts;
-    HwWarpSim sim(d, cfg, analyses->liveness, counts, arena);
-    for (int w = 0; w < trace.numWarps(); w++) {
-        sim.beginWarp();
-        for (std::uint32_t t = trace.warpBegin[w];
-             t < trace.warpBegin[w + 1]; t++) {
-            int lin = trace.lin[t];
-            std::uint8_t flags = trace.flags[t];
-            sim.onInstr(lin, flags & kReplayExecuted,
-                        flags & kReplayBranchTaken);
-        }
-    }
-    noteHwRun(counts, /*replay=*/true);
-    return counts;
-}
 
 std::unique_ptr<PipelineAccounting>
 makeHwCacheAccounting(const Kernel &k, const HwCacheConfig &cfg,

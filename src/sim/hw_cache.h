@@ -24,7 +24,6 @@
 #include "ir/analysis_bundle.h"
 #include "ir/kernel.h"
 #include "sim/access_counters.h"
-#include "sim/baseline_exec.h"
 
 namespace rfh {
 
@@ -40,45 +39,25 @@ struct HwCacheConfig
      * limit study compares this against keeping values resident.
      */
     bool flushOnBackwardBranch = false;
-    RunConfig run;
 };
 
-struct DecodedTrace;
 struct ReplayDecode;
+class PipelineAccounting;
 
 /**
- * Execute @p k under the hardware-managed cache and count accesses.
+ * The hardware cache's per-warp accounting (sim/pipeline_account.h):
+ * its one counting model, driven by the trace and functional-machine
+ * drivers and by the cycle-level pipeline at issue. RFC/LRF hits
+ * become collector bypass operands.
  *
  * @param analyses optional precomputed analyses of a kernel with
  *        @p k's structure; computed locally when null.
  * @param dec optional shared pre-decode with shared-consumer info
  *        (ExperimentCache::decode); built locally when null or when
  *        it lacks that info.
- */
-AccessCounts runHwCache(const Kernel &k, const HwCacheConfig &cfg = {},
-                        const AnalysisBundle *analyses = nullptr,
-                        const ReplayDecode *dec = nullptr);
-
-/**
- * Replay-mode counterpart of runHwCache: walk the pre-decoded dynamic
- * stream @p trace (recorded from @p k under the same RunConfig as
- * @p cfg.run) doing only hierarchy state updates and access counting.
- * Counts are identical to runHwCache by construction — both drive the
- * same per-warp accounting model.
- */
-AccessCounts replayHwCache(const Kernel &k, const HwCacheConfig &cfg,
-                           const DecodedTrace &trace,
-                           const AnalysisBundle *analyses = nullptr,
-                           const ReplayDecode *dec = nullptr);
-
-class PipelineAccounting;
-
-/**
- * Per-warp hardware-cache accounting for the cycle-level pipeline
- * (sim/pipeline.h): the same HwWarpSim state machine the executors
- * drive, called once per dynamic instruction at issue. RFC/LRF hits
- * become collector bypass operands. @p k, @p analyses, @p dec, and
- * @p counts must outlive the returned object.
+ *
+ * @p k, @p analyses, @p dec, and @p counts must outlive the returned
+ * object.
  */
 std::unique_ptr<PipelineAccounting> makeHwCacheAccounting(
     const Kernel &k, const HwCacheConfig &cfg,

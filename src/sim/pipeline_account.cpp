@@ -2,13 +2,11 @@
 
 #include <optional>
 
-#include "sim/trace.h"
-
 namespace rfh {
 
 namespace {
 
-/** Flat-MRF accounting; counts mirror replayBaseline exactly. */
+/** Flat-MRF accounting; counts mirror runBaseline exactly. */
 class FlatWarpAccountant final : public WarpAccountant
 {
   public:
@@ -39,7 +37,7 @@ class FlatWarpAccountant final : public WarpAccountant
 };
 
 /** Factory for FlatWarpAccountant; owns the fallback decode. */
-class FlatAccounting final : public PipelineAccounting
+class FlatAccounting final : public AccountingOf<FlatWarpAccountant>
 {
   public:
     FlatAccounting(const Kernel &k, const ReplayDecode *dec,
@@ -49,8 +47,9 @@ class FlatAccounting final : public PipelineAccounting
         dec_ = dec ? dec : &local_.emplace(k);
     }
 
-    std::unique_ptr<WarpAccountant>
-    makeWarp(int /*warp*/) override
+  protected:
+    std::unique_ptr<FlatWarpAccountant>
+    newWarp(int /*warp*/) override
     {
         return std::make_unique<FlatWarpAccountant>(*dec_, counts_);
     }

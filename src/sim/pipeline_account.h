@@ -1,24 +1,31 @@
 /**
  * @file
- * Scheme accounting driven by the staged SM pipeline.
+ * Per-scheme access accounting: one state machine per scheme, driven
+ * by every engine.
  *
- * The cycle-level pipeline (sim/pipeline.h) separates *timing* from
- * *counting*: access accounting happens once per dynamic instruction
- * at issue, by replaying the scheme's exact per-warp hierarchy state
- * machine — the same code path the functional executors drive — while
- * the timing model routes the resulting operand plan through the
- * operand collector, MRF banks, and latency pipes. Because every
- * scheme's counting walk is a pure function of the per-warp record
- * stream (which the scheduler never reorders within a warp) and the
- * shared AccessCounts accumulator is additive, the pipeline's totals
- * equal the functional trace path's totals exactly, for any scheduler
- * policy and any interleaving — the invariant the verify oracle
- * enforces per scheme and warp count.
+ * A scheme's WarpAccountant is its single counting model. Three
+ * drivers feed it the same per-warp record stream (lin, enabled,
+ * branch taken, next lin):
  *
- * A WarpAccountant is the per-warp state machine; a PipelineAccounting
- * is the per-run factory that owns everything the warps share (decode
- * tables, hints, liveness, its own arena). Backends expose a factory
- * through SchemeBackend::makePipelineAccounting.
+ *  - the trace driver (PipelineAccounting::replay) walks a recorded
+ *    DecodedTrace warp by warp — the REPLAY engine;
+ *  - the functional-machine driver (PipelineAccounting::execute)
+ *    interprets the kernel warp by warp and accounts each instruction
+ *    as it steps — the DIRECT engine of schemes without a
+ *    value-verifying executor;
+ *  - the cycle-level pipeline (sim/pipeline.h) calls onIssue at issue,
+ *    interleaving warps as its scheduler decides.
+ *
+ * Every count is a pure function of the per-warp record stream (which
+ * no scheduler reorders within a warp) and the shared AccessCounts
+ * accumulator is additive, so all three produce identical totals — the
+ * invariant the verify oracle enforces per scheme and warp count.
+ *
+ * A PipelineAccounting is the per-run factory that owns everything the
+ * warps share (decode tables, hints, liveness, its own arena).
+ * Backends expose one through SchemeBackend::makePipelineAccounting;
+ * the default SchemeBackend::simulate drives it through the two
+ * functional drivers.
  */
 
 #ifndef RFH_SIM_PIPELINE_ACCOUNT_H
@@ -27,14 +34,15 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "ir/kernel.h"
 #include "sim/access_counters.h"
+#include "sim/machine.h"
+#include "sim/trace.h"
 
 namespace rfh {
-
-struct ReplayDecode;
 
 /**
  * Where one instruction's register operands are physically fetched
@@ -56,11 +64,10 @@ struct OperandPlan
 
 /**
  * Per-warp hierarchy state machine: accounts one dynamic instruction
- * per onIssue() call, in the warp's trace order. Implementations
- * replicate their scheme's functional accounting exactly (including
- * deschedule counting), so driving every record of a warp through
- * onIssue produces the same AccessCounts delta as the functional
- * executor — regardless of how the scheduler interleaves warps.
+ * per onIssue() call, in the warp's trace order, including deschedule
+ * counting. It is the scheme's only counting model: every driver feeds
+ * it the same per-warp records, so the counts cannot depend on which
+ * engine ran or how a scheduler interleaved the warps.
  */
 class WarpAccountant
 {
@@ -77,14 +84,14 @@ class WarpAccountant
      * @param nextLin linear index of the warp's next instruction along
      *        the recorded path, or -1 when the warp terminates — the
      *        strand-boundary lookahead of the software scheme.
-     * @param plan out-parameter: the operand sourcing plan for the
-     *        collector stage.
+     * @param plan out-parameter, passed in empty: the operand
+     *        sourcing plan for the collector stage.
      */
     virtual void onIssue(int lin, bool enabled, bool taken,
                          std::int32_t nextLin, OperandPlan &plan) = 0;
 
     /**
-     * First verification failure, or empty. Checked by the pipeline
+     * First verification failure, or empty. Checked by every driver
      * after every onIssue; a failing run stops at that instruction.
      */
     virtual std::string_view
@@ -95,8 +102,69 @@ class WarpAccountant
 };
 
 /**
+ * Trace driver: feed every record of @p trace to the warp machines
+ * @p makeWarp(w) returns, warp by warp in order, stopping at the first
+ * error(). @return that error, or empty. Called with a pointer to a
+ * `final` accountant type, the per-record onIssue is a direct call.
+ */
+template <typename MakeWarp>
+std::string
+driveTrace(const DecodedTrace &trace, MakeWarp &&makeWarp)
+{
+    OperandPlan plan;
+    for (int w = 0; w < trace.numWarps(); w++) {
+        auto acct = makeWarp(w);
+        const std::uint32_t end = trace.warpBegin[w + 1];
+        for (std::uint32_t t = trace.warpBegin[w]; t < end; t++) {
+            const std::uint8_t flags = trace.flags[t];
+            plan.numMrf = plan.numBypass = 0;
+            acct->onIssue(trace.lin[t], (flags & kReplayExecuted) != 0,
+                          (flags & kReplayBranchTaken) != 0,
+                          t + 1 < end ? trace.lin[t + 1]
+                                      : trace.warpEndLin[w],
+                          plan);
+            if (!acct->error().empty())
+                return std::string(acct->error());
+        }
+    }
+    return {};
+}
+
+/**
+ * Functional-machine driver: execute @p k for @p run's warps, feeding
+ * each instruction to the warp machine @p makeWarp(w) returns as it
+ * steps — the same records recordDecodedTrace would have captured.
+ * Stops at the first error(). @return that error, or empty.
+ */
+template <typename MakeWarp>
+std::string
+driveMachine(const Kernel &k, const RunConfig &run, MakeWarp &&makeWarp)
+{
+    OperandPlan plan;
+    for (int w = 0; w < run.numWarps; w++) {
+        auto acct = makeWarp(w);
+        WarpContext warp;
+        warp.reset(static_cast<std::uint32_t>(w));
+        std::uint64_t executed = 0;
+        while (!warp.done && executed < run.maxInstrsPerWarp) {
+            const int lin = warp.pc(k);
+            const Instruction &in = k.instr(lin);
+            const bool enabled = !in.pred || warp.regs[*in.pred] != 0;
+            const StepInfo si = step(k, warp);
+            executed++;
+            plan.numMrf = plan.numBypass = 0;
+            acct->onIssue(lin, enabled, si.branchTaken,
+                          warp.done ? -1 : warp.pc(k), plan);
+            if (!acct->error().empty())
+                return std::string(acct->error());
+        }
+    }
+    return {};
+}
+
+/**
  * Per-run accounting factory: owns the state shared by every warp of
- * one pipeline run and creates the per-warp machines. The AccessCounts
+ * one run and creates the per-warp machines. The AccessCounts
  * accumulator passed at construction is shared by all warps (the
  * counters are additive, so totals are interleaving-invariant).
  */
@@ -107,12 +175,55 @@ class PipelineAccounting
 
     /** Create the state machine of warp @p warp, reset for a fresh run. */
     virtual std::unique_ptr<WarpAccountant> makeWarp(int warp) = 0;
+
+    /** REPLAY engine: driveTrace over @p trace. @return the error. */
+    virtual std::string replay(const DecodedTrace &trace) = 0;
+
+    /**
+     * DIRECT engine: driveMachine over @p k for @p run. @return the
+     * error.
+     */
+    virtual std::string execute(const Kernel &k, const RunConfig &run) = 0;
+};
+
+/**
+ * The one implementation of PipelineAccounting, over a concrete
+ * `final` accountant type @p Warp: the scheme implements newWarp() and
+ * gets makeWarp() plus both functional drivers, instantiated on
+ * @p Warp so no record pays a virtual call.
+ */
+template <typename Warp>
+class AccountingOf : public PipelineAccounting
+{
+  public:
+    std::unique_ptr<WarpAccountant>
+    makeWarp(int warp) final
+    {
+        return newWarp(warp);
+    }
+
+    std::string
+    replay(const DecodedTrace &trace) final
+    {
+        return driveTrace(trace, [this](int w) { return newWarp(w); });
+    }
+
+    std::string
+    execute(const Kernel &k, const RunConfig &run) final
+    {
+        return driveMachine(k, run,
+                            [this](int w) { return newWarp(w); });
+    }
+
+  protected:
+    /** The state machine of warp @p warp, reset for a fresh run. */
+    virtual std::unique_ptr<Warp> newWarp(int warp) = 0;
 };
 
 /**
  * Flat single-level accounting: every register operand is an MRF
  * access (the baseline and GREENER schemes — identical counts to
- * replayBaseline). @p dec may be null (a private decode is built);
+ * runBaseline). @p dec may be null (a private decode is built);
  * @p k and @p counts must outlive the returned object.
  */
 std::unique_ptr<PipelineAccounting> makeFlatAccounting(

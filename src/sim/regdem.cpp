@@ -4,20 +4,19 @@
 #include <optional>
 #include <vector>
 
-#include "core/metrics.h"
-#include "sim/machine.h"
 #include "sim/pipeline_account.h"
-#include "sim/trace.h"
 
 namespace rfh {
 
 namespace {
 
 /**
- * Pure counting walk shared by both drivers: everything the counts
- * depend on is (lin, enabled) plus the static demotion set.
+ * Pure counting walk, the scheme's one counting model: everything the
+ * counts depend on is (lin, enabled) plus the static demotion set.
+ * Demoted operands bypass the MRF banks (they live in shared-memory
+ * spill space).
  */
-class RegDemWarpSim
+class RegDemWarpSim final : public WarpAccountant
 {
   public:
     RegDemWarpSim(const ReplayDecode &dec, const RegSet &demoted,
@@ -27,7 +26,8 @@ class RegDemWarpSim
     }
 
     void
-    onInstr(int lin, bool enabled)
+    onIssue(int lin, bool enabled, bool /*taken*/,
+            std::int32_t /*nextLin*/, OperandPlan &plan) override
     {
         const ReplayOp &o = dec_.op[lin];
         const Datapath dp = static_cast<Datapath>(o.dp);
@@ -35,12 +35,10 @@ class RegDemWarpSim
         auto read_one = [&](Reg r) {
             if (demoted_.test(r)) {
                 counts_.wbReads++;  // shared-memory spill read
-                if (plan_)
-                    plan_->numBypass++;
+                plan.numBypass++;
             } else {
                 counts_.read(Level::MRF, dp);
-                if (plan_)
-                    plan_->mrfReg[plan_->numMrf++] = r;
+                plan.mrfReg[plan.numMrf++] = r;
             }
         };
         for (int s = 0; s < o.nsrc; s++)
@@ -61,48 +59,14 @@ class RegDemWarpSim
         counts_.instructions++;
     }
 
-    /**
-     * Capture the operand sourcing of subsequent onInstr() calls into
-     * @p plan (MRF reads vs spill-space bypasses); null to stop.
-     */
-    void
-    setPlan(OperandPlan *plan)
-    {
-        plan_ = plan;
-    }
-
   private:
     const ReplayDecode &dec_;
     const RegSet &demoted_;
     AccessCounts &counts_;
-    OperandPlan *plan_ = nullptr;
-};
-
-/** Pipeline adapter: stateless per warp, shared demotion set. */
-class RegDemWarpAccountant final : public WarpAccountant
-{
-  public:
-    RegDemWarpAccountant(const ReplayDecode &dec, const RegSet &demoted,
-                         AccessCounts &counts)
-        : sim_(dec, demoted, counts)
-    {
-    }
-
-    void
-    onIssue(int lin, bool enabled, bool /*taken*/,
-            std::int32_t /*nextLin*/, OperandPlan &plan) override
-    {
-        sim_.setPlan(&plan);
-        sim_.onInstr(lin, enabled);
-        sim_.setPlan(nullptr);
-    }
-
-  private:
-    RegDemWarpSim sim_;
 };
 
 /** Pipeline accounting factory for register demotion. */
-class RegDemAccounting final : public PipelineAccounting
+class RegDemAccounting final : public AccountingOf<RegDemWarpSim>
 {
   public:
     RegDemAccounting(const Kernel &k, const RegDemConfig &cfg,
@@ -113,11 +77,11 @@ class RegDemAccounting final : public PipelineAccounting
         dec_ = dec ? dec : &localDec_.emplace(k);
     }
 
-    std::unique_ptr<WarpAccountant>
-    makeWarp(int /*warp*/) override
+  protected:
+    std::unique_ptr<RegDemWarpSim>
+    newWarp(int /*warp*/) override
     {
-        return std::make_unique<RegDemWarpAccountant>(*dec_, demoted_,
-                                                      counts_);
+        return std::make_unique<RegDemWarpSim>(*dec_, demoted_, counts_);
     }
 
   private:
@@ -126,30 +90,6 @@ class RegDemAccounting final : public PipelineAccounting
     std::optional<ReplayDecode> localDec_;
     const ReplayDecode *dec_;
 };
-
-/** Register-demotion observability, fed by both drivers. */
-void
-noteRegDemRun(const AccessCounts &counts, bool replay)
-{
-    static Counter &runs = globalMetrics().counter("sim.regdem.runs");
-    static Counter &replays =
-        globalMetrics().counter("sim.regdem.runs.replay");
-    static Counter &spills =
-        globalMetrics().counter("sim.regdem.spillAccesses");
-    runs.add();
-    if (replay)
-        replays.add();
-    spills.add(counts.wbReads + counts.wbWrites);
-}
-
-const ReplayDecode &
-resolveDecode(const Kernel &k, const ReplayDecode *dec,
-              std::optional<ReplayDecode> &local)
-{
-    if (dec)
-        return *dec;
-    return local.emplace(k);
-}
 
 } // namespace
 
@@ -200,56 +140,6 @@ regdemSpillEnergyPJ(const AccessCounts &c, const EnergyParams &params)
         params.mrfReadPJ +
         static_cast<double>(c.wbWrites) * kRegDemSpillFactor *
         params.mrfWritePJ;
-}
-
-AccessCounts
-runRegDem(const Kernel &k, const RegDemConfig &cfg,
-          const ReplayDecode *dec)
-{
-    std::optional<ReplayDecode> localDec;
-    const ReplayDecode &d = resolveDecode(k, dec, localDec);
-    const RegSet demoted =
-        regdemDemotedSet(k, kRegDemRegsPerEntry * cfg.entries);
-
-    AccessCounts counts;
-    RegDemWarpSim sim(d, demoted, counts);
-    for (int w = 0; w < cfg.run.numWarps; w++) {
-        WarpContext warp;
-        warp.reset(static_cast<std::uint32_t>(w));
-        std::uint64_t executed = 0;
-        while (!warp.done && executed < cfg.run.maxInstrsPerWarp) {
-            int lin = warp.pc(k);
-            const Instruction &in = k.instr(lin);
-            bool enabled = !in.pred || warp.regs[*in.pred] != 0;
-            step(k, warp);
-            executed++;
-            sim.onInstr(lin, enabled);
-        }
-    }
-    noteRegDemRun(counts, /*replay=*/false);
-    return counts;
-}
-
-AccessCounts
-replayRegDem(const Kernel &k, const RegDemConfig &cfg,
-             const DecodedTrace &trace, const ReplayDecode *dec)
-{
-    std::optional<ReplayDecode> localDec;
-    const ReplayDecode &d = resolveDecode(k, dec, localDec);
-    const RegSet demoted =
-        regdemDemotedSet(k, kRegDemRegsPerEntry * cfg.entries);
-
-    AccessCounts counts;
-    RegDemWarpSim sim(d, demoted, counts);
-    for (int w = 0; w < trace.numWarps(); w++) {
-        for (std::uint32_t t = trace.warpBegin[w];
-             t < trace.warpBegin[w + 1]; t++) {
-            sim.onInstr(trace.lin[t],
-                        trace.flags[t] & kReplayExecuted);
-        }
-    }
-    noteRegDemRun(counts, /*replay=*/true);
-    return counts;
 }
 
 std::unique_ptr<PipelineAccounting>

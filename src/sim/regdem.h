@@ -20,8 +20,8 @@
  *    shared-memory accesses by the scheme's energy accounting at
  *    kRegDemSpillFactor × the corresponding MRF access energy.
  *
- * There is no caching state at all, so both engines are pure counting
- * walks over the dynamic stream and agree by construction.
+ * There is no caching state at all: the per-warp accounting is a pure
+ * counting walk over the dynamic stream, shared by every engine.
  */
 
 #ifndef RFH_SIM_REGDEM_H
@@ -33,11 +33,9 @@
 #include "ir/kernel.h"
 #include "ir/liveness.h"
 #include "sim/access_counters.h"
-#include "sim/baseline_exec.h"
 
 namespace rfh {
 
-struct DecodedTrace;
 struct ReplayDecode;
 
 /** Resident MRF registers bought per sweep entry. */
@@ -54,7 +52,6 @@ struct RegDemConfig
 {
     /** Sweep axis: resident budget = kRegDemRegsPerEntry × entries. */
     int entries = 3;
-    RunConfig run;
 };
 
 /**
@@ -74,31 +71,18 @@ RegSet regdemDemotedSet(const Kernel &k, int residentBudget);
 double regdemSpillEnergyPJ(const AccessCounts &c,
                            const EnergyParams &params);
 
-/**
- * Execute @p k under register demotion and count accesses.
- *
- * @param dec optional shared pre-decode (ExperimentCache::decode);
- *        built locally when null.
- */
-AccessCounts runRegDem(const Kernel &k, const RegDemConfig &cfg = {},
-                       const ReplayDecode *dec = nullptr);
-
-/**
- * Replay-mode counterpart of runRegDem: walk the pre-decoded dynamic
- * stream @p trace (recorded from @p k under the same RunConfig as
- * @p cfg.run). Counts are identical to runRegDem by construction.
- */
-AccessCounts replayRegDem(const Kernel &k, const RegDemConfig &cfg,
-                          const DecodedTrace &trace,
-                          const ReplayDecode *dec = nullptr);
-
 class PipelineAccounting;
 
 /**
- * Per-warp register-demotion accounting for the cycle-level pipeline
- * (sim/pipeline.h). Demoted operands bypass the MRF banks (they live
- * in shared-memory spill space). @p k, @p dec, and @p counts must
- * outlive the returned object.
+ * Register demotion's per-warp accounting (sim/pipeline_account.h):
+ * its one counting model, driven by the trace and functional-machine
+ * drivers and by the cycle-level pipeline at issue. Demoted operands
+ * bypass the MRF banks (they live in shared-memory spill space).
+ *
+ * @param dec optional shared pre-decode (ExperimentCache::decode);
+ *        built locally when null.
+ *
+ * @p k, @p dec, and @p counts must outlive the returned object.
  */
 std::unique_ptr<PipelineAccounting> makeRegDemAccounting(
     const Kernel &k, const RegDemConfig &cfg, const ReplayDecode *dec,

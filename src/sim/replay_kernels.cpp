@@ -26,21 +26,16 @@ classifyReplayFlags(const std::uint8_t *flags, std::size_t n)
 
 void
 packReplayPlanes(const std::uint8_t *flags, std::size_t n,
-                 std::uint64_t *execWords, std::uint64_t *takenWords)
+                 std::uint64_t *execWords)
 {
     const std::size_t words = (n + 63) / 64;
     for (std::size_t w = 0; w < words; w++) {
         std::uint64_t e = 0;
-        std::uint64_t t = 0;
         const std::size_t base = w * 64;
         const std::size_t lim = n - base < 64 ? n - base : 64;
-        for (std::size_t b = 0; b < lim; b++) {
-            const std::uint64_t f = flags[base + b];
-            e |= (f & 1u) << b;
-            t |= ((f >> 1) & 1u) << b;
-        }
+        for (std::size_t b = 0; b < lim; b++)
+            e |= static_cast<std::uint64_t>(flags[base + b] & 1u) << b;
         execWords[w] = e;
-        takenWords[w] = t;
     }
 }
 

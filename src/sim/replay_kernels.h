@@ -4,9 +4,9 @@
  *
  * The replay hot path is dominated by two streaming passes over the
  * structure-of-arrays dynamic trace: classifying the per-record flags
- * byte (executed / branch-taken) and packing those classifications
- * into 64-bit bit-planes that the executors then consume with
- * popcount sweeps and bit scans instead of per-record branches.
+ * byte (executed / branch-taken) and packing the executed bits into
+ * a 64-bit bit-plane that the executors then consume with popcount
+ * sweeps and bit scans instead of per-record branches.
  *
  * Both passes live in this translation unit so a single TU can be
  * compiled with the vectorizer enabled and its report checked by CI
@@ -42,15 +42,13 @@ FlagsClassCounts classifyReplayFlags(const std::uint8_t *flags,
                                      std::size_t n);
 
 /**
- * Pack the flags stream into two 64-bit bit-planes: bit (t % 64) of
- * word (t / 64) of @p execWords / @p takenWords holds the executed /
- * branch-taken classification of record @p t. Both outputs must have
- * room for (n + 63) / 64 words; trailing bits of the last word are
- * zero.
+ * Pack the executed bits of the flags stream into a 64-bit bit-plane:
+ * bit (t % 64) of word (t / 64) of @p execWords holds the executed
+ * classification of record @p t. The output must have room for
+ * (n + 63) / 64 words; trailing bits of the last word are zero.
  */
 void packReplayPlanes(const std::uint8_t *flags, std::size_t n,
-                      std::uint64_t *execWords,
-                      std::uint64_t *takenWords);
+                      std::uint64_t *execWords);
 
 /**
  * Histogram the dynamic stream by static instruction: bumps

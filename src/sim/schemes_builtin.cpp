@@ -96,23 +96,6 @@ class HwCacheScheme : public SchemeBackend
   public:
     explicit HwCacheScheme(bool threeLevel) : threeLevel_(threeLevel) {}
 
-    SchemeSimResult
-    simulate(const SchemeRunContext &ctx) const override
-    {
-        HwCacheConfig hc;
-        hc.rfcEntries = ctx.cfg->entries;
-        hc.useLRF = threeLevel_;
-        hc.flushOnBackwardBranch = ctx.cfg->hwFlushOnBackwardBranch;
-        hc.run = ctx.workload->run;
-        SchemeSimResult r;
-        r.counts = ctx.trace
-                       ? replayHwCache(*ctx.kernel, hc, *ctx.trace,
-                                       ctx.analyses, ctx.decode)
-                       : runHwCache(*ctx.kernel, hc, ctx.analyses,
-                                    ctx.decode);
-        return r;
-    }
-
     std::vector<std::string>
     checkConservation(const AccessCounts &c,
                       const AccessCounts &baseline) const override
@@ -242,21 +225,6 @@ class SwHierarchyScheme : public SchemeBackend
 class CcRfcScheme : public SchemeBackend
 {
   public:
-    SchemeSimResult
-    simulate(const SchemeRunContext &ctx) const override
-    {
-        CcRfcConfig cc;
-        cc.entries = ctx.cfg->entries;
-        cc.run = ctx.workload->run;
-        SchemeSimResult r;
-        r.counts = ctx.trace
-                       ? replayCcRfc(*ctx.kernel, cc, *ctx.trace,
-                                     ctx.analyses, ctx.decode)
-                       : runCcRfc(*ctx.kernel, cc, ctx.analyses,
-                                  ctx.decode);
-        return r;
-    }
-
     std::vector<std::string>
     checkConservation(const AccessCounts &c,
                       const AccessCounts &baseline) const override
@@ -278,19 +246,6 @@ class CcRfcScheme : public SchemeBackend
 class RegDemScheme : public SchemeBackend
 {
   public:
-    SchemeSimResult
-    simulate(const SchemeRunContext &ctx) const override
-    {
-        RegDemConfig rc;
-        rc.entries = ctx.cfg->entries;
-        rc.run = ctx.workload->run;
-        SchemeSimResult r;
-        r.counts = ctx.trace ? replayRegDem(*ctx.kernel, rc,
-                                            *ctx.trace, ctx.decode)
-                             : runRegDem(*ctx.kernel, rc, ctx.decode);
-        return r;
-    }
-
     double
     accountEnergyPJ(const SchemeRunContext &ctx, const AccessCounts &c,
                     const EnergyModel &em) const override

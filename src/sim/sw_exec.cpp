@@ -279,7 +279,7 @@ struct SwLinCost
  * Scan the annotated kernel once, filling @p cost per instruction and
  * @p touched / @p defined for the deschedule pass. @return false when
  * any instruction could trigger a replay verification failure — the
- * caller must take the slow per-record path, which reproduces the
+ * caller must take the per-record accountant, which reproduces the
  * failing run (message, stop point, partial counts) byte-exactly.
  */
 bool
@@ -357,268 +357,15 @@ nextSetBit(const std::vector<std::uint64_t> &words, std::uint32_t from,
 }
 
 /**
- * The original per-record replay loop, kept verbatim as the fallback
- * for traces without bit-planes and for runs that can fail
- * verification (so a failing allocation stops at the same record with
- * the same message and the same partial counts as before).
- */
-SwExecResult
-replaySwHierarchySlow(const Kernel &k, const AllocOptions &opts,
-                      const DecodedTrace &trace, const SwExecConfig &cfg,
-                      const AnalysisBundle *analyses)
-{
-    SwExecResult result;
-    AccessCounts &counts = result.counts;
-    int lrf_banks = opts.useLRF ? (opts.splitLRF ? 3 : 1) : 0;
-    const int orf_size = opts.orfEntries;
-
-    std::optional<Cfg> localCfg;
-    const Cfg &cfg_graph = analyses ? analyses->cfg : localCfg.emplace(k);
-    StrandAnalysis strands(k, cfg_graph, opts.strandOptions);
-    ReplayDecode dec(k);
-
-    auto fail = [&](int lin, const std::string &msg) {
-        std::ostringstream os;
-        os << k.name << " @lin " << lin << ": " << msg;
-        result.error = os.str();
-    };
-
-    for (int w = 0; w < trace.numWarps() && result.ok(); w++) {
-        RegSet pending;
-        const std::uint32_t end = trace.warpBegin[w + 1];
-
-        for (std::uint32_t t = trace.warpBegin[w];
-             t < end && result.ok(); t++) {
-            const int lin = trace.lin[t];
-            const Instruction &in = dec.instr[lin];
-            const Datapath dp = static_cast<Datapath>(dec.datapath[lin]);
-            const bool shared = dec.shared[lin] != 0;
-
-            // Mid-strand touch of an outstanding long-latency value
-            // (same structural check as the direct executor; the
-            // trace carries the identical dynamic path).
-            if ((dec.touched[lin] & pending).any()) {
-                if (cfg.idealNoFlush) {
-                    counts.deschedules++;
-                    pending.reset();
-                } else {
-                    fail(lin, "instruction touches an outstanding "
-                         "long-latency register inside a strand");
-                    break;
-                }
-            }
-
-            // ---- Operand reads: pure level accounting ----
-            // Value verification is the direct executor's job; replay
-            // keeps only the structural (value-independent) checks so
-            // a failing allocation stops at the same instruction.
-            auto read_one = [&](const ReadAnnotation &ra) {
-                switch (ra.level) {
-                  case Level::MRF:
-                    counts.read(Level::MRF, dp);
-                    if (ra.depositToORF)
-                        counts.write(Level::ORF, dp);
-                    break;
-                  case Level::ORF:
-                    counts.read(Level::ORF, dp);
-                    break;
-                  case Level::LRF:
-                    if (shared) {
-                        fail(lin, "shared-datapath LRF read");
-                        return;
-                    }
-                    if (ra.lrfBank >=
-                        static_cast<std::uint8_t>(lrf_banks)) {
-                        fail(lin, "LRF bank out of range");
-                        return;
-                    }
-                    counts.read(Level::LRF, dp);
-                    break;
-                }
-            };
-            for (int s = 0; s < in.numSrcs && result.ok(); s++)
-                if (in.srcs[s].isReg)
-                    read_one(in.readAnno[s]);
-            if (in.pred && result.ok())
-                read_one(in.predAnno);
-            if (!result.ok())
-                break;
-
-            // ---- Execute (pre-decoded) ----
-            const bool enabled = trace.flags[t] & kReplayExecuted;
-            counts.instructions++;
-
-            // ---- Result writes (suppressed when predicated off) ----
-            if (in.dst && enabled) {
-                const WriteAnnotation &wa = in.writeAnno;
-                int halves = in.wide ? 2 : 1;
-                if (in.longLatency() && wa.anyUpper() &&
-                    !cfg.idealNoFlush) {
-                    fail(lin, "long-latency result annotated to an "
-                         "upper level");
-                    break;
-                }
-                if (wa.toLRF) {
-                    if (in.wide || lrf_banks == 0) {
-                        fail(lin, "invalid LRF write annotation");
-                        break;
-                    }
-                    counts.write(Level::LRF, dp);
-                }
-                if (wa.toORF) {
-                    for (int h = 0; h < halves; h++) {
-                        if (wa.orfEntry + h >= orf_size) {
-                            fail(lin, "ORF entry out of range");
-                            break;
-                        }
-                        counts.write(Level::ORF, dp);
-                    }
-                }
-                if (wa.toLRF && wa.toORF) {
-                    fail(lin, "value written to both LRF and ORF");
-                    break;
-                }
-                if (wa.toMRF)
-                    counts.write(Level::MRF, dp, halves);
-                if (in.longLatency())
-                    pending |= dec.defined[lin];
-            }
-
-            // ---- Strand boundary ----
-            const std::int32_t next = trace.nextLin(w, t);
-            bool crossing = false;
-            if (next >= 0 && !cfg.idealNoFlush)
-                crossing = strands.strandOf(next) != strands.strandOf(lin)
-                    || (next <= lin &&
-                        opts.strandOptions.cutAtBackwardBranch);
-            if (crossing && pending.any()) {
-                counts.deschedules++;
-                pending.reset();
-            }
-        }
-    }
-    return result;
-}
-
-} // namespace
-
-SwExecResult
-replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
-                  const DecodedTrace &trace, const SwExecConfig &cfg,
-                  const AnalysisBundle *analyses)
-{
-    // ---- Fast path: histogram counting + popcount sweeps ----
-    // Every count is a sum over dynamic records of a per-instruction
-    // delta, so instead of walking the stream doing per-record
-    // annotation dispatch, histogram the stream by static instruction
-    // and apply each instruction's delta once — byte-identical totals
-    // in O(records) trivial work plus O(instrs) finalisation. Only the
-    // deschedule count is order-dependent; a dedicated pass handles it
-    // by bit-scanning directly between the rare records that can make
-    // a long-latency register outstanding.
-    const int n = k.numInstrs();
-    ReplayArena &arena = acquireThreadReplayArena();
-    SwLinCost *cost = arena.allocZeroed<SwLinCost>(n);
-    RegSet *touched = arena.alloc<RegSet>(n);
-    RegSet *defined = arena.alloc<RegSet>(n);
-    if (!trace.hasPlanes() ||
-        !scanSwAnnotations(k, opts, cfg, cost, touched, defined)) {
-        SwExecResult slow =
-            replaySwHierarchySlow(k, opts, trace, cfg, analyses);
-        noteSwRun(slow, /*replay=*/true);
-        return slow;
-    }
-
-    SwExecResult result;
-    AccessCounts &counts = result.counts;
-
-    // ---- Deschedule pass ----
-    // pending can only become non-empty at an executed long-latency
-    // record with a destination (llWords); while it is empty every
-    // other record is a no-op for this pass, so skip between set bits.
-    // A mid-strand touch of an outstanding register is a verification
-    // failure outside the ideal model — delegate the whole run to the
-    // slow path so the failure is reproduced byte-exactly.
-    std::optional<Cfg> localCfg;
-    const Cfg &cfg_graph =
-        analyses ? analyses->cfg : localCfg.emplace(k);
-    StrandAnalysis strands(k, cfg_graph, opts.strandOptions);
-    const bool cut_backward = opts.strandOptions.cutAtBackwardBranch;
-    for (int w = 0; w < trace.numWarps(); w++) {
-        const std::uint32_t end = trace.warpBegin[w + 1];
-        std::uint32_t t = trace.warpBegin[w];
-        RegSet pending;
-        while (t < end) {
-            const bool first_ll = pending.none();
-            if (first_ll) {
-                t = nextSetBit(trace.llWords, t, end);
-                if (t == end)
-                    break;
-            }
-            const int lin = trace.lin[t];
-            if (!first_ll && (touched[lin] & pending).any()) {
-                if (!cfg.idealNoFlush) {
-                    SwExecResult slow = replaySwHierarchySlow(
-                        k, opts, trace, cfg, analyses);
-                    noteSwRun(slow, /*replay=*/true);
-                    return slow;
-                }
-                counts.deschedules++;
-                pending.reset();
-            }
-            if ((trace.llWords[t / 64] >> (t % 64)) & 1u)
-                pending |= defined[lin];
-            if (!cfg.idealNoFlush && pending.any()) {
-                const std::int32_t next = trace.nextLin(w, t);
-                if (next >= 0 &&
-                    (strands.strandOf(next) != strands.strandOf(lin) ||
-                     (next <= lin && cut_backward))) {
-                    counts.deschedules++;
-                    pending.reset();
-                }
-            }
-            t++;
-        }
-    }
-
-    // ---- Access counting: histogram + per-instruction deltas ----
-    const std::size_t total = trace.lin.size();
-    std::uint32_t *histAll = arena.allocZeroed<std::uint32_t>(n);
-    std::uint32_t *histOff = arena.allocZeroed<std::uint32_t>(n);
-    histogramRecords(trace.lin.data(), total, histAll);
-    if (trace.executedInstrs != total)
-        histogramClearBits(trace.execWords.data(), trace.lin.data(),
-                           total, histOff);
-    for (int lin = 0; lin < n; lin++) {
-        const std::uint64_t all = histAll[lin];
-        if (all == 0)
-            continue;
-        const std::uint64_t ex = all - histOff[lin];
-        const SwLinCost &c = cost[lin];
-        const Datapath dp = datapathOf(k.instr(lin).unit());
-        for (int l = 0; l < 3; l++)
-            counts.read(static_cast<Level>(l), dp, c.reads[l] * all);
-        counts.write(Level::ORF, dp,
-                     c.depositWrites * all + c.wORF * ex);
-        if (c.wLRF)
-            counts.write(Level::LRF, dp, c.wLRF * ex);
-        if (c.wMRF)
-            counts.write(Level::MRF, dp, c.wMRF * ex);
-    }
-    counts.instructions = total;
-    noteSwRun(result, /*replay=*/true);
-    return result;
-}
-
-namespace {
-
-/**
- * Pipeline adapter for the software hierarchy: the per-record walk of
- * replaySwHierarchySlow, one warp per accountant, driven at issue.
+ * Per-record accounting of the software hierarchy: annotated-level
+ * counting with the structural (value-independent) checks of
+ * runSwHierarchy, one warp per accountant. It drives REPLAY whenever
+ * the popcount fast path cannot (a run that may fail), and the
+ * cycle-level pipeline at issue. A failing run stops at the same
+ * record with the same message and the same partial counts as
+ * runSwHierarchy; bit-exact values are that executor's job.
  * Annotated-MRF operands enter the collector; ORF/LRF operands bypass
- * the banks (the single-cycle upper levels of Section 4). Structural
- * annotation violations surface through error() with the exact message
- * the functional executors produce.
+ * the banks (the single-cycle upper levels of Section 4).
  */
 class SwWarpAccountant final : public WarpAccountant
 {
@@ -711,10 +458,12 @@ class SwWarpAccountant final : public WarpAccountant
                 counts_.write(Level::LRF, dp);
             }
             if (wa.toORF) {
+                // Like runSwHierarchy, an out-of-range entry still
+                // falls through to the remaining writes of the record.
                 for (int h = 0; h < halves; h++) {
                     if (wa.orfEntry + h >= opts_.orfEntries) {
                         fail(lin, "ORF entry out of range");
-                        return;
+                        break;
                     }
                     counts_.write(Level::ORF, dp);
                 }
@@ -768,8 +517,8 @@ class SwWarpAccountant final : public WarpAccountant
     std::string error_;
 };
 
-/** Pipeline accounting factory for the software hierarchy. */
-class SwAccounting final : public PipelineAccounting
+/** Accounting factory for the software hierarchy. */
+class SwAccounting final : public AccountingOf<SwWarpAccountant>
 {
   public:
     SwAccounting(const Kernel &k, const AllocOptions &opts,
@@ -786,8 +535,9 @@ class SwAccounting final : public PipelineAccounting
     {
     }
 
-    std::unique_ptr<WarpAccountant>
-    makeWarp(int /*warp*/) override
+  protected:
+    std::unique_ptr<SwWarpAccountant>
+    newWarp(int /*warp*/) override
     {
         return std::make_unique<SwWarpAccountant>(k_, dec_, opts_, cfg_,
                                                   strands_, counts_);
@@ -804,7 +554,123 @@ class SwAccounting final : public PipelineAccounting
     ReplayDecode dec_;
 };
 
+/**
+ * REPLAY of a run that may fail verification: the trace driver over
+ * the per-record accountant, which stops where runSwHierarchy would.
+ */
+SwExecResult
+replayPerRecord(const Kernel &k, const AllocOptions &opts,
+                const DecodedTrace &trace, const SwExecConfig &cfg,
+                const AnalysisBundle *analyses)
+{
+    SwExecResult result;
+    SwAccounting acct(k, opts, cfg, analyses, result.counts);
+    result.error = acct.replay(trace);
+    noteSwRun(result, /*replay=*/true);
+    return result;
+}
+
 } // namespace
+
+SwExecResult
+replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
+                  const DecodedTrace &trace, const SwExecConfig &cfg,
+                  const AnalysisBundle *analyses)
+{
+    // ---- Fast path: histogram counting + popcount sweeps ----
+    // Every count is a sum over dynamic records of a per-instruction
+    // delta, so instead of walking the stream doing per-record
+    // annotation dispatch, histogram the stream by static instruction
+    // and apply each instruction's delta once — byte-identical totals
+    // in O(records) trivial work plus O(instrs) finalisation. Only the
+    // deschedule count is order-dependent; a dedicated pass handles it
+    // by bit-scanning directly between the rare records that can make
+    // a long-latency register outstanding.
+    const int n = k.numInstrs();
+    ReplayArena &arena = acquireThreadReplayArena();
+    SwLinCost *cost = arena.allocZeroed<SwLinCost>(n);
+    RegSet *touched = arena.alloc<RegSet>(n);
+    RegSet *defined = arena.alloc<RegSet>(n);
+    if (!scanSwAnnotations(k, opts, cfg, cost, touched, defined))
+        return replayPerRecord(k, opts, trace, cfg, analyses);
+
+    SwExecResult result;
+    AccessCounts &counts = result.counts;
+
+    // ---- Deschedule pass ----
+    // pending can only become non-empty at an executed long-latency
+    // record with a destination (llWords); while it is empty every
+    // other record is a no-op for this pass, so skip between set bits.
+    // A mid-strand touch of an outstanding register is a verification
+    // failure outside the ideal model — delegate the whole run to the
+    // per-record accountant so the failure is reproduced byte-exactly.
+    std::optional<Cfg> localCfg;
+    const Cfg &cfg_graph =
+        analyses ? analyses->cfg : localCfg.emplace(k);
+    StrandAnalysis strands(k, cfg_graph, opts.strandOptions);
+    const bool cut_backward = opts.strandOptions.cutAtBackwardBranch;
+    for (int w = 0; w < trace.numWarps(); w++) {
+        const std::uint32_t end = trace.warpBegin[w + 1];
+        std::uint32_t t = trace.warpBegin[w];
+        RegSet pending;
+        while (t < end) {
+            const bool first_ll = pending.none();
+            if (first_ll) {
+                t = nextSetBit(trace.llWords, t, end);
+                if (t == end)
+                    break;
+            }
+            const int lin = trace.lin[t];
+            if (!first_ll && (touched[lin] & pending).any()) {
+                if (!cfg.idealNoFlush)
+                    return replayPerRecord(k, opts, trace, cfg,
+                                           analyses);
+                counts.deschedules++;
+                pending.reset();
+            }
+            if ((trace.llWords[t / 64] >> (t % 64)) & 1u)
+                pending |= defined[lin];
+            if (!cfg.idealNoFlush && pending.any()) {
+                const std::int32_t next = trace.nextLin(w, t);
+                if (next >= 0 &&
+                    (strands.strandOf(next) != strands.strandOf(lin) ||
+                     (next <= lin && cut_backward))) {
+                    counts.deschedules++;
+                    pending.reset();
+                }
+            }
+            t++;
+        }
+    }
+
+    // ---- Access counting: histogram + per-instruction deltas ----
+    const std::size_t total = trace.lin.size();
+    std::uint32_t *histAll = arena.allocZeroed<std::uint32_t>(n);
+    std::uint32_t *histOff = arena.allocZeroed<std::uint32_t>(n);
+    histogramRecords(trace.lin.data(), total, histAll);
+    if (trace.executedInstrs != total)
+        histogramClearBits(trace.execWords.data(), trace.lin.data(),
+                           total, histOff);
+    for (int lin = 0; lin < n; lin++) {
+        const std::uint64_t all = histAll[lin];
+        if (all == 0)
+            continue;
+        const std::uint64_t ex = all - histOff[lin];
+        const SwLinCost &c = cost[lin];
+        const Datapath dp = datapathOf(k.instr(lin).unit());
+        for (int l = 0; l < 3; l++)
+            counts.read(static_cast<Level>(l), dp, c.reads[l] * all);
+        counts.write(Level::ORF, dp,
+                     c.depositWrites * all + c.wORF * ex);
+        if (c.wLRF)
+            counts.write(Level::LRF, dp, c.wLRF * ex);
+        if (c.wMRF)
+            counts.write(Level::MRF, dp, c.wMRF * ex);
+    }
+    counts.instructions = total;
+    noteSwRun(result, /*replay=*/true);
+    return result;
+}
 
 std::unique_ptr<PipelineAccounting>
 makeSwHierarchyAccounting(const Kernel &k, const AllocOptions &opts,

@@ -72,10 +72,13 @@ struct DecodedTrace;
  * dynamic stream @p trace (recorded once from the pristine kernel
  * under @p cfg.run; annotations do not change the dynamic path) doing
  * only access accounting at the annotated levels — no functional
- * execution and no value verification. Structural annotation checks
- * (level restrictions, entry ranges) are preserved so a failing
- * allocation stops at the same instruction with the same message;
- * bit-exactness of values is the direct executor's job, which remains
+ * execution and no value verification. A clean run takes the popcount
+ * fast path (per-instruction deltas over a stream histogram); a run
+ * that may fail a structural annotation check (level restrictions,
+ * entry ranges, a mid-strand long-latency touch) is driven record by
+ * record through the scheme's accountant, so it stops at the same
+ * instruction with the same message and partial counts.
+ * Bit-exactness of values is the direct executor's job, which remains
  * the verification oracle.
  */
 SwExecResult replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
@@ -86,13 +89,13 @@ SwExecResult replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
 class PipelineAccounting;
 
 /**
- * Per-warp software-hierarchy accounting for the cycle-level pipeline
- * (sim/pipeline.h): the replay accounting walk over the *annotated*
- * kernel @p k, called once per dynamic instruction at issue.
- * Annotated ORF/LRF operands bypass the collector banks. Structural
- * annotation violations stop the pipeline with the functional
- * executors' exact error message. @p k, @p analyses, and @p counts
- * must outlive the returned object.
+ * The software hierarchy's per-warp accountant
+ * (sim/pipeline_account.h) over the *annotated* kernel @p k: the
+ * record-by-record counting model that replaySwHierarchy falls back to
+ * and the cycle-level pipeline drives at issue. Annotated ORF/LRF
+ * operands bypass the collector banks. Structural annotation
+ * violations stop the run with runSwHierarchy's exact error message.
+ * @p k, @p analyses, and @p counts must outlive the returned object.
  */
 std::unique_ptr<PipelineAccounting> makeSwHierarchyAccounting(
     const Kernel &k, const AllocOptions &opts, const SwExecConfig &cfg,

@@ -5,10 +5,7 @@
 
 #include "compiler/strand.h"
 #include "ir/liveness.h"
-#include "sim/replay_arena.h"
-#include "sim/replay_kernels.h"
 #include "sim/simt.h"
-#include "sim/trace.h"
 
 namespace rfh {
 
@@ -278,278 +275,6 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
             }
         }
     }
-    return result;
-}
-
-namespace {
-
-/** Per-record counting deltas of one static instruction (SIMT). */
-struct SimtLinCost
-{
-    std::uint8_t reads[3] = {0, 0, 0};  ///< Per level, once per warp.
-    std::uint8_t depositWrites = 0;     ///< ORF writes from deposits.
-    std::uint8_t wLRF = 0, wORF = 0, wMRF = 0;  ///< Any-lane-enabled.
-};
-
-/**
- * One pass over the annotated kernel filling the SIMT cost tables.
- * @return false when some instruction could fail replay verification
- * (a shared-datapath LRF read) — caller takes the slow path.
- */
-bool
-scanSimtAnnotations(const Kernel &k, SimtLinCost *cost, RegSet *touched,
-                    RegSet *defined)
-{
-    const int n = k.numInstrs();
-    for (int lin = 0; lin < n; lin++) {
-        const Instruction &in = k.instr(lin);
-        const bool shared = isSharedUnit(in.unit());
-        RegSet def = definedRegs(in);
-        defined[lin] = def;
-        touched[lin] = usedRegs(in) | def;
-        SimtLinCost &c = cost[lin];
-
-        auto scan_read = [&](const ReadAnnotation &ra) {
-            c.reads[static_cast<int>(ra.level)]++;
-            if (ra.depositToORF)
-                c.depositWrites++;
-            return !(ra.level == Level::LRF && shared);
-        };
-        for (int s = 0; s < in.numSrcs; s++)
-            if (in.srcs[s].isReg && !scan_read(in.readAnno[s]))
-                return false;
-        if (in.pred && !scan_read(in.predAnno))
-            return false;
-
-        if (in.dst) {
-            const WriteAnnotation &wa = in.writeAnno;
-            const int halves = in.wide ? 2 : 1;
-            if (wa.toLRF)
-                c.wLRF = 1;
-            if (wa.toORF)
-                c.wORF = static_cast<std::uint8_t>(halves);
-            if (wa.toMRF)
-                c.wMRF = static_cast<std::uint8_t>(halves);
-        }
-    }
-    return true;
-}
-
-/** First set bit of @p words in [@p from, @p end), or @p end. */
-std::uint32_t
-nextSetBit(const std::vector<std::uint64_t> &words, std::uint32_t from,
-           std::uint32_t end)
-{
-    if (from >= end)
-        return end;
-    std::uint32_t w = from / 64;
-    const std::uint32_t last = (end - 1) / 64;
-    std::uint64_t word = words[w] & (~std::uint64_t{0} << (from % 64));
-    while (true) {
-        if (word) {
-            std::uint32_t t = w * 64 + __builtin_ctzll(word);
-            return t < end ? t : end;
-        }
-        if (w == last)
-            return end;
-        word = words[++w];
-    }
-}
-
-/**
- * Original per-record SIMT replay loop — fallback for traces without
- * bit-planes and for runs that can fail verification, reproducing the
- * failure (message, stop point, partial counts) byte-exactly.
- */
-SwExecResult
-replaySwHierarchySimtSlow(const Kernel &k, const AllocOptions &opts,
-                          const DecodedTrace &trace,
-                          const SimtExecConfig &cfg)
-{
-    SwExecResult result;
-    AccessCounts &counts = result.counts;
-
-    Cfg cfg_graph(k);
-    StrandAnalysis strands(k, cfg_graph, opts.strandOptions);
-    ReplayDecode dec(k);
-    (void)cfg;
-
-    auto fail = [&](int lin, int lane, const std::string &msg) {
-        std::ostringstream os;
-        os << k.name << " @lin " << lin << " lane " << lane << ": "
-           << msg;
-        result.error = os.str();
-    };
-
-    for (int w = 0; w < trace.numWarps() && result.ok(); w++) {
-        RegSet pending;
-        int prev_lin = -1;
-        bool prev_taken_backward = false;
-
-        for (std::uint32_t t = trace.warpBegin[w];
-             t < trace.warpBegin[w + 1] && result.ok(); t++) {
-            const int lin = trace.lin[t];
-            const Instruction &in = dec.instr[lin];
-            const Datapath dp = static_cast<Datapath>(dec.datapath[lin]);
-            const bool shared = dec.shared[lin] != 0;
-            const bool any_enabled = trace.flags[t] & kReplayExecuted;
-
-            // Warp-level synchronisation (see the direct executor):
-            // forward motion into a new strand, or a taken backward
-            // branch, resolves outstanding long-latency loads.
-            bool warp_sync = prev_taken_backward ||
-                (prev_lin >= 0 && lin > prev_lin &&
-                 strands.strandOf(lin) != strands.strandOf(prev_lin));
-            if (warp_sync && pending.any()) {
-                counts.deschedules++;
-                pending.reset();
-            }
-
-            // A touch of a still-outstanding long-latency register
-            // inside a strand means the compiler missed an endpoint.
-            if ((dec.touched[lin] & pending).any()) {
-                fail(lin, -1, "instruction touches an outstanding "
-                     "long-latency register inside a strand");
-                break;
-            }
-
-            // ---- Reads: count per warp; structural checks only ----
-            auto read_one = [&](Reg r, const ReadAnnotation &ra) {
-                counts.read(ra.level, dp);
-                if (ra.depositToORF)
-                    counts.write(Level::ORF, dp);
-                if (ra.level == Level::LRF && shared && any_enabled)
-                    fail(lin, -1, "shared-datapath LRF read");
-                (void)r;
-            };
-            for (int s = 0; s < in.numSrcs && result.ok(); s++)
-                if (in.srcs[s].isReg)
-                    read_one(in.srcs[s].reg, in.readAnno[s]);
-            if (in.pred && result.ok()) {
-                // The predicate is an operand like any other: it is
-                // read by every active lane and can carry a deposit.
-                read_one(*in.pred, in.predAnno);
-            }
-            if (!result.ok())
-                break;
-
-            // ---- Execute (pre-decoded) ----
-            counts.instructions++;
-            prev_lin = lin;
-            prev_taken_backward = trace.flags[t] & kReplayBranchTaken;
-
-            // ---- Writes: count per warp when any lane was enabled ----
-            if (in.dst && any_enabled) {
-                const WriteAnnotation &wa = in.writeAnno;
-                int halves = in.wide ? 2 : 1;
-                if (wa.toLRF)
-                    counts.write(Level::LRF, dp);
-                if (wa.toORF)
-                    counts.write(Level::ORF, dp, halves);
-                if (wa.toMRF)
-                    counts.write(Level::MRF, dp, halves);
-                if (in.longLatency())
-                    pending |= dec.defined[lin];
-            }
-        }
-    }
-    return result;
-}
-
-} // namespace
-
-SwExecResult
-replaySwHierarchySimt(const Kernel &k, const AllocOptions &opts,
-                      const DecodedTrace &trace,
-                      const SimtExecConfig &cfg)
-{
-    // ---- Fast path (see replaySwHierarchy) ----
-    // Warp-level counting is a sum of per-instruction deltas over the
-    // record stream; only the deschedule count depends on record
-    // order, handled by a bit-scan pass over the long-latency plane.
-    const int n = k.numInstrs();
-    ReplayArena &arena = acquireThreadReplayArena();
-    SimtLinCost *cost = arena.allocZeroed<SimtLinCost>(n);
-    RegSet *touched = arena.alloc<RegSet>(n);
-    RegSet *defined = arena.alloc<RegSet>(n);
-    if (!trace.hasPlanes() ||
-        !scanSimtAnnotations(k, cost, touched, defined))
-        return replaySwHierarchySimtSlow(k, opts, trace, cfg);
-
-    SwExecResult result;
-    AccessCounts &counts = result.counts;
-
-    // ---- Deschedule pass ----
-    // pending becomes non-empty only at llWords records; while empty,
-    // the warp-sync and touch checks are no-ops, so skip directly to
-    // the next such record. The warp-sync evaluation there needs no
-    // previous-record state: with an empty pending set the sync is a
-    // no-op whatever the previous record was.
-    Cfg cfg_graph(k);
-    StrandAnalysis strands(k, cfg_graph, opts.strandOptions);
-    for (int w = 0; w < trace.numWarps(); w++) {
-        const std::uint32_t end = trace.warpBegin[w + 1];
-        std::uint32_t t = trace.warpBegin[w];
-        RegSet pending;
-        int prev_lin = -1;
-        bool prev_taken_backward = false;
-        while (t < end) {
-            if (pending.none()) {
-                t = nextSetBit(trace.llWords, t, end);
-                if (t == end)
-                    break;
-                const int lin = trace.lin[t];
-                pending |= defined[lin];
-                prev_lin = lin;
-                prev_taken_backward =
-                    (trace.takenWords[t / 64] >> (t % 64)) & 1u;
-                t++;
-                continue;
-            }
-            const int lin = trace.lin[t];
-            const bool warp_sync = prev_taken_backward ||
-                (prev_lin >= 0 && lin > prev_lin &&
-                 strands.strandOf(lin) != strands.strandOf(prev_lin));
-            if (warp_sync && pending.any()) {
-                counts.deschedules++;
-                pending.reset();
-            }
-            if ((touched[lin] & pending).any())
-                return replaySwHierarchySimtSlow(k, opts, trace, cfg);
-            prev_lin = lin;
-            prev_taken_backward =
-                (trace.takenWords[t / 64] >> (t % 64)) & 1u;
-            if ((trace.llWords[t / 64] >> (t % 64)) & 1u)
-                pending |= defined[lin];
-            t++;
-        }
-    }
-
-    // ---- Access counting: histogram + per-instruction deltas ----
-    const std::size_t total = trace.lin.size();
-    std::uint32_t *histAll = arena.allocZeroed<std::uint32_t>(n);
-    std::uint32_t *histOff = arena.allocZeroed<std::uint32_t>(n);
-    histogramRecords(trace.lin.data(), total, histAll);
-    if (trace.executedInstrs != total)
-        histogramClearBits(trace.execWords.data(), trace.lin.data(),
-                           total, histOff);
-    for (int lin = 0; lin < n; lin++) {
-        const std::uint64_t all = histAll[lin];
-        if (all == 0)
-            continue;
-        const std::uint64_t ex = all - histOff[lin];
-        const SimtLinCost &c = cost[lin];
-        const Datapath dp = datapathOf(k.instr(lin).unit());
-        for (int l = 0; l < 3; l++)
-            counts.read(static_cast<Level>(l), dp, c.reads[l] * all);
-        counts.write(Level::ORF, dp,
-                     c.depositWrites * all + c.wORF * ex);
-        if (c.wLRF)
-            counts.write(Level::LRF, dp, c.wLRF * ex);
-        if (c.wMRF)
-            counts.write(Level::MRF, dp, c.wMRF * ex);
-    }
-    counts.instructions = total;
     return result;
 }
 

@@ -41,20 +41,6 @@ struct SimtExecConfig
 SwExecResult runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
                                 const SimtExecConfig &cfg = {});
 
-struct DecodedTrace;
-
-/**
- * Replay-mode counterpart of runSwHierarchySimt: walk a pre-decoded
- * SIMT stream (from recordSimtDecodedTrace with matching warp count,
- * width, and instruction cap) doing only warp-level access counting.
- * Per-lane value verification is the direct executor's job; counts
- * are identical on any allocation the direct executor accepts.
- */
-SwExecResult replaySwHierarchySimt(const Kernel &k,
-                                   const AllocOptions &opts,
-                                   const DecodedTrace &trace,
-                                   const SimtExecConfig &cfg = {});
-
 } // namespace rfh
 
 #endif // RFH_SIM_SW_EXEC_SIMT_H

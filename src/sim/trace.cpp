@@ -2,17 +2,15 @@
 
 #include "core/metrics.h"
 #include "core/trace_events.h"
-#include "ir/cfg_analysis.h"
 #include "ir/reaching_defs.h"
 #include "sim/machine.h"
 #include "sim/replay_kernels.h"
-#include "sim/simt.h"
 
 namespace rfh {
 
 namespace {
 
-/** Recorder observability (shared by the scalar and SIMT recorders). */
+/** Recorder observability. */
 struct RecorderMetrics
 {
     Counter &recordings = globalMetrics().counter("trace.recordings");
@@ -79,50 +77,23 @@ recordDecodedTrace(const Kernel &k, const RunConfig &cfg)
     return trace;
 }
 
-DecodedTrace
-recordSimtDecodedTrace(const Kernel &k, int numWarps, int width,
-                       std::uint64_t maxInstrsPerWarp)
+bool
+DecodedTrace::wellFormed(int numInstrs) const
 {
-    Stopwatch watch;
-    Cfg cfg_graph(k);
-    DecodedTrace trace;
-    trace.warpBegin.push_back(0);
-    for (int w = 0; w < numWarps; w++) {
-        SimtWarp warp(k, cfg_graph, static_cast<std::uint32_t>(w),
-                      width);
-        std::uint64_t executed = 0;
-        // Mirrors the SIMT executor's loop (executed++ in the test).
-        while (!warp.done() && executed++ < maxInstrsPerWarp) {
-            int lin = warp.currentLin();
-            const Instruction &in = warp.currentInstr();
-            LaneMask mask = warp.activeMask();
-            bool any_enabled = false;
-            for (int l = 0; l < width; l++) {
-                if (!((mask >> l) & 1u))
-                    continue;
-                if (!in.pred || warp.laneRegsNow(l)[*in.pred] != 0) {
-                    any_enabled = true;
-                    break;
-                }
-            }
-            std::uint8_t flags = 0;
-            if (any_enabled)
-                flags |= kReplayExecuted;
-            if (any_enabled && in.op == Opcode::BRA &&
-                in.branchTarget <= k.ref(lin).block)
-                flags |= kReplayBranchTaken;
-            warp.step();
-            trace.lin.push_back(lin);
-            trace.flags.push_back(flags);
-        }
-        trace.warpBegin.push_back(
-            static_cast<std::uint32_t>(trace.lin.size()));
-        trace.warpEndLin.push_back(warp.done() ? -1
-                                               : warp.currentLin());
-    }
-    trace.buildPlanes(k);
-    noteRecording(k, trace, watch.elapsedSec());
-    return trace;
+    if (flags.size() != lin.size() ||
+        warpBegin.size() != warpEndLin.size() + 1 ||
+        warpBegin.front() != 0 || warpBegin.back() != lin.size())
+        return false;
+    for (std::size_t w = 1; w < warpBegin.size(); w++)
+        if (warpBegin[w] < warpBegin[w - 1])
+            return false;
+    for (std::int32_t l : lin)
+        if (l < 0 || l >= numInstrs)
+            return false;
+    for (std::int32_t l : warpEndLin)
+        if (l < -1 || l >= numInstrs)
+            return false;
+    return hasPlanes();
 }
 
 void
@@ -131,7 +102,6 @@ DecodedTrace::buildPlanes(const Kernel &k)
     const std::size_t n = lin.size();
     const std::size_t words = (n + 63) / 64;
     execWords.assign(words, 0);
-    takenWords.assign(words, 0);
     llWords.assign(words, 0);
     if (n == 0) {
         executedInstrs = 0;
@@ -141,8 +111,7 @@ DecodedTrace::buildPlanes(const Kernel &k)
     FlagsClassCounts cls = classifyReplayFlags(flags.data(), n);
     executedInstrs = cls.executed;
     takenBranches = cls.taken;
-    packReplayPlanes(flags.data(), n, execWords.data(),
-                     takenWords.data());
+    packReplayPlanes(flags.data(), n, execWords.data());
     // Long-latency-with-destination records (the only ones that can
     // set the replay pending set), masked to executed records.
     std::vector<std::uint8_t> ll(k.numInstrs(), 0);

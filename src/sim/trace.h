@@ -43,15 +43,10 @@ enum ReplayFlags : std::uint8_t
 {
     /**
      * The instruction's writeback was enabled (predicate absent or
-     * non-zero at issue). For the SIMT stream: at least one active
-     * lane was enabled.
+     * non-zero at issue).
      */
     kReplayExecuted = 1u << 0,
-    /**
-     * A conditional/unconditional branch was taken. For the SIMT
-     * stream: a backward branch had at least one enabled lane (the
-     * warp-synchronisation trigger).
-     */
+    /** A conditional/unconditional branch was taken. */
     kReplayBranchTaken = 1u << 1,
 };
 
@@ -84,15 +79,14 @@ struct DecodedTrace
     std::vector<std::int32_t> warpEndLin;
 
     // ---- Bit-planes over the record stream ----
-    // Bit (t % 64) of word (t / 64) classifies record t. Built once by
-    // the recorders (buildPlanes); the replay executors consume them
-    // with popcount sweeps and bit scans instead of per-record
-    // branching. Unused bits of the final word are zero.
+    // Bit (t % 64) of word (t / 64) classifies record t. Always built
+    // by the recorder (buildPlanes) and kept by the disk-cache
+    // serializer; the replay executors consume them with popcount
+    // sweeps and bit scans instead of per-record branching. Unused
+    // bits of the final word are zero.
 
     /** kReplayExecuted per record. */
     std::vector<std::uint64_t> execWords;
-    /** kReplayBranchTaken per record. */
-    std::vector<std::uint64_t> takenWords;
     /**
      * Records that executed AND name a long-latency instruction with a
      * destination — exactly the records that can set the outstanding
@@ -111,12 +105,22 @@ struct DecodedTrace
     hasPlanes() const
     {
         const std::size_t words = (lin.size() + 63) / 64;
-        return execWords.size() == words &&
-            takenWords.size() == words && llWords.size() == words;
+        return execWords.size() == words && llWords.size() == words;
     }
 
     /** (Re)build the planes and classification totals from @p k. */
     void buildPlanes(const Kernel &k);
+
+    /**
+     * The structural invariant every consumer relies on, checked on
+     * traces that come in from outside the recorder (the disk cache):
+     * @c flags parallels @c lin; @c warpBegin has numWarps() + 1
+     * monotone entries from 0 to lin.size(); every @c lin and
+     * @c warpEndLin value names an instruction of a kernel with
+     * @p numInstrs instructions (-1 allowed for warpEndLin); and the
+     * bit-planes are present (hasPlanes()).
+     */
+    bool wellFormed(int numInstrs) const;
 
     int
     numWarps() const
@@ -150,17 +154,6 @@ struct DecodedTrace
  * executes.
  */
 DecodedTrace recordDecodedTrace(const Kernel &k, const RunConfig &cfg = {});
-
-/**
- * Record the warp-level SIMT stream of @p k: one record per issued
- * warp instruction (divergent hammock sides serialised, as executed
- * by SimtWarp). kReplayExecuted means at least one active lane passed
- * its predicate; kReplayBranchTaken marks backward branches with at
- * least one enabled lane. @p width lanes per warp.
- */
-DecodedTrace recordSimtDecodedTrace(const Kernel &k, int numWarps,
-                                    int width,
-                                    std::uint64_t maxInstrsPerWarp);
 
 /** Packed classification bits of one ReplayOp. */
 enum ReplayOpFlags : std::uint8_t

@@ -579,28 +579,14 @@ runOracle(const Kernel &k, const OracleOptions &opts)
                     tag + "/scalar-vs-simt-w1", diff1);
         report.pairsChecked++;
 
-        // SIMT direct vs SIMT replay at full width.
-        SimtExecConfig wide;
-        wide.numWarps = opts.run.numWarps;
+        // Full-width SIMT: per-lane verification of divergent warps
+        // (an allocation only correct for converged warps fails here).
+        SimtExecConfig wide = width1;
         wide.width = opts.simtWidth;
-        wide.maxInstrsPerWarp = opts.run.maxInstrsPerWarp;
-        SwExecResult simtD = runSwHierarchySimt(annotated, ao, wide);
-        DecodedTrace trace = recordSimtDecodedTrace(
-            k, wide.numWarps, wide.width, wide.maxInstrsPerWarp);
-        SwExecResult simtR =
-            replaySwHierarchySimt(annotated, ao, trace, wide);
-        if (!simtD.ok())
+        SwExecResult simtW = runSwHierarchySimt(annotated, ao, wide);
+        if (!simtW.ok())
             finding(FindingKind::EXEC_ERROR, tag + "/simt-direct",
-                    simtD.error);
-        if (!simtR.ok())
-            finding(FindingKind::EXEC_ERROR, tag + "/simt-replay",
-                    simtR.error);
-        std::string diffW = describeCountsDiff(simtD.counts,
-                                               simtR.counts);
-        if (!diffW.empty())
-            finding(FindingKind::DISCREPANCY,
-                    tag + "/simt-direct-vs-replay", diffW);
-        report.pairsChecked++;
+                    simtW.error);
     }
 
     return report;

@@ -8,14 +8,17 @@
  *
  *  - direct vs replay for every registered scheme (hardware-managed
  *    schemes are skipped when OracleOptions::checkHwSchemes is off);
+ *  - the cycle-level pipeline's counts vs the direct counts for every
+ *    pipelined scheme;
  *  - each scheme's own conservation laws against the flat-MRF
  *    baseline counts of the same run (SchemeBackend::checkConservation);
  *  - for allocator-driven schemes additionally: the paper's static
  *    allocation invariants (checkAllocationInvariants), the scalar
  *    verifying executor vs the SIMT executor at width 1 (lane l of
  *    warp w seeds as scalar thread w*width+l, so the warp path and
- *    the warp-level access counts must match exactly), and the SIMT
- *    direct executor vs SIMT replay at the full warp width.
+ *    the warp-level access counts must match exactly), plus a
+ *    per-lane verifying SIMT run at the full warp width whose
+ *    failures are findings but which forms no pair.
  *
  * Registering a new backend therefore grows the differential sweep
  * automatically; the expected pair count is a pure function of the
@@ -82,9 +85,9 @@ struct OracleOptions
     int entries = 3;
     /** Include the hardware-cache schemes in the differential sweep. */
     bool checkHwSchemes = true;
-    /** Include the SIMT pairs (width-1 vs scalar, direct vs replay). */
+    /** Include the SIMT checks (width-1 vs scalar, full-width run). */
     bool checkSimt = true;
-    /** Lanes per warp for the full-width SIMT pair. */
+    /** Lanes per warp for the full-width SIMT run. */
     int simtWidth = 8;
     /** Test-only fault injection; NONE in production. */
     OraclePerturb perturb = OraclePerturb::NONE;

@@ -7,7 +7,9 @@
  * substitute for a computation: a serialized analysis bundle, baseline
  * count set, or decoded trace deserializes to bytes that re-serialize
  * identically; any torn, truncated, corrupt, or version-skewed entry
- * reads as a miss (and is unlinked), never as wrong data; eviction
+ * reads as a miss (and is unlinked), never as wrong data — and so
+ * does a decoded trace that parses but breaks the trace invariant;
+ * eviction
  * under a size cap races cleanly with concurrent readers; and a fresh
  * memo cache attached to a warm directory reproduces bit-identical
  * results without recomputing.
@@ -26,9 +28,12 @@
 #include <unistd.h>
 
 #include "core/diskcache.h"
+#include "core/experiment.h"
+#include "core/json.h"
 #include "core/memo.h"
 #include "core/serialize.h"
 #include "ir/analysis_bundle.h"
+#include "sim/trace.h"
 #include "workloads/registry.h"
 
 namespace rfh {
@@ -329,6 +334,67 @@ TEST(DiskCache, FreshMemoCacheStartsWarmFromDisk)
     EXPECT_GE(warm.hits, cold.hits + 3);
     EXPECT_EQ(warm.writes, cold.writes);
     EXPECT_EQ(w1.take(), w2.take());
+}
+
+TEST(DiskCache, MalformedTraceEntryIsAMissAndReRecords)
+{
+    TempDir dir;
+    DiskCache dc({dir.str(), 0, kDiskCacheVersion});
+    const Workload &wl = *findWorkload("reduction");
+    ExperimentConfig cfg;
+    cfg.scheme = Scheme::SW_THREE_LEVEL;
+    cfg.engine = ExecEngine::REPLAY;
+    ExperimentCache &memo = globalExperimentCache();
+    memo.clear();
+    const std::string fresh = outcomeToJson(runScheme(wl, cfg));
+    memo.clear();
+
+    // The key ExperimentCache::trace stores the recorded stream under.
+    char key[160];
+    std::snprintf(key, sizeof key, "trace:fp=%016llx:n=%d:warps=%d:cap=%llu",
+                  static_cast<unsigned long long>(
+                      kernelFingerprint(wl.kernel)),
+                  wl.kernel.numInstrs(), wl.run.numWarps,
+                  static_cast<unsigned long long>(wl.run.maxInstrsPerWarp));
+    const DecodedTrace good = recordDecodedTrace(wl.kernel, wl.run);
+    ByteWriter gw;
+    serializeDecodedTrace(gw, good);
+    const std::string goodBytes = gw.take();
+    {
+        ExperimentCache filler;
+        filler.attachDiskCache(&dc);
+        filler.trace(wl.kernel, wl.run);
+        filler.attachDiskCache(nullptr);
+        std::string payload;
+        ASSERT_TRUE(dc.load(key, payload)) << "not the memo's key";
+        ASSERT_EQ(payload, goodBytes);
+    }
+
+    // A well-checksummed entry whose planes no longer cover the stream.
+    DecodedTrace bad = good;
+    ASSERT_GT(bad.llWords.size(), 1u);
+    bad.llWords.pop_back();
+    ByteWriter bw;
+    serializeDecodedTrace(bw, bad);
+    dc.store(key, bw.take());
+    const DiskCacheStats before = dc.stats();
+
+    memo.attachDiskCache(&dc);
+    std::shared_ptr<const DecodedTrace> loaded =
+        memo.trace(wl.kernel, wl.run);
+    const std::string got = outcomeToJson(runScheme(wl, cfg));
+    memo.attachDiskCache(nullptr);
+    memo.clear();
+
+    ByteWriter lw;
+    serializeDecodedTrace(lw, *loaded);
+    EXPECT_EQ(lw.take(), goodBytes);
+    // Re-recorded, so stored back over the malformed entry.
+    EXPECT_GT(dc.stats().writes, before.writes);
+    std::string payload;
+    ASSERT_TRUE(dc.load(key, payload));
+    EXPECT_EQ(payload, goodBytes);
+    EXPECT_EQ(got, fresh);
 }
 
 } // namespace

@@ -10,16 +10,28 @@
 #include "ir/parser.h"
 #include "sim/baseline_exec.h"
 #include "sim/hw_cache.h"
+#include "sim/pipeline_account.h"
 
 namespace rfh {
 namespace {
 
+/** Account @p k under @p cfg, one warp on the functional machine. */
 AccessCounts
-run(std::string_view text, HwCacheConfig cfg = {})
+runHw(const Kernel &k, const HwCacheConfig &cfg)
 {
-    Kernel k = parseKernelOrDie(text);
-    cfg.run.numWarps = 1;
-    return runHwCache(k, cfg);
+    AccessCounts counts;
+    RunConfig one;
+    one.numWarps = 1;
+    EXPECT_EQ(makeHwCacheAccounting(k, cfg, nullptr, nullptr, counts)
+                  ->execute(k, one),
+              "");
+    return counts;
+}
+
+AccessCounts
+run(std::string_view text, const HwCacheConfig &cfg = {})
+{
+    return runHw(parseKernelOrDie(text), cfg);
 }
 
 TEST(HwCache, ProducerConsumerHitsCache)
@@ -225,12 +237,11 @@ out:
     exit
 )";
     HwCacheConfig keep;
-    keep.run.numWarps = 1;
     HwCacheConfig flush = keep;
     flush.flushOnBackwardBranch = true;
     Kernel k = parseKernelOrDie(loop);
-    AccessCounts ck = runHwCache(k, keep);
-    AccessCounts cf = runHwCache(k, flush);
+    AccessCounts ck = runHw(k, keep);
+    AccessCounts cf = runHw(k, flush);
     // Flushing at backward branches forces loop-carried values back to
     // the MRF: more MRF traffic, more writebacks.
     EXPECT_GT(cf.totalReads(Level::MRF), ck.totalReads(Level::MRF));

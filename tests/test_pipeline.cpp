@@ -6,6 +6,14 @@
  * and the Table 2 / Section 6 scheduler claims (PerfSim.*). The golden IPC bands live in test_golden.cpp; the
  * pipeline-vs-functional count equality is oracle-enforced in
  * test_verify.cpp and the fuzz campaign.
+ *
+ * SwFailingRun.* pins the failure contract of the software hierarchy:
+ * for each structural annotation fault, replay, the REPLAY engine, and
+ * the pipeline stop with the direct executor's exact error (and, for
+ * the functional engines, its partial counts). A test-only "testfault"
+ * backend injects the faults through runScheme and runSchemePipeline;
+ * with no fault active it is a clean sw3 clone, so registry-wide
+ * tests in this binary simply see one more clean scheme.
  */
 
 #include <gtest/gtest.h>
@@ -14,9 +22,14 @@
 
 #include "core/experiment.h"
 #include "core/json.h"
+#include "core/memo.h"
+#include "core/scheme.h"
+#include "ir/analysis_bundle.h"
 #include "ir/parser.h"
 #include "sim/pipeline.h"
+#include "sim/pipeline_account.h"
 #include "sim/port.h"
+#include "sim/sw_exec.h"
 #include "sim/tick.h"
 #include "sim/trace.h"
 #include "verify/oracle.h"
@@ -540,6 +553,206 @@ TEST(Pipeline, RunSchemePipelineRejectsNonPipelinedSchemes)
     SchemePipelineResult pr = runSchemePipeline(w, cfg);
     EXPECT_FALSE(pr.ok());
     EXPECT_NE(pr.error.find("unregistered"), std::string::npos);
+}
+
+// ---- Failing runs: every engine stops at the same structural fault ----
+
+/**
+ * One structural fault of a software-hierarchy run: an annotation
+ * tamper on the allocated kernel, or (no tamper) execution without
+ * the long-latency strand cuts the allocation was made under.
+ */
+struct SwFault
+{
+    const char *name;
+    const char *expect;  ///< Substring of the reported error.
+    bool threeLevel = true;
+    void (*tamper)(Kernel &k, const AllocOptions &ao) = nullptr;
+};
+
+/** The fault the "testfault" backend injects; null for a clean run. */
+const SwFault *activeFault = nullptr;
+
+/**
+ * Test-only backend: the software hierarchy (sw3, or sw2 when the
+ * active fault says so) allocated under the default strand cuts, with
+ * the active fault's tamper applied to the annotated copy. runScheme
+ * and runSchemePipeline meet the fault through their real entry
+ * points; with no active fault it is a clean sw3 clone.
+ */
+class FaultScheme : public SchemeBackend
+{
+  public:
+    AllocOptions
+    allocOptions(const ExperimentConfig &cfg) const override
+    {
+        return sw().allocOptions(cfg);
+    }
+
+    AllocStats
+    allocate(Kernel &k, const ExperimentConfig &cfg,
+             const AnalysisBundle *analyses) const override
+    {
+        ExperimentConfig cut = cfg;
+        cut.strandOptions = StrandOptions{};
+        AllocStats st = sw().allocate(k, cut, analyses);
+        if (activeFault && activeFault->tamper)
+            activeFault->tamper(k, allocOptions(cfg));
+        return st;
+    }
+
+    SchemeSimResult
+    simulate(const SchemeRunContext &ctx) const override
+    {
+        return sw().simulate(ctx);
+    }
+
+    bool
+    splitLrfEnergy(const ExperimentConfig &cfg) const override
+    {
+        return sw().splitLrfEnergy(cfg);
+    }
+
+    std::unique_ptr<PipelineAccounting>
+    makePipelineAccounting(const PipelineBuildContext &ctx) const override
+    {
+        return sw().makePipelineAccounting(ctx);
+    }
+
+  private:
+    static const SchemeBackend &
+    sw()
+    {
+        const bool three = !activeFault || activeFault->threeLevel;
+        return *SchemeRegistry::instance()
+                    .find(three ? Scheme::SW_THREE_LEVEL
+                                : Scheme::SW_TWO_LEVEL)
+                    ->backend;
+    }
+};
+
+SchemeSpec
+faultSpec()
+{
+    SchemeSpec s;
+    s.token = "testfault";
+    s.display = "Fault";
+    s.summary = "test-only software hierarchy with injected faults";
+    s.caps.usesAllocator = true;
+    s.caps.pipelined = true;
+    return s;
+}
+
+std::unique_ptr<SchemeBackend>
+makeFaultScheme()
+{
+    return std::make_unique<FaultScheme>();
+}
+
+} // namespace
+
+RFH_REGISTER_SCHEME(faultRegistrar, faultSpec(), makeFaultScheme);
+
+namespace {
+
+/**
+ * Straight-line kernel every warp walks identically, so the first
+ * structural fault is hit by warp 0 at the same instruction under the
+ * sequential executors and the interleaving pipeline alike.
+ */
+Kernel
+faultKernel()
+{
+    return parseKernelOrDie(R"(.kernel faults
+entry:
+    mov R1, #5
+    iadd R2, R1, #3
+    ld.global R3, [R0]
+    iadd R4, R2, R1
+    iadd R5, R3, R4
+    st.global [R0], R5
+    exit
+)");
+}
+
+TEST(SwFailingRun, ReplayAndPipelineMatchDirect)
+{
+    const SwFault faults[] = {
+        {"shared-datapath LRF read", "shared-datapath LRF read", true,
+         [](Kernel &k, const AllocOptions &) {
+             k.instr(5).readAnno[0].level = Level::LRF;  // st.global
+             k.instr(5).readAnno[0].lrfBank = 0;
+         }},
+        {"ORF entry out of range", "ORF entry out of range", true,
+         [](Kernel &k, const AllocOptions &ao) {
+             WriteAnnotation &wa = k.instr(1).writeAnno;  // iadd R2
+             wa.toLRF = false;
+             wa.toORF = true;
+             wa.toMRF = true;
+             wa.orfEntry = static_cast<std::uint8_t>(ao.orfEntries);
+         }},
+        {"long-latency result to an upper level",
+         "long-latency result annotated to an upper level", true,
+         [](Kernel &k, const AllocOptions &) {
+             WriteAnnotation &wa = k.instr(2).writeAnno;  // ld.global
+             wa.toORF = true;
+             wa.orfEntry = 0;
+         }},
+        {"invalid LRF write", "invalid LRF write annotation", false,
+         [](Kernel &k, const AllocOptions &) {
+             k.instr(1).writeAnno.toLRF = true;  // sw2: no LRF
+         }},
+        {"write to both LRF and ORF", "value written to both LRF and ORF",
+         true,
+         [](Kernel &k, const AllocOptions &) {
+             WriteAnnotation &wa = k.instr(3).writeAnno;  // iadd R4
+             wa.toLRF = true;
+             wa.lrfBank = 0;
+             wa.toORF = true;
+             wa.orfEntry = 0;
+         }},
+        // No tamper: executed without long-latency strand cuts, the
+        // load's consumer sits mid-strand behind it.
+        {"mid-strand long-latency touch",
+         "touches an outstanding long-latency register", true, nullptr},
+    };
+
+    Workload w;
+    w.name = "faults";
+    w.kernel = faultKernel();
+    w.run.numWarps = 2;
+    const AnalysisBundle bundle(w.kernel);
+    const DecodedTrace trace = recordDecodedTrace(w.kernel, w.run);
+    const SchemeInfo &si = *SchemeRegistry::instance().findToken("testfault");
+    for (const SwFault &f : faults) {
+        SCOPED_TRACE(f.name);
+        activeFault = &f;
+        ExperimentConfig cfg;
+        cfg.scheme = si.scheme;
+        cfg.strandOptions.cutAtLongLatency = f.tamper != nullptr;
+        const AllocOptions ao = cfg.allocOptions();
+        Kernel annotated = w.kernel;
+        si.backend->allocate(annotated, cfg, &bundle);
+
+        SwExecConfig sc;
+        sc.run = w.run;
+        SwExecResult direct = runSwHierarchy(annotated, ao, sc, &bundle);
+        ASSERT_NE(direct.error.find(f.expect), std::string::npos)
+            << direct.error;
+        SwExecResult replay =
+            replaySwHierarchy(annotated, ao, trace, sc, &bundle);
+        EXPECT_EQ(replay.error, direct.error);
+        EXPECT_EQ(describeCountsDiff(replay.counts, direct.counts), "");
+
+        globalExperimentCache().clear();
+        cfg.engine = ExecEngine::REPLAY;
+        RunOutcome engine = runScheme(w, cfg);
+        EXPECT_EQ(engine.error, direct.error);
+        EXPECT_EQ(describeCountsDiff(engine.counts, direct.counts), "");
+        EXPECT_EQ(runSchemePipeline(w, cfg).error, direct.error);
+    }
+    activeFault = nullptr;
+    globalExperimentCache().clear();
 }
 
 // ---- Perf plumbing through runScheme ----

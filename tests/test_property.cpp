@@ -19,6 +19,7 @@
 #include "compiler/scheduler.h"
 #include "sim/baseline_exec.h"
 #include "sim/hw_cache.h"
+#include "sim/pipeline_account.h"
 #include "sim/sw_exec.h"
 #include "workloads/synthetic.h"
 
@@ -108,10 +109,12 @@ TEST_P(HierarchyProperty, HwCacheAccountingConsistent)
     HwCacheConfig cfg;
     cfg.rfcEntries = c.orfEntries;
     cfg.useLRF = c.useLRF;
-    cfg.run.numWarps = 2;
-    AccessCounts hw = runHwCache(k, cfg);
     RunConfig rc;
     rc.numWarps = 2;
+    AccessCounts hw;
+    ASSERT_EQ(makeHwCacheAccounting(k, cfg, nullptr, nullptr, hw)
+                  ->execute(k, rc),
+              "");
     AccessCounts base = runBaseline(k, rc);
     // Demand reads equal baseline; writebacks only add traffic.
     EXPECT_EQ(hw.allReads() - hw.wbReads, base.allReads());

@@ -7,10 +7,11 @@
  * interprets the kernel with real values and verifies every access
  * bit-exactly. The two must agree to the byte on every report — these
  * tests pin that down at three granularities: serialized sweep JSON
- * over the full workload registry (golden), per-executor access
- * counts on random synthetic kernels including predicated and
- * divergent code (property), and the memoization of the recorded
- * stream itself.
+ * over the full workload registry (golden), per-scheme access counts
+ * on random synthetic kernels including predicated and divergent code
+ * (property: the accountants under the functional-machine and trace
+ * drivers, the software hierarchy's fast path against its verifying
+ * executors), and the memoization of the recorded stream itself.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +23,10 @@
 #include "core/metrics.h"
 #include "core/sweep.h"
 #include "sim/baseline_exec.h"
+#include "sim/cc_rfc.h"
 #include "sim/hw_cache.h"
+#include "sim/pipeline_account.h"
+#include "sim/regdem.h"
 #include "sim/sw_exec.h"
 #include "sim/sw_exec_simt.h"
 #include "sim/trace.h"
@@ -234,6 +238,23 @@ TEST_P(ReplayProperty, SwCountsMatchDirect)
         << "seed=" << seed;
 }
 
+/**
+ * Drive the accounting @p make builds through both functional drivers
+ * — the machine on @p run and the recorded @p trace — and expect
+ * identical, clean counts.
+ */
+template <typename Make>
+void
+expectDriversAgree(const Kernel &k, const RunConfig &run,
+                   const DecodedTrace &trace, Make make,
+                   const std::string &what)
+{
+    AccessCounts direct, replay;
+    EXPECT_EQ(make(direct)->execute(k, run), "") << what;
+    EXPECT_EQ(make(replay)->replay(trace), "") << what;
+    EXPECT_EQ(countsJson(direct), countsJson(replay)) << what;
+}
+
 TEST_P(ReplayProperty, BaselineCountsMatchDirect)
 {
     std::uint64_t seed = GetParam();
@@ -243,8 +264,13 @@ TEST_P(ReplayProperty, BaselineCountsMatchDirect)
     RunConfig run;
     DecodedTrace trace = recordDecodedTrace(k, run);
     AccessCounts direct = runBaseline(k, run);
-    AccessCounts replay = replayBaseline(k, trace);
+    AccessCounts replay;
+    ASSERT_EQ(makeFlatAccounting(k, nullptr, replay)->replay(trace), "");
     EXPECT_EQ(countsJson(direct), countsJson(replay)) << "seed=" << seed;
+    expectDriversAgree(
+        k, run, trace,
+        [&](AccessCounts &c) { return makeFlatAccounting(k, nullptr, c); },
+        "flat seed=" + std::to_string(seed));
 }
 
 TEST_P(ReplayProperty, HwCountsMatchDirect)
@@ -253,21 +279,44 @@ TEST_P(ReplayProperty, HwCountsMatchDirect)
     Kernel k = generateSynthetic("prop", paramsFor(seed));
     ASSERT_EQ(k.validate(), "");
 
+    RunConfig run;
+    DecodedTrace trace = recordDecodedTrace(k, run);
+    const int entries = 1 + static_cast<int>(seed % kMaxOrfEntries);
+    const std::string tag = " seed=" + std::to_string(seed);
     for (bool lrf : {false, true}) {
         HwCacheConfig cfg;
-        cfg.rfcEntries = 1 + static_cast<int>(seed % kMaxOrfEntries);
+        cfg.rfcEntries = entries;
         cfg.useLRF = lrf;
         cfg.flushOnBackwardBranch = seed % 3 == 0;
-        DecodedTrace trace = recordDecodedTrace(k, cfg.run);
-        AccessCounts direct = runHwCache(k, cfg);
-        AccessCounts replay = replayHwCache(k, cfg, trace);
-        EXPECT_EQ(countsJson(direct), countsJson(replay))
-            << "seed=" << seed << " lrf=" << lrf;
+        expectDriversAgree(
+            k, run, trace,
+            [&](AccessCounts &c) {
+                return makeHwCacheAccounting(k, cfg, nullptr, nullptr, c);
+            },
+            "hw lrf=" + std::to_string(lrf) + tag);
     }
+    CcRfcConfig cc;
+    cc.entries = entries;
+    expectDriversAgree(
+        k, run, trace,
+        [&](AccessCounts &c) {
+            return makeCcRfcAccounting(k, cc, nullptr, nullptr, c);
+        },
+        "ccrfc" + tag);
+    RegDemConfig rd;
+    rd.entries = entries;
+    expectDriversAgree(
+        k, run, trace,
+        [&](AccessCounts &c) {
+            return makeRegDemAccounting(k, rd, nullptr, c);
+        },
+        "regdem" + tag);
 }
 
 TEST_P(ReplayProperty, SimtCountsMatchDirect)
 {
+    // The per-lane verifying SIMT executor at width 1 must count what
+    // the scalar replay engine counts over the scalar trace.
     std::uint64_t seed = GetParam();
     Kernel k = generateSynthetic("prop", paramsFor(seed));
     ASSERT_EQ(k.validate(), "");
@@ -279,19 +328,18 @@ TEST_P(ReplayProperty, SimtCountsMatchDirect)
     HierarchyAllocator alloc(EnergyParams{}, opts);
     alloc.run(k);
 
-    SimtExecConfig sc;
-    sc.width = 1 + static_cast<int>(seed % 8);
-    DecodedTrace trace = recordSimtDecodedTrace(
-        k, sc.numWarps, sc.width, sc.maxInstrsPerWarp);
-    SwExecResult direct = runSwHierarchySimt(k, opts, sc);
-    SwExecResult replay = replaySwHierarchySimt(k, opts, trace, sc);
-    ASSERT_EQ(direct.error.empty(), replay.error.empty())
-        << "seed=" << seed << " direct=" << direct.error
-        << " replay=" << replay.error;
-    if (direct.error.empty()) {
-        EXPECT_EQ(countsJson(direct.counts), countsJson(replay.counts))
-            << "seed=" << seed;
-    }
+    SimtExecConfig simt;
+    simt.width = 1;
+    SwExecConfig sc;
+    sc.run.numWarps = simt.numWarps;
+    sc.run.maxInstrsPerWarp = simt.maxInstrsPerWarp;
+    DecodedTrace trace = recordDecodedTrace(k, sc.run);
+    SwExecResult direct = runSwHierarchySimt(k, opts, simt);
+    SwExecResult replay = replaySwHierarchy(k, opts, trace, sc);
+    ASSERT_EQ(direct.error, "") << "seed=" << seed;
+    ASSERT_EQ(replay.error, "") << "seed=" << seed;
+    EXPECT_EQ(countsJson(direct.counts), countsJson(replay.counts))
+        << "seed=" << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReplayProperty,

@@ -11,7 +11,10 @@
  * RFH_REGISTER_SCHEME macro at static initialisation, so every test
  * in this binary also exercises the third-party extension path: the
  * echo scheme must show up in enumeration, the oracle sweep, and the
- * leaderboard without any engine-layer change.
+ * leaderboard without any engine-layer change. It is written as one
+ * per-warp accountant and nothing else, so the oracle also holds the
+ * default simulate() to that accountant on both engines and under the
+ * pipeline.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include "core/memo.h"
 #include "core/scheme.h"
 #include "service/protocol.h"
+#include "sim/pipeline_account.h"
 #include "verify/oracle.h"
 #include "verify/rptx_fuzz.h"
 #include "workloads/registry.h"
@@ -31,16 +35,70 @@
 namespace rfh {
 namespace {
 
-/** Trivial backend: echoes the flat baseline counts. */
+/**
+ * Flat-MRF counting of one warp: every register operand is an MRF
+ * access. The echo scheme's whole model — the default simulate()
+ * drives it on both engines, and the pipeline at issue.
+ */
+class EchoWarp final : public WarpAccountant
+{
+  public:
+    EchoWarp(const Kernel &k, AccessCounts &counts)
+        : k_(k), counts_(counts)
+    {
+    }
+
+    void
+    onIssue(int lin, bool enabled, bool /*taken*/,
+            std::int32_t /*nextLin*/, OperandPlan &plan) override
+    {
+        const Instruction &in = k_.instr(lin);
+        const Datapath dp = datapathOf(in.unit());
+        counts_.read(Level::MRF, dp, in.numRegReads());
+        if (enabled)
+            counts_.write(Level::MRF, dp, in.numRegWrites());
+        counts_.instructions++;
+        for (int s = 0; s < in.numSrcs; s++)
+            if (in.srcs[s].isReg)
+                plan.mrfReg[plan.numMrf++] = in.srcs[s].reg;
+        if (in.pred)
+            plan.mrfReg[plan.numMrf++] = *in.pred;
+    }
+
+  private:
+    const Kernel &k_;
+    AccessCounts &counts_;
+};
+
+class EchoAccounting final : public AccountingOf<EchoWarp>
+{
+  public:
+    EchoAccounting(const Kernel &k, AccessCounts &counts)
+        : k_(k), counts_(counts)
+    {
+    }
+
+  protected:
+    std::unique_ptr<EchoWarp>
+    newWarp(int /*warp*/) override
+    {
+        return std::make_unique<EchoWarp>(k_, counts_);
+    }
+
+  private:
+    const Kernel &k_;
+    AccessCounts &counts_;
+};
+
+/** Trivial backend: recounts the flat baseline. */
 class EchoScheme : public SchemeBackend
 {
   public:
-    SchemeSimResult
-    simulate(const SchemeRunContext &ctx) const override
+    std::unique_ptr<PipelineAccounting>
+    makePipelineAccounting(const PipelineBuildContext &ctx) const override
     {
-        SchemeSimResult r;
-        r.counts = *ctx.baseline;
-        return r;
+        return std::make_unique<EchoAccounting>(*ctx.kernel,
+                                                *ctx.counts);
     }
 };
 
@@ -52,8 +110,8 @@ echoSpec()
     s.display = "Echo";
     s.summary = "test-only baseline echo";
     s.caps.usesAnalyses = false;
-    s.caps.usesTrace = false;
     s.caps.sweepsEntries = false;
+    s.caps.pipelined = true;
     return s;
 }
 
@@ -292,7 +350,7 @@ expectedOraclePairs(const OracleOptions &oo)
         if (si->caps.usesAllocator) {
             pairs++;  // conservation on the scalar run
             if (oo.checkSimt)
-                pairs += 2;  // scalar-vs-simt-w1, simt direct-vs-replay
+                pairs++;  // scalar-vs-simt-w1
         } else if (si->scheme != Scheme::BASELINE) {
             pairs++;  // conservation on the direct counts
         }
