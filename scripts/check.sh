@@ -152,19 +152,24 @@ if [[ "$run_compare" == 1 ]]; then
     # errors. The ranking values themselves are pinned by the golden
     # tier; this smoke only proves the registry-driven board stays
     # runnable end to end.
+    # `--perf` adds the cycle-level pipeline pass at each row's entries.
     cmpjson="$(mktemp)"
-    if ! "$repo/build/examples/rfhc" compare --json --out "$cmpjson"
-    then
-        rm -f "$cmpjson"
-        echo "check.sh: rfhc compare failed" >&2
-        exit 1
-    fi
-    if grep -q '"error"' "$cmpjson"; then
-        cat "$cmpjson" >&2
-        echo "check.sh: leaderboard row reported a run error" >&2
-        rm -f "$cmpjson"
-        exit 1
-    fi
+    for perf in "" --perf; do
+        if ! "$repo/build/examples/rfhc" compare --json $perf \
+            --out "$cmpjson"
+        then
+            rm -f "$cmpjson"
+            echo "check.sh: rfhc compare${perf:+ $perf} failed" >&2
+            exit 1
+        fi
+        if grep -q '"error"' "$cmpjson"; then
+            cat "$cmpjson" >&2
+            echo "check.sh: leaderboard row reported a run error" \
+                 "${perf:+($perf)}" >&2
+            rm -f "$cmpjson"
+            exit 1
+        fi
+    done
     rm -f "$cmpjson"
 fi
 
@@ -177,39 +182,45 @@ if [[ "$run_corpus" == 1 ]]; then
 
     # Byte-identity smoke at the CLI: the same small corpus must
     # produce identical aggregate JSON at 1 and 4 threads, and again
-    # when served by one `rfhc serve` over a Unix socket.
+    # when served by one `rfhc serve` over a Unix socket — without
+    # and with the cycle-level pipeline (`--perf`).
     c1="$(mktemp)"; c4="$(mktemp)"; cs="$(mktemp)"
-    corpus_args=(corpus --profiles balanced,divergent --n 64
-                 --schemes sw3,hw2 --entries 3 --json)
-    RFH_THREADS=1 "$repo/build/examples/rfhc" "${corpus_args[@]}" \
-        >"$c1"
-    RFH_THREADS=4 "$repo/build/examples/rfhc" "${corpus_args[@]}" \
-        >"$c4"
-    if ! cmp -s "$c1" "$c4"; then
-        rm -f "$c1" "$c4" "$cs"
-        echo "check.sh: corpus JSON differs across thread counts" >&2
-        exit 1
-    fi
-    if [[ "$run_serve" == 1 ]]; then
-        csock="$(mktemp -u /tmp/rfhc-corpus-XXXXXX.sock)"
-        "$repo/build/examples/rfhc" serve --socket "$csock" &
-        corpus_serve_pid=$!
-        if ! "$repo/build/examples/rfhc" "${corpus_args[@]}" \
-            --socket "$csock" >"$cs"; then
+    for perf in "" --perf; do
+        corpus_args=(corpus --profiles balanced,divergent --n 64
+                     --schemes sw3,hw2 --entries 3 --json $perf)
+        RFH_THREADS=1 "$repo/build/examples/rfhc" "${corpus_args[@]}" \
+            >"$c1"
+        RFH_THREADS=4 "$repo/build/examples/rfhc" "${corpus_args[@]}" \
+            >"$c4"
+        if ! cmp -s "$c1" "$c4"; then
+            rm -f "$c1" "$c4" "$cs"
+            echo "check.sh: corpus JSON${perf:+ ($perf)} differs across" \
+                 "thread counts" >&2
+            exit 1
+        fi
+        if [[ "$run_serve" == 1 ]]; then
+            csock="$(mktemp -u /tmp/rfhc-corpus-XXXXXX.sock)"
+            "$repo/build/examples/rfhc" serve --socket "$csock" &
+            corpus_serve_pid=$!
+            if ! "$repo/build/examples/rfhc" "${corpus_args[@]}" \
+                --socket "$csock" >"$cs"; then
+                kill "$corpus_serve_pid" 2>/dev/null || true
+                rm -f "$c1" "$c4" "$cs"
+                echo "check.sh: corpus served run${perf:+ ($perf)}" \
+                     "failed" >&2
+                exit 1
+            fi
             kill "$corpus_serve_pid" 2>/dev/null || true
-            rm -f "$c1" "$c4" "$cs"
-            echo "check.sh: corpus served run failed" >&2
-            exit 1
+            wait "$corpus_serve_pid" 2>/dev/null || true
+            rm -f "$csock"
+            if ! cmp -s "$c1" "$cs"; then
+                rm -f "$c1" "$c4" "$cs"
+                echo "check.sh: corpus JSON${perf:+ ($perf)} differs" \
+                     "local vs served" >&2
+                exit 1
+            fi
         fi
-        kill "$corpus_serve_pid" 2>/dev/null || true
-        wait "$corpus_serve_pid" 2>/dev/null || true
-        rm -f "$csock"
-        if ! cmp -s "$c1" "$cs"; then
-            rm -f "$c1" "$c4" "$cs"
-            echo "check.sh: corpus JSON differs local vs served" >&2
-            exit 1
-        fi
-    fi
+    done
     rm -f "$c1" "$c4" "$cs"
 fi
 

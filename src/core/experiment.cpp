@@ -7,7 +7,6 @@
 #include "core/parallel.h"
 #include "core/scheme.h"
 #include "core/trace_events.h"
-#include "sim/baseline_exec.h"
 #include "sim/trace.h"
 
 namespace rfh {
@@ -45,18 +44,68 @@ struct PipelineMetrics
     Timer &run = globalMetrics().timer("sim.pipeline.run");
 };
 
-PipelineMetrics &
-pipelineMetrics()
+/**
+ * Which memoized inputs and passes one run needs: runScheme gathers
+ * exactly these and replayBatch pre-warms them.
+ */
+struct RunPlan
 {
-    static PipelineMetrics m;
-    return m;
+    bool analyses = false; ///< CFG/liveness/reaching-defs bundle.
+    bool replay = false;   ///< simulate() walks the decoded trace.
+    bool pipeline = false; ///< The cycle-level pipeline runs.
+    bool trace = false;    ///< Decoded trace (replay or pipeline).
+    bool decode = false;   ///< Pristine-kernel ReplayDecode.
+};
+
+RunPlan
+planRun(const SchemeCaps &caps, ExecEngine engine, bool perf)
+{
+    RunPlan p;
+    p.analyses = caps.usesAnalyses;
+    p.replay = engine == ExecEngine::REPLAY && caps.usesTrace;
+    p.pipeline = perf && caps.pipelined;
+    p.trace = p.replay || p.pipeline;
+    p.decode = p.pipeline || (p.replay && caps.wantsDecode);
+    return p;
 }
 
-EngineMetrics &
-engineMetrics()
+/**
+ * The cycle-level pipeline over ctx.kernel, with the scheme's
+ * accounting at issue. The pristine-kernel decode @p dec drives the
+ * engine: annotations change neither latencies nor scoreboard sets.
+ */
+SchemePipelineResult
+pipelinePass(const SchemeInfo &si, const SchemeRunContext &ctx,
+             const DecodedTrace &trace, const ReplayDecode &dec)
 {
-    static EngineMetrics m;
-    return m;
+    SchemePipelineResult out;
+    PipelineBuildContext build;
+    build.kernel = ctx.kernel;
+    build.cfg = ctx.cfg;
+    build.analyses = ctx.analyses;
+    build.decode = &dec;
+    build.counts = &out.counts;
+    std::unique_ptr<PipelineAccounting> acct =
+        si.backend->makePipelineAccounting(build);
+    if (!acct) {
+        out.error = "scheme '" + si.token +
+            "' advertises pipelined caps but built no accounting";
+        return out;
+    }
+
+    Stopwatch watch;
+    PipelineResult r = runPipeline(trace, dec, *acct, ctx.cfg->pipeline);
+    out.stats = r.stats;
+    out.error = r.error;
+
+    static PipelineMetrics pm;
+    pm.runs.add();
+    pm.cycles.add(r.stats.cycles);
+    pm.issued.add(r.stats.issued);
+    pm.swaps.add(r.stats.swaps);
+    pm.bankConflicts.add(r.stats.bankConflicts);
+    pm.run.addSec(watch.lap());
+    return out;
 }
 
 /**
@@ -100,17 +149,9 @@ AllocOptions
 ExperimentConfig::allocOptions() const
 {
     const SchemeInfo *si = SchemeRegistry::instance().find(scheme);
-    if (si)
-        return si->backend->allocOptions(*this);
     // Unregistered handle: the scheme-independent defaults.
-    AllocOptions a;
-    a.orfEntries = entries;
-    a.orfPriceEntries = orfPriceEntries;
-    a.lrfAllowSharedProducers = lrfAllowSharedProducers;
-    a.partialRanges = partialRanges;
-    a.readOperands = readOperands;
-    a.strandOptions = strandOptions;
-    return a;
+    return si ? si->backend->allocOptions(*this)
+              : SchemeBackend().allocOptions(*this);
 }
 
 RunOutcome
@@ -134,6 +175,7 @@ runScheme(const Workload &w, const ExperimentConfig &cfg)
     ExecEngine engine = cfg.engine == ExecEngine::AUTO
                             ? ExecEngine::DIRECT
                             : cfg.engine;
+    const RunPlan plan = planRun(caps, engine, cfg.perf);
 
     ExperimentCache &cache = globalExperimentCache();
     Stopwatch watch;
@@ -141,43 +183,42 @@ runScheme(const Workload &w, const ExperimentConfig &cfg)
     // Cooperative cancellation: polled between phases so a deadline
     // can stop a request before its most expensive work, without ever
     // interrupting a memoized computation mid-flight.
-    auto cancelled = [&] { return cfg.cancel && cfg.cancel(); };
-    if (cancelled()) {
+    auto cancelled = [&] {
+        if (!cfg.cancel || !cfg.cancel())
+            return false;
         out.error = "cancelled";
+        return true;
+    };
+    if (cancelled())
         return out;
-    }
 
     // ---- Analyze: structural analyses + baseline execution, both
     // memoized (configuration-independent) ----
     std::shared_ptr<const AnalysisBundle> analyses;
-    if (caps.usesAnalyses)
+    if (plan.analyses)
         analyses = cache.analyses(w.kernel);
     const AccessCounts &base = cache.baseline(w.kernel, w.run);
     out.baselineEnergyPJ = base.totalEnergyPJ(em);
     out.phases.analyzeSec = watch.lap();
     recordPhaseSpan("analyze", w.name, out.phases.analyzeSec);
-    if (cancelled()) {
-        out.error = "cancelled";
+    if (cancelled())
         return out;
-    }
 
     // ---- Trace: the pre-decoded dynamic stream, recorded once per
     // (kernel, RunConfig) and shared by every replay grid cell ----
     std::shared_ptr<const DecodedTrace> trace;
-    if (engine == ExecEngine::REPLAY && caps.usesTrace) {
+    if (plan.trace) {
         trace = cache.trace(w.kernel, w.run);
         out.phases.traceSec = watch.lap();
         recordPhaseSpan("trace", w.name, out.phases.traceSec);
     }
-    if (cancelled()) {
-        out.error = "cancelled";
+    if (cancelled())
         return out;
-    }
 
-    // Replay shares the memoized pre-decode (SoA op records +
-    // shared-consumer flags) across every grid cell of the kernel.
+    // Replay and the pipeline share the memoized pre-decode (SoA op
+    // records + shared-consumer flags) across every grid cell.
     std::shared_ptr<const ReplayDecode> dec;
-    if (trace && caps.wantsDecode)
+    if (plan.decode)
         dec = cache.decode(w.kernel);
 
     // ---- Allocate: the compiler annotates a private kernel copy ----
@@ -189,26 +230,47 @@ runScheme(const Workload &w, const ExperimentConfig &cfg)
         kernel = &annotated;
         out.phases.allocateSec = watch.lap();
         recordPhaseSpan("allocate", w.name, out.phases.allocateSec);
-        if (cancelled()) {
-            out.error = "cancelled";
+        if (cancelled())
             return out;
-        }
     }
 
     // ---- Execute ----
     SchemeRunContext ctx;
     ctx.workload = &w;
     ctx.cfg = &cfg;
-    ctx.engine = trace ? ResolvedEngine::REPLAY : ResolvedEngine::DIRECT;
+    ctx.engine = plan.replay ? ResolvedEngine::REPLAY
+                             : ResolvedEngine::DIRECT;
     ctx.kernel = kernel;
     ctx.analyses = analyses.get();
-    ctx.trace = trace.get();
-    ctx.decode = dec.get();
+    ctx.trace = plan.replay ? trace.get() : nullptr;
+    ctx.decode = plan.replay && caps.wantsDecode ? dec.get() : nullptr;
     ctx.baseline = &base;
-    SchemeSimResult res = backend.simulate(ctx);
+    SchemeSimResult res;
+    SchemePipelineResult timed;
+    if (plan.pipeline && engine == ExecEngine::REPLAY) {
+        // The pipeline accounts at issue exactly what replay counts,
+        // so it is the execute pass. A failing pipeline defers to
+        // simulate for the run's own error and partial counts.
+        timed = pipelinePass(*si, ctx, *trace, *dec);
+        if (timed.ok())
+            res.counts = timed.counts;
+        else
+            res = backend.simulate(ctx);
+    } else {
+        // simulate is the execute pass (the value-verifying oracle
+        // under DIRECT); perf adds the pipeline after a clean pass.
+        res = backend.simulate(ctx);
+        if (plan.pipeline && res.error.empty())
+            timed = pipelinePass(*si, ctx, *trace, *dec);
+    }
     out.counts = res.counts;
     out.error = res.error;
-    if (caps.usesTrace) {
+    if (plan.pipeline && out.ok() && !timed.ok())
+        out.error = "pipeline: " + timed.error;
+    out.hasPerf = plan.pipeline && out.ok();
+    if (out.hasPerf)
+        out.perf = timed.stats;
+    if (caps.usesTrace || plan.pipeline) {
         out.phases.executeSec = watch.lap();
         recordPhaseSpan("execute", w.name, out.phases.executeSec);
     }
@@ -216,20 +278,9 @@ runScheme(const Workload &w, const ExperimentConfig &cfg)
     out.phases.dynInstrs = out.counts.instructions;
     out.energyPJ = backend.accountEnergyPJ(ctx, out.counts, em);
 
-    // ---- Perf (opt-in): cycle-level pipeline pass ----
-    if (cfg.perf && caps.pipelined && out.ok() && !cancelled()) {
-        SchemePipelineResult pr = runSchemePipeline(w, cfg, cfg.pipeline);
-        if (pr.ok()) {
-            out.perf = pr.stats;
-            out.hasPerf = true;
-        } else {
-            out.error = "pipeline: " + pr.error;
-        }
-    }
-
     // Observability only: metrics never feed back into the outcome,
     // so results stay byte-identical with any metrics state.
-    EngineMetrics &mm = engineMetrics();
+    static EngineMetrics mm;
     mm.runs.add();
     if (caps.usesTrace)
         (engine == ExecEngine::REPLAY ? mm.runsReplay : mm.runsDirect)
@@ -242,89 +293,6 @@ runScheme(const Workload &w, const ExperimentConfig &cfg)
     mm.execute.addSec(out.phases.executeSec);
     mm.dynInstrs.add(out.counts.instructions);
     mm.runInstrs.observe(out.counts.instructions);
-    return out;
-}
-
-SchemePipelineResult
-runSchemePipeline(const Workload &w, const ExperimentConfig &cfg,
-                  const PipelineConfig &pcfg)
-{
-    SchemePipelineResult out;
-    const SchemeInfo *si = SchemeRegistry::instance().find(cfg.scheme);
-    if (!si) {
-        out.error = "unregistered scheme id " +
-            std::to_string(cfg.scheme.id()) + " (valid: " +
-            SchemeRegistry::instance().tokenList() + ")";
-        return out;
-    }
-    if (!si->caps.pipelined) {
-        out.error = "scheme '" + si->token +
-            "' has no pipeline accounting";
-        return out;
-    }
-
-    ExperimentCache &cache = globalExperimentCache();
-    auto cancelled = [&] { return cfg.cancel && cfg.cancel(); };
-    if (cancelled()) {
-        out.error = "cancelled";
-        return out;
-    }
-
-    // Shared memoized sub-results, exactly as runScheme gathers them.
-    std::shared_ptr<const AnalysisBundle> analyses;
-    if (si->caps.usesAnalyses)
-        analyses = cache.analyses(w.kernel);
-    std::shared_ptr<const DecodedTrace> trace =
-        cache.trace(w.kernel, w.run);
-    // The pristine-kernel decode drives the engine (latencies,
-    // scoreboard sets — annotations change neither); backends that
-    // need annotation-aware decodes build their own.
-    std::shared_ptr<const ReplayDecode> dec = cache.decode(w.kernel);
-    if (cancelled()) {
-        out.error = "cancelled";
-        return out;
-    }
-
-    // The allocator's annotated copy must outlive the run: the
-    // accounting reads annotations from it on every issue.
-    Kernel annotated;
-    const Kernel *kernel = &w.kernel;
-    if (si->caps.usesAllocator) {
-        annotated = w.kernel;
-        si->backend->allocate(annotated, cfg, analyses.get());
-        kernel = &annotated;
-        if (cancelled()) {
-            out.error = "cancelled";
-            return out;
-        }
-    }
-
-    PipelineBuildContext ctx;
-    ctx.kernel = kernel;
-    ctx.cfg = &cfg;
-    ctx.analyses = analyses.get();
-    ctx.decode = dec.get();
-    ctx.counts = &out.counts;
-    std::unique_ptr<PipelineAccounting> acct =
-        si->backend->makePipelineAccounting(ctx);
-    if (!acct) {
-        out.error = "scheme '" + si->token +
-            "' advertises pipelined caps but built no accounting";
-        return out;
-    }
-
-    Stopwatch watch;
-    PipelineResult r = runPipeline(*trace, *dec, *acct, pcfg);
-    out.stats = r.stats;
-    out.error = r.error;
-
-    PipelineMetrics &pm = pipelineMetrics();
-    pm.runs.add();
-    pm.cycles.add(r.stats.cycles);
-    pm.issued.add(r.stats.issued);
-    pm.swaps.add(r.stats.swaps);
-    pm.bankConflicts.add(r.stats.bankConflicts);
-    pm.run.addSec(watch.lap());
     return out;
 }
 
@@ -382,8 +350,7 @@ replayBatch(const std::vector<BatchItem> &items, ThreadPool *pool)
     ThreadPool &p = pool ? *pool : globalPool();
     ExperimentCache &cache = globalExperimentCache();
 
-    // Resolve engines up front; the pre-warm below only matters for
-    // replay items.
+    // Resolve engines up front: every item's plan depends on them.
     std::vector<ExperimentConfig> cfgs(items.size());
     for (std::size_t i = 0; i < items.size(); i++) {
         cfgs[i] = items[i].cfg;
@@ -392,46 +359,42 @@ replayBatch(const std::vector<BatchItem> &items, ThreadPool *pool)
     }
 
     // ---- Pre-warm: one slot per distinct kernel ----
-    // Materialise the shared sub-results once each, in parallel, so
-    // the fan-out below never serialises on a cold cache entry (the
-    // memo's call_once would otherwise block every grid cell of a
-    // kernel behind the first).
+    // Materialise each run's planned inputs once, in parallel, so the
+    // fan-out below never serialises on a cold cache entry (the memo's
+    // call_once would otherwise block every grid cell of a kernel
+    // behind the first).
     struct Warm
     {
         const Workload *w = nullptr;
-        bool wantAnalyses = false;
-        bool wantTrace = false;
-        bool wantDecode = false;
+        RunPlan need;
     };
     SchemeRegistry &registry = SchemeRegistry::instance();
     std::vector<Warm> warm;
     std::map<std::uint64_t, std::size_t> slot;
     for (std::size_t i = 0; i < items.size(); i++) {
         const Workload *w = items[i].workload;
-        if (!w)
+        const SchemeInfo *si = registry.find(cfgs[i].scheme);
+        if (!w || !si)
             continue;
         auto [it, fresh] =
             slot.try_emplace(kernelFingerprint(w->kernel), warm.size());
         if (fresh)
-            warm.push_back(Warm{w, false, false, false});
-        Warm &entry = warm[it->second];
-        const SchemeInfo *si = registry.find(cfgs[i].scheme);
-        if (!si)
-            continue;
-        if (cfgs[i].engine == ExecEngine::REPLAY && si->caps.usesTrace) {
-            entry.wantTrace = true;
-            entry.wantAnalyses |= si->caps.usesAnalyses;
-            entry.wantDecode |= si->caps.wantsDecode;
-        }
+            warm.push_back(Warm{w, {}});
+        RunPlan &need = warm[it->second].need;
+        const RunPlan plan =
+            planRun(si->caps, cfgs[i].engine, cfgs[i].perf);
+        need.analyses |= plan.analyses;
+        need.trace |= plan.trace;
+        need.decode |= plan.decode;
     }
     p.parallelFor(static_cast<int>(warm.size()), [&](int i) {
         const Warm &e = warm[i];
         cache.baseline(e.w->kernel, e.w->run);
-        if (e.wantAnalyses || e.wantDecode)
+        if (e.need.analyses || e.need.decode)
             cache.analyses(e.w->kernel);
-        if (e.wantTrace)
+        if (e.need.trace)
             cache.trace(e.w->kernel, e.w->run);
-        if (e.wantDecode)
+        if (e.need.decode)
             cache.decode(e.w->kernel);
     });
 

@@ -85,11 +85,13 @@ struct ExperimentConfig
      */
     ExecEngine engine = ExecEngine::AUTO;
     /**
-     * Also run the cycle-level SM pipeline (sim/pipeline.h) after a
-     * clean simulate phase and attach IPC / stall-breakdown stats to
-     * the outcome (RunOutcome::perf). Only schemes whose caps say
-     * @c pipelined participate; others ignore the flag. Off by
-     * default: the pipeline costs another pass over the trace.
+     * Also run the cycle-level SM pipeline (sim/pipeline.h) and attach
+     * IPC / stall-breakdown stats to the outcome (RunOutcome::perf).
+     * Under REPLAY the pipeline is the execute pass (it accounts at
+     * issue exactly what replay counts); under DIRECT it follows the
+     * value-verifying pass over the same annotated kernel. Only
+     * schemes whose caps say @c pipelined participate; others ignore
+     * the flag. Off by default.
      */
     bool perf = false;
     /** Pipeline timing knobs used when @c perf is set. */
@@ -160,11 +162,11 @@ struct RunOutcome
  */
 RunOutcome runScheme(const Workload &w, const ExperimentConfig &cfg);
 
-/** Outcome of a standalone cycle-level pipeline run. */
+/** Outcome of runScheme's cycle-level pipeline pass. */
 struct SchemePipelineResult
 {
     PipelineStats stats;
-    /** Accesses accounted at issue; must equal the functional counts. */
+    /** Accesses accounted at issue; equal to the functional counts. */
     AccessCounts counts;
     std::string error; ///< Non-empty on failure.
 
@@ -174,19 +176,6 @@ struct SchemePipelineResult
         return error.empty();
     }
 };
-
-/**
- * Run @p w through the cycle-level SM pipeline under scheme
- * @p cfg.scheme with timing knobs @p pcfg. The scheme's replay
- * accounting runs at issue, so the returned counts are identical to
- * runScheme's for the same configuration (the oracle cross-checks
- * this for every scheme); the stats add IPC, stall breakdown, swap
- * and bank-conflict totals on top. Fails with an error (not a crash)
- * for schemes whose caps lack @c pipelined.
- */
-SchemePipelineResult runSchemePipeline(const Workload &w,
-                                       const ExperimentConfig &cfg,
-                                       const PipelineConfig &pcfg = {});
 
 /**
  * Fold @p one (the outcome of workload @p name) into @p agg in

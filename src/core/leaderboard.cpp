@@ -72,19 +72,12 @@ runLeaderboard(const ExperimentConfig &base, ThreadPool *pool)
             ExperimentConfig pc = base;
             pc.scheme = si->scheme;
             pc.entries = row.entries;
-            for (const Workload &w : allWorkloads()) {
-                SchemePipelineResult pr =
-                    runSchemePipeline(w, pc, base.pipeline);
-                if (!pr.ok()) {
-                    if (!row.outcome.error.empty())
-                        row.outcome.error += "; ";
-                    row.outcome.error +=
-                        w.name + ": pipeline: " + pr.error;
-                    continue;
-                }
-                row.outcome.perf.add(pr.stats);
-                row.outcome.hasPerf = true;
-            }
+            RunOutcome timed = runAllWorkloads(pc, pool);
+            row.outcome.perf = timed.perf;
+            row.outcome.hasPerf = timed.hasPerf;
+            if (!timed.ok())
+                row.outcome.error +=
+                    (row.outcome.error.empty() ? "" : "; ") + timed.error;
         }
         row.breakdown =
             normalizeAccesses(row.outcome.counts, lb.baseline);

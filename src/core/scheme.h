@@ -129,8 +129,6 @@ struct SchemeCaps
      * (checkAllocationInvariants) against the annotated kernel.
      */
     bool usesAllocator = false;
-    /** SIMT executors exist; the oracle runs the SIMT checks. */
-    bool hasSimt = false;
     /**
      * Hardware-managed caching scheme: skipped by the oracle when
      * OracleOptions::checkHwSchemes is off (`rfhc fuzz --no-hw`).

@@ -300,18 +300,13 @@ class RegDemScheme : public SchemeBackend
     }
 };
 
-/** GREENER power-gated MRF banks: baseline traffic, scaled energy. */
-class GreenerScheme : public SchemeBackend
+/**
+ * GREENER power-gated MRF banks: the baseline's traffic and flat
+ * accounting, with the gated banks priced by accountEnergyPJ.
+ */
+class GreenerScheme : public BaselineScheme
 {
   public:
-    SchemeSimResult
-    simulate(const SchemeRunContext &ctx) const override
-    {
-        SchemeSimResult r;
-        r.counts = *ctx.baseline;
-        return r;
-    }
-
     double
     accountEnergyPJ(const SchemeRunContext &ctx, const AccessCounts &c,
                     const EnergyModel &em) const override
@@ -343,18 +338,11 @@ class GreenerScheme : public SchemeBackend
                         "baseline");
         return v;
     }
-
-    std::unique_ptr<PipelineAccounting>
-    makePipelineAccounting(const PipelineBuildContext &ctx) const override
-    {
-        // Power gating changes no traffic: flat accounting, with the
-        // gated banks priced by accountEnergyPJ as usual.
-        return makeFlatAccounting(*ctx.kernel, ctx.decode, *ctx.counts);
-    }
 };
 
+/** Flat-MRF traffic: no analyses, no trace path, no entries axis. */
 SchemeCaps
-paperBaselineCaps()
+flatCaps()
 {
     SchemeCaps c;
     c.usesAnalyses = false;
@@ -379,7 +367,6 @@ swCaps()
 {
     SchemeCaps c;
     c.usesAllocator = true;
-    c.hasSimt = true;
     c.pipelined = true;
     return c;
 }
@@ -407,7 +394,7 @@ registerBuiltinSchemes(SchemeRegistry &registry)
     // assigns the historic ids of the Scheme constants (0..4).
     registry.add(spec("baseline", "Baseline", "base",
                       "flat single-level MRF (the paper's baseline)",
-                      true, paperBaselineCaps()),
+                      true, flatCaps()),
                  std::make_unique<BaselineScheme>());
     registry.add(
         spec("hw2", "HW", "hw2",
@@ -431,15 +418,11 @@ registerBuiltinSchemes(SchemeRegistry &registry)
         std::make_unique<SwHierarchyScheme>(/*threeLevel=*/true));
 
     // Competing designs from the literature (PAPERS.md).
-    {
-        SchemeCaps c = hwCaps();
-        registry.add(
-            spec("ccrfc", "CC RFC", "ccrfc",
-                 "compiler-assisted RF cache with allocation and "
-                 "last-read hints (arXiv:2310.17501)",
-                 false, c),
-            std::make_unique<CcRfcScheme>());
-    }
+    registry.add(spec("ccrfc", "CC RFC", "ccrfc",
+                      "compiler-assisted RF cache with allocation and "
+                      "last-read hints (arXiv:2310.17501)",
+                      false, hwCaps()),
+                 std::make_unique<CcRfcScheme>());
     {
         SchemeCaps c;
         c.usesAnalyses = false;
@@ -452,19 +435,11 @@ registerBuiltinSchemes(SchemeRegistry &registry)
                  false, c),
             std::make_unique<RegDemScheme>());
     }
-    {
-        SchemeCaps c;
-        c.usesAnalyses = false;
-        c.usesTrace = false;
-        c.sweepsEntries = false;
-        c.pipelined = true;
-        registry.add(
-            spec("greener", "GREENER", "greener",
-                 "power-gated MRF banks: baseline traffic, "
-                 "footprint-scaled array energy",
-                 false, c),
-            std::make_unique<GreenerScheme>());
-    }
+    registry.add(spec("greener", "GREENER", "greener",
+                      "power-gated MRF banks: baseline traffic, "
+                      "footprint-scaled array energy",
+                      false, flatCaps()),
+                 std::make_unique<GreenerScheme>());
 }
 
 } // namespace rfh

@@ -480,33 +480,34 @@ runOracle(const Kernel &k, const OracleOptions &opts)
     // ---- Pipeline vs functional for every pipelined scheme ----
     // The cycle-level pipeline accounts accesses at issue
     // (sim/pipeline_account.h), so its totals must equal the
-    // functional path's exactly — for any scheduler interleaving.
-    // Compressed latencies keep the fuzz battery fast; counts are
-    // timing-invariant by construction, which is exactly the property
-    // under test.
-    PipelineConfig pcfg;
-    pcfg.aluLatency = 2;
-    pcfg.sfuLatency = 3;
-    pcfg.sharedMemLatency = 3;
-    pcfg.texLatency = 6;
-    pcfg.dramLatency = 6;
+    // functional path's exactly — for any scheduler interleaving. A
+    // REPLAY perf run's counts are the pipeline's (it is that run's
+    // execute pass). Compressed latencies keep the fuzz battery fast;
+    // counts are timing-invariant by construction, which is exactly
+    // the property under test.
+    ExperimentConfig timedCfg =
+        configFor(Scheme::BASELINE, opts, ExecEngine::REPLAY);
+    timedCfg.perf = true;
+    timedCfg.pipeline.aluLatency = 2;
+    timedCfg.pipeline.sfuLatency = 3;
+    timedCfg.pipeline.sharedMemLatency = 3;
+    timedCfg.pipeline.texLatency = 6;
+    timedCfg.pipeline.dramLatency = 6;
     for (const auto &[si, counts] : directCounts) {
         if (!si->caps.pipelined)
             continue;
         std::string tag(si->tag);
-        SchemePipelineResult pr = runSchemePipeline(
-            w, configFor(si->scheme, opts, ExecEngine::REPLAY), pcfg);
-        if (!pr.ok()) {
+        timedCfg.scheme = si->scheme;
+        RunOutcome timed = runScheme(w, timedCfg);
+        report.pairsChecked++;
+        if (!timed.ok())
             finding(FindingKind::EXEC_ERROR, tag + "/pipeline",
-                    pr.error);
-            report.pairsChecked++;
-            continue;
-        }
-        std::string diff = describeCountsDiff(pr.counts, counts);
-        if (!diff.empty())
+                    timed.error);
+        else if (std::string diff =
+                     describeCountsDiff(timed.counts, counts);
+                 !diff.empty())
             finding(FindingKind::DISCREPANCY,
                     tag + "/pipeline-vs-functional", diff);
-        report.pairsChecked++;
     }
 
     // ---- Per-backend conservation against the flat baseline ----

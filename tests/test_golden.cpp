@@ -309,10 +309,12 @@ suiteIpc(SchedPolicy policy, int activeWarps)
         resident.run.numWarps = 32;
         ExperimentConfig cfg;
         cfg.scheme = Scheme::BASELINE;
-        SchemePipelineResult pr =
-            runSchemePipeline(resident, cfg, pcfg);
-        EXPECT_TRUE(pr.ok()) << w.name << ": " << pr.error;
-        agg.add(pr.stats);
+        cfg.engine = ExecEngine::REPLAY;
+        cfg.perf = true;
+        cfg.pipeline = pcfg;
+        RunOutcome out = runScheme(resident, cfg);
+        EXPECT_TRUE(out.ok()) << w.name << ": " << out.error;
+        agg.add(out.perf);
     }
     return agg.ipc();
 }

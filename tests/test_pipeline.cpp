@@ -11,14 +11,18 @@
  * for each structural annotation fault, replay, the REPLAY engine, and
  * the pipeline stop with the direct executor's exact error (and, for
  * the functional engines, its partial counts). A test-only "testfault"
- * backend injects the faults through runScheme and runSchemePipeline;
- * with no fault active it is a clean sw3 clone, so registry-wide
- * tests in this binary simply see one more clean scheme.
+ * backend injects the faults through runScheme; with no fault active
+ * it is a clean sw3 clone. A second test-only clone, "testcount",
+ * counts allocate and simulate calls to pin how many passes one
+ * runScheme makes. Registry-wide tests in this binary simply see two
+ * more clean schemes.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
+#include <utility>
 
 #include "core/experiment.h"
 #include "core/json.h"
@@ -515,11 +519,14 @@ TEST(Pipeline, SchemeRunsMatchFunctionalCountsOnAWorkload)
         RunOutcome functional = runScheme(w, cfg);
         ASSERT_TRUE(functional.ok())
             << si->token << ": " << functional.error;
-        SchemePipelineResult pr = runSchemePipeline(w, cfg);
-        ASSERT_TRUE(pr.ok()) << si->token << ": " << pr.error;
-        EXPECT_EQ(describeCountsDiff(pr.counts, functional.counts), "")
+        cfg.perf = true;
+        RunOutcome timed = runScheme(w, cfg);
+        ASSERT_TRUE(timed.ok()) << si->token << ": " << timed.error;
+        ASSERT_TRUE(timed.hasPerf) << si->token;
+        EXPECT_EQ(describeCountsDiff(timed.counts, functional.counts),
+                  "")
             << si->token;
-        EXPECT_EQ(pr.stats.issued, functional.counts.instructions)
+        EXPECT_EQ(timed.perf.issued, functional.counts.instructions)
             << si->token;
     }
 }
@@ -533,26 +540,29 @@ TEST(Pipeline, HierarchySchemesBypassMrfBanksAtTheCollector)
     const Workload &w = workloadByName("scalarprod");
     ExperimentConfig base;
     base.scheme = Scheme::BASELINE;
-    SchemePipelineResult flat = runSchemePipeline(w, base);
+    base.engine = ExecEngine::REPLAY;
+    base.perf = true;
+    RunOutcome flat = runScheme(w, base);
     ASSERT_TRUE(flat.ok()) << flat.error;
-    ExperimentConfig sw;
+    ExperimentConfig sw = base;
     sw.scheme = Scheme::SW_THREE_LEVEL;
-    SchemePipelineResult three = runSchemePipeline(w, sw);
+    RunOutcome three = runScheme(w, sw);
     ASSERT_TRUE(three.ok()) << three.error;
-    EXPECT_LE(three.stats.bankConflicts, flat.stats.bankConflicts);
+    EXPECT_LE(three.perf.bankConflicts, flat.perf.bankConflicts);
 }
 
-TEST(Pipeline, RunSchemePipelineRejectsNonPipelinedSchemes)
+TEST(Pipeline, PerfRunRejectsUnregisteredSchemes)
 {
-    // The testecho contributed scheme (registered in the scheme-test
-    // binary only) is not visible here; fabricate an unregistered id
-    // instead and check the error paths stay errors, not crashes.
+    // Fabricate an unregistered id and check a perf run's error path
+    // stays an error, not a crash.
     const Workload &w = workloadByName("scalarprod");
     ExperimentConfig cfg;
     cfg.scheme = Scheme(250);
-    SchemePipelineResult pr = runSchemePipeline(w, cfg);
-    EXPECT_FALSE(pr.ok());
-    EXPECT_NE(pr.error.find("unregistered"), std::string::npos);
+    cfg.perf = true;
+    RunOutcome out = runScheme(w, cfg);
+    EXPECT_FALSE(out.ok());
+    EXPECT_FALSE(out.hasPerf);
+    EXPECT_NE(out.error.find("unregistered"), std::string::npos);
 }
 
 // ---- Failing runs: every engine stops at the same structural fault ----
@@ -577,8 +587,8 @@ const SwFault *activeFault = nullptr;
  * Test-only backend: the software hierarchy (sw3, or sw2 when the
  * active fault says so) allocated under the default strand cuts, with
  * the active fault's tamper applied to the annotated copy. runScheme
- * and runSchemePipeline meet the fault through their real entry
- * points; with no active fault it is a clean sw3 clone.
+ * meets the fault through its real entry point; with no active fault
+ * it is a clean sw3 clone.
  */
 class FaultScheme : public SchemeBackend
 {
@@ -656,6 +666,83 @@ RFH_REGISTER_SCHEME(faultRegistrar, faultSpec(), makeFaultScheme);
 namespace {
 
 /**
+ * Test-only clean sw3 clone that counts its allocate and simulate
+ * calls, so a test can pin how many passes one runScheme makes.
+ */
+class CountingScheme : public SchemeBackend
+{
+  public:
+    static inline std::atomic<int> allocations{0};
+    static inline std::atomic<int> simulations{0};
+
+    AllocOptions
+    allocOptions(const ExperimentConfig &cfg) const override
+    {
+        return sw3().allocOptions(cfg);
+    }
+
+    AllocStats
+    allocate(Kernel &k, const ExperimentConfig &cfg,
+             const AnalysisBundle *analyses) const override
+    {
+        allocations++;
+        return sw3().allocate(k, cfg, analyses);
+    }
+
+    SchemeSimResult
+    simulate(const SchemeRunContext &ctx) const override
+    {
+        simulations++;
+        return sw3().simulate(ctx);
+    }
+
+    bool
+    splitLrfEnergy(const ExperimentConfig &cfg) const override
+    {
+        return sw3().splitLrfEnergy(cfg);
+    }
+
+    std::unique_ptr<PipelineAccounting>
+    makePipelineAccounting(const PipelineBuildContext &ctx) const override
+    {
+        return sw3().makePipelineAccounting(ctx);
+    }
+
+  private:
+    static const SchemeBackend &
+    sw3()
+    {
+        return *SchemeRegistry::instance()
+                    .find(Scheme::SW_THREE_LEVEL)
+                    ->backend;
+    }
+};
+
+SchemeSpec
+countSpec()
+{
+    SchemeSpec s;
+    s.token = "testcount";
+    s.display = "Count";
+    s.summary = "test-only sw3 clone counting allocate/simulate calls";
+    s.caps.usesAllocator = true;
+    s.caps.pipelined = true;
+    return s;
+}
+
+std::unique_ptr<SchemeBackend>
+makeCountScheme()
+{
+    return std::make_unique<CountingScheme>();
+}
+
+} // namespace
+
+RFH_REGISTER_SCHEME(countRegistrar, countSpec(), makeCountScheme);
+
+namespace {
+
+/**
  * Straight-line kernel every warp walks identically, so the first
  * structural fault is hit by warp 0 at the same instruction under the
  * sequential executors and the interleaving pipeline alike.
@@ -723,6 +810,7 @@ TEST(SwFailingRun, ReplayAndPipelineMatchDirect)
     w.run.numWarps = 2;
     const AnalysisBundle bundle(w.kernel);
     const DecodedTrace trace = recordDecodedTrace(w.kernel, w.run);
+    const ReplayDecode dec(w.kernel, &bundle.reachingDefs);
     const SchemeInfo &si = *SchemeRegistry::instance().findToken("testfault");
     for (const SwFault &f : faults) {
         SCOPED_TRACE(f.name);
@@ -749,13 +837,59 @@ TEST(SwFailingRun, ReplayAndPipelineMatchDirect)
         RunOutcome engine = runScheme(w, cfg);
         EXPECT_EQ(engine.error, direct.error);
         EXPECT_EQ(describeCountsDiff(engine.counts, direct.counts), "");
-        EXPECT_EQ(runSchemePipeline(w, cfg).error, direct.error);
+
+        // The pipeline meets the same fault at issue...
+        AccessCounts issued;
+        PipelineBuildContext build;
+        build.kernel = &annotated;
+        build.cfg = &cfg;
+        build.analyses = &bundle;
+        build.decode = &dec;
+        build.counts = &issued;
+        std::unique_ptr<PipelineAccounting> acct =
+            si.backend->makePipelineAccounting(build);
+        ASSERT_TRUE(acct);
+        EXPECT_EQ(runPipeline(trace, dec, *acct, cfg.pipeline).error,
+                  direct.error);
+
+        // ...so a perf run, whose execute pass is the pipeline, ends
+        // with the perf-off run's error and partial counts.
+        cfg.perf = true;
+        RunOutcome timed = runScheme(w, cfg);
+        EXPECT_EQ(timed.error, engine.error);
+        EXPECT_EQ(describeCountsDiff(timed.counts, engine.counts), "");
+        EXPECT_FALSE(timed.hasPerf);
     }
     activeFault = nullptr;
     globalExperimentCache().clear();
 }
 
 // ---- Perf plumbing through runScheme ----
+
+TEST(Pipeline, PerfRunAllocatesOnceAndReplaysThroughThePipeline)
+{
+    const Workload &w = workloadByName("scalarprod");
+    ExperimentConfig cfg;
+    cfg.scheme = SchemeRegistry::instance().findToken("testcount")->scheme;
+    cfg.perf = true;
+    // (allocate calls, simulate calls) of one perf run on @p engine.
+    auto passes = [&](ExecEngine engine) {
+        cfg.engine = engine;
+        CountingScheme::allocations = 0;
+        CountingScheme::simulations = 0;
+        RunOutcome out = runScheme(w, cfg);
+        EXPECT_TRUE(out.ok()) << out.error;
+        EXPECT_TRUE(out.hasPerf);
+        return std::pair(CountingScheme::allocations.load(),
+                         CountingScheme::simulations.load());
+    };
+    // REPLAY: the pipeline is the execute pass, over the one
+    // annotated kernel.
+    EXPECT_EQ(passes(ExecEngine::REPLAY), std::pair(1, 0));
+    // DIRECT: the value-verifying pass, then the pipeline on the same
+    // annotated kernel.
+    EXPECT_EQ(passes(ExecEngine::DIRECT), std::pair(1, 1));
+}
 
 TEST(Pipeline, RunSchemeAttachesPerfOnlyWhenAsked)
 {

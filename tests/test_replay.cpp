@@ -124,11 +124,14 @@ TEST(Replay, BatchMatchesLoneRunsAcrossSchemes)
     std::vector<BatchItem> items;
     for (Scheme s : allSchemes()) {
         for (int entries : {1, 3, 8}) {
-            BatchItem it;
-            it.workload = &wl;
-            it.cfg.scheme = s;
-            it.cfg.entries = entries;  // engine AUTO -> REPLAY
-            items.push_back(it);
+            for (bool perf : {false, true}) {
+                BatchItem it;
+                it.workload = &wl;
+                it.cfg.scheme = s;
+                it.cfg.entries = entries;  // engine AUTO -> REPLAY
+                it.cfg.perf = perf;
+                items.push_back(it);
+            }
         }
     }
     std::vector<RunOutcome> outs = replayBatch(items);
@@ -139,7 +142,7 @@ TEST(Replay, BatchMatchesLoneRunsAcrossSchemes)
         RunOutcome d = runScheme(wl, lone);
         EXPECT_EQ(outcomeToJson(outs[i]), outcomeToJson(d))
             << schemeName(items[i].cfg.scheme) << " @"
-            << items[i].cfg.entries;
+            << items[i].cfg.entries << " perf=" << items[i].cfg.perf;
     }
 }
 

@@ -252,7 +252,7 @@ TEST(SchemeCapsTest, BuiltinsDescribeTheirEngineNeeds)
 
     const SchemeCaps sw = reg.find(Scheme::SW_THREE_LEVEL)->caps;
     EXPECT_TRUE(sw.usesAllocator);
-    EXPECT_TRUE(sw.hasSimt);
+    EXPECT_TRUE(sw.pipelined);
     EXPECT_FALSE(sw.hwManaged);
 
     EXPECT_TRUE(reg.findToken("ccrfc")->caps.hwManaged);

@@ -116,16 +116,19 @@ TEST(VerifyOracle, PipelineConservesCountsAcrossWarpCounts)
                 ASSERT_TRUE(functional.ok())
                     << name << "/" << si->token << " @" << warps
                     << ": " << functional.error;
-                SchemePipelineResult pr =
-                    runSchemePipeline(w, cfg, pcfg);
-                ASSERT_TRUE(pr.ok())
+                cfg.perf = true;
+                cfg.pipeline = pcfg;
+                RunOutcome timed = runScheme(w, cfg);
+                ASSERT_TRUE(timed.ok())
                     << name << "/" << si->token << " @" << warps
-                    << ": " << pr.error;
-                EXPECT_EQ(pr.stats.issued,
+                    << ": " << timed.error;
+                ASSERT_TRUE(timed.hasPerf)
+                    << name << "/" << si->token << " @" << warps;
+                EXPECT_EQ(timed.perf.issued,
                           functional.counts.instructions)
                     << name << "/" << si->token << " @" << warps;
                 EXPECT_EQ(
-                    describeCountsDiff(pr.counts, functional.counts),
+                    describeCountsDiff(timed.counts, functional.counts),
                     "")
                     << name << "/" << si->token << " @" << warps;
                 pairs++;
