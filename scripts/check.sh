@@ -2,11 +2,13 @@
 #
 # Full local gate: configure, build, and run the test suite, then
 # rebuild with ThreadSanitizer and exercise the parallel experiment
-# engine under it, and with AddressSanitizer over the trace/replay
+# engine under it, with AddressSanitizer over the trace/replay
 # engine (whose pre-decoded buffers and ring-buffer RFC are the
-# library's most index-heavy code). Two observability gates follow:
-# a Doxygen-warning check over the metrics/trace/manifest/replay
-# headers (skipped when doxygen is not installed) and a performance
+# library's most index-heavy code), and with UndefinedBehaviorSanitizer
+# over the cycle-level pipeline (whose loop runs on shifts and
+# bitmasks). Two observability gates follow: a Doxygen-warning check
+# over the metrics/trace/manifest/replay headers (skipped when doxygen
+# is not installed) and a performance
 # gate that takes a fresh snapshot and diffs it against the newest
 # committed BENCH_<n>.json with `rfhc bench-diff` (skipped when no
 # snapshot exists). Usage:
@@ -14,6 +16,7 @@
 #   scripts/check.sh              # build + ctest + sanitizers + gates
 #   scripts/check.sh --no-tsan    # skip the TSan stage
 #   scripts/check.sh --no-asan    # skip the ASan stage
+#   scripts/check.sh --no-ubsan   # skip the UBSan stage
 #   scripts/check.sh --no-perf    # skip the bench-diff perf gate
 #   scripts/check.sh --no-fuzz    # skip the differential fuzz smoke
 #   scripts/check.sh --no-golden  # skip the golden figure-shape gate
@@ -36,6 +39,7 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 2)"
 run_tsan=1
 run_asan=1
+run_ubsan=1
 run_perf=1
 run_fuzz=1
 run_golden=1
@@ -47,6 +51,7 @@ run_corpus=1
 for arg in "$@"; do
     [[ "$arg" == "--no-tsan" ]] && run_tsan=0
     [[ "$arg" == "--no-asan" ]] && run_asan=0
+    [[ "$arg" == "--no-ubsan" ]] && run_ubsan=0
     [[ "$arg" == "--no-perf" ]] && run_perf=0
     [[ "$arg" == "--no-fuzz" ]] && run_fuzz=0
     [[ "$arg" == "--no-golden" ]] && run_golden=0
@@ -92,10 +97,10 @@ if [[ "$run_vec" == 1 ]]; then
 fi
 
 if [[ "$run_pipeline" == 1 ]]; then
-    echo "== cycle-level pipeline gate: stage/port/scheduler suite =="
-    # Port conservation, tick determinism, scheduler-policy
-    # equivalences, and the pipeline-vs-functional count cross-checks
-    # (tests/test_pipeline.cpp); `--no-pipeline` skips.
+    echo "== cycle-level pipeline gate: scheduler/stall/digest suite =="
+    # Determinism, scheduler-policy equivalences, the stall identity,
+    # the golden stats digest, and the pipeline-vs-functional count
+    # cross-checks (tests/test_pipeline.cpp); `--no-pipeline` skips.
     ctest --test-dir "$repo/build" --output-on-failure -L pipeline
 fi
 
@@ -273,6 +278,19 @@ if [[ "$run_asan" == 1 ]]; then
     fi
 fi
 
+if [[ "$run_ubsan" == 1 ]]; then
+    echo "== UndefinedBehaviorSanitizer: cycle-level pipeline =="
+    cmake -B "$repo/build-ubsan" -S "$repo" -DRFH_SANITIZE=undefined \
+        >/dev/null
+    cmake --build "$repo/build-ubsan" -j "$jobs" \
+        --target rfh_pipeline_tests
+    # The pipeline loop's scoreboard, served-operand and bank masks,
+    # the golden digest matrix over every scheduler, and the failing
+    # runs; any undefined shift or overflow aborts the stage.
+    "$repo/build-ubsan/tests/rfh_pipeline_tests" \
+        --gtest_filter='Pipeline.*:PerfSim.*:SwFailingRun.*'
+fi
+
 if command -v doxygen >/dev/null 2>&1; then
     echo "== doxygen: no warnings in the observability headers =="
     doxlog="$(mktemp)"
@@ -282,7 +300,7 @@ if command -v doxygen >/dev/null 2>&1; then
             >/dev/null)
     # New-in-this-layer headers must stay warning-free; the gate is
     # scoped so pre-existing debt elsewhere does not block CI.
-    gated='core/metrics\.|core/trace_events\.|core/manifest\.|core/benchdiff\.|sim/replay_kernels\.|sim/replay_arena\.|core/scheme\.|core/leaderboard\.|sim/cc_rfc\.|sim/hw_cache\.|sim/sw_exec|sim/regdem\.|sim/greener\.|sim/rfc_ring\.|sim/tick\.|sim/port\.|sim/pipeline|core/stats\.|core/corpus\.|workloads/profiles\.|service/corpus_client\.|service/net\.'
+    gated='core/metrics\.|core/trace_events\.|core/manifest\.|core/benchdiff\.|sim/replay_kernels\.|sim/replay_arena\.|core/scheme\.|core/leaderboard\.|sim/cc_rfc\.|sim/hw_cache\.|sim/sw_exec|sim/regdem\.|sim/greener\.|sim/rfc_ring\.|sim/pipeline|core/stats\.|core/corpus\.|workloads/profiles\.|service/corpus_client\.|service/net\.'
     if grep -E "$gated" "$doxlog"; then
         echo "check.sh: doxygen warnings in gated headers (above)" >&2
         exit 1

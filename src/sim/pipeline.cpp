@@ -1,12 +1,10 @@
 #include "sim/pipeline.h"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
 #include <limits>
 #include <vector>
 
-#include "sim/port.h"
-#include "sim/tick.h"
 #include "sim/trace.h"
 
 namespace rfh {
@@ -42,6 +40,9 @@ namespace {
 constexpr std::uint64_t kNoEvent =
     std::numeric_limits<std::uint64_t>::max();
 
+// Register sets are 64-bit masks in the loop (bit r = register r).
+static_assert(kMaxRegs <= 64, "register masks must fit in 64 bits");
+
 /** Issue latency of one static instruction (old perf-model table). */
 int
 latencyOf(const Instruction &in, const PipelineConfig &cfg)
@@ -62,38 +63,31 @@ latencyOf(const Instruction &in, const PipelineConfig &cfg)
     }
 }
 
-/** One issued instruction on its way to the operand collector. */
-struct IssueSlot
+/** What the issue scan needs of one static instruction. */
+struct StaticOp
 {
-    int warp = 0;
-    int lat = 1;
-    /** Destination registers to release at writeback. */
-    RegSet dst;
-    /** MRF bank of each collector-fetched operand. */
-    std::array<int, kMaxSrcs + 1> bank{};
-    int nbank = 0;
+    std::uint64_t touched = 0;  ///< usedRegs | definedRegs.
+    std::uint64_t dst = 0;      ///< definedRegs.
+    std::uint8_t pipe = 0;      ///< Latency pipe (Sm::pipes index).
+    std::uint8_t flags = 0;     ///< ReplayOpFlags.
 };
 
-/** One instruction occupying a latency pipe. */
-struct ExecOp
+/**
+ * Per-warp scheduler state, with the warp's next instruction cached:
+ * refreshed only when the cursor advances, so the issue scan never
+ * walks the trace and decode tables.
+ */
+struct Warp
 {
-    int warp = 0;
-    RegSet dst;
-    std::uint64_t done = 0;
-};
-
-/** Per-warp scheduler state. */
-struct WarpState
-{
-    std::uint32_t cursor = 0;  ///< Next flat record index.
-    std::uint32_t end = 0;     ///< One past the warp's last record.
     /** Registers with an outstanding (unwritten) result. */
-    RegSet pending;
+    std::uint64_t pending = 0;
     /** Subset of @c pending produced by long-latency ops. */
-    RegSet longPending;
+    std::uint64_t longPending = 0;
+    StaticOp next;
     std::uint64_t activatedAt = 0;
     std::uint64_t lastIssue = 0;
-    std::unique_ptr<WarpAccountant> acct;
+    std::uint32_t cursor = 0;  ///< Next flat record index.
+    std::uint32_t end = 0;     ///< One past the warp's last record.
 
     bool
     doneIssuing() const
@@ -102,300 +96,559 @@ struct WarpState
     }
 };
 
-/**
- * Occupancy-tracked latency pipes: absorbs dispatched ops, holds them
- * for their latency, hands completions to writeback.
- */
-class ExecStage final : public Ticked
+/** One issued instruction in the operand collector. */
+struct Entry
 {
-  public:
-    ExecStage(Port<ExecOp> &in, Port<ExecOp> &out) : in_(in), out_(out) {}
+    int warp = 0;
+    std::uint8_t pipe = 0;
+    /** Destination registers to release at writeback. */
+    std::uint64_t dst = 0;
+    /** MRF bank of each collector-fetched operand. */
+    std::array<int, kMaxSrcs + 1> bank{};
+    std::uint8_t nbank = 0;
+    /** Bit i set once operand i has been read. */
+    std::uint8_t served = 0;
+};
 
-    bool
-    tick(std::uint64_t now) override
-    {
-        bool progress = false;
-        while (!in_.empty()) {
-            inflight_.push_back(in_.front());
-            in_.pop();
-            progress = true;
-        }
-        for (std::size_t i = 0; i < inflight_.size();) {
-            if (inflight_[i].done <= now) {
-                out_.push(inflight_[i]);
-                inflight_[i] = inflight_.back();
-                inflight_.pop_back();
-                progress = true;
-            } else {
-                i++;
-            }
-        }
-        return progress;
-    }
+/** Round-robin scan state of 64 active-set positions, a bit each. */
+struct PosMasks
+{
+    std::uint64_t present = 0;        ///< Position holds an active warp.
+    std::uint64_t blocked = 0;        ///< Next op waits on a register.
+    std::uint64_t blockedOnLong = 0;  ///< ...on a long-latency one.
+    std::uint64_t shared = 0;         ///< Next op needs the shared port.
+    std::uint64_t waiting = 0;        ///< Not yet activated.
+};
+
+/** One instruction occupying a latency pipe. */
+struct ExecOp
+{
+    int warp = 0;
+    std::uint64_t dst = 0;
+    std::uint64_t done = 0;
+};
+
+/**
+ * The in-flight ops of one latency. Ops enter in dispatch order and
+ * share the latency, so they complete in that order: a FIFO.
+ */
+struct Pipe
+{
+    std::uint64_t lat = 1;
+    std::vector<ExecOp> ops;
+    std::size_t head = 0;  ///< Oldest op still in flight.
 
     bool
     empty() const
     {
-        return inflight_.empty() && in_.empty();
+        return head == ops.size();
     }
-
-    /**
-     * Earliest in-flight completion time, or kNoEvent. Ops still in
-     * the input port are absorbed on the next tick, so they count as
-     * an event at @p now + 1.
-     */
-    std::uint64_t
-    nextDoneAt(std::uint64_t now) const
-    {
-        std::uint64_t t = kNoEvent;
-        for (const ExecOp &op : inflight_)
-            t = std::min(t, op.done);
-        if (!in_.empty())
-            t = std::min(t, now + 1);
-        return t;
-    }
-
-  private:
-    Port<ExecOp> &in_;
-    Port<ExecOp> &out_;
-    std::vector<ExecOp> inflight_;
-};
-
-/** Releases completed results: clears scoreboard bits. */
-class WritebackStage final : public Ticked
-{
-  public:
-    WritebackStage(Port<ExecOp> &in, std::vector<WarpState> &warps)
-        : in_(in), warps_(warps)
-    {
-    }
-
-    bool
-    tick(std::uint64_t /*now*/) override
-    {
-        bool progress = false;
-        while (!in_.empty()) {
-            const ExecOp &op = in_.front();
-            warps_[op.warp].pending &= ~op.dst;
-            warps_[op.warp].longPending &= ~op.dst;
-            in_.pop();
-            retired_++;
-            progress = true;
-        }
-        return progress;
-    }
-
-    std::uint64_t
-    retired() const
-    {
-        return retired_;
-    }
-
-  private:
-    Port<ExecOp> &in_;
-    std::vector<WarpState> &warps_;
-    std::uint64_t retired_ = 0;
 };
 
 /**
- * Operand collector: a small pool of entries, each fetching its
- * instruction's MRF operands across the banked register file — one
- * read per bank per cycle, oldest entry first. Same-bank operands
- * (within or across entries) serialise; bypass operands (LRF/ORF/RFC)
- * never enter the banks, so hierarchy schemes drain entries faster.
- * An entry whose operands are all fetched dispatches to execute the
- * same cycle.
+ * The whole pipeline: state plus the four stages as inline members,
+ * stepped by run() in the fixed order execute+writeback, collect,
+ * issue.
  */
-class CollectorStage final : public Ticked
+struct Sm
 {
-  public:
-    CollectorStage(Port<IssueSlot> &in, Port<ExecOp> &out,
-                   const PipelineConfig &cfg, PipelineStats &stats)
-        : in_(in), out_(out), cfg_(cfg), stats_(stats),
-          bankBusy_(std::max(1, cfg.banks.numBanks), 0)
+    Sm(const DecodedTrace &trace, const ReplayDecode &dec,
+       PipelineAccounting &acctFactory, const PipelineConfig &cfg,
+       PipelineResult &result)
+        : trace(trace), cfg(cfg), stats(result.stats),
+          error(result.error),
+          slots(static_cast<std::size_t>(
+              std::max(1, cfg.collectorSlots))),
+          bankStamp(static_cast<std::size_t>(
+                        std::max(1, cfg.banks.numBanks)),
+                    0)
     {
-    }
-
-    bool
-    tick(std::uint64_t now) override
-    {
-        bool progress = false;
-        const std::size_t slots =
-            static_cast<std::size_t>(std::max(1, cfg_.collectorSlots));
-        while (!in_.empty() && entries_.size() < slots) {
-            entries_.push_back(Entry{in_.front(), {}});
-            in_.pop();
-            progress = true;
+        ops.resize(dec.instr.size());
+        for (std::size_t i = 0; i < ops.size(); i++) {
+            ops[i].touched = dec.touched[i].to_ullong();
+            ops[i].dst = dec.defined[i].to_ullong();
+            ops[i].pipe = pipeFor(latencyOf(dec.instr[i], cfg));
+            ops[i].flags = dec.op[i].flags;
         }
-        std::fill(bankBusy_.begin(), bankBusy_.end(), 0);
-        for (Entry &e : entries_) {
-            for (int i = 0; i < e.slot.nbank; i++) {
-                if (e.served[static_cast<std::size_t>(i)])
-                    continue;
-                const int b = e.slot.bank[static_cast<std::size_t>(i)];
-                if (!bankBusy_[static_cast<std::size_t>(b)]) {
-                    bankBusy_[static_cast<std::size_t>(b)] = 1;
-                    e.served[static_cast<std::size_t>(i)] = true;
-                    progress = true;
-                } else {
-                    stats_.bankConflicts++;
-                }
-            }
-        }
-        for (std::size_t i = 0; i < entries_.size();) {
-            if (entries_[i].complete()) {
-                const IssueSlot &s = entries_[i].slot;
-                out_.push(ExecOp{s.warp, s.dst,
-                                 now + static_cast<std::uint64_t>(s.lat)});
-                entries_.erase(entries_.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-                progress = true;
-            } else {
-                i++;
-            }
-        }
-        return progress;
-    }
 
-    bool
-    empty() const
-    {
-        return entries_.empty() && in_.empty();
-    }
-
-  private:
-    struct Entry
-    {
-        IssueSlot slot;
-        std::array<bool, kMaxSrcs + 1> served{};
-
-        bool
-        complete() const
-        {
-            for (int i = 0; i < slot.nbank; i++)
-                if (!served[static_cast<std::size_t>(i)])
-                    return false;
-            return true;
-        }
-    };
-
-    Port<IssueSlot> &in_;
-    Port<ExecOp> &out_;
-    const PipelineConfig &cfg_;
-    PipelineStats &stats_;
-    std::vector<std::uint8_t> bankBusy_;
-    std::deque<Entry> entries_;
-};
-
-/**
- * Fetch/issue with a pluggable warp scheduler. Single-issue: one warp
- * instruction per cycle, picked by policy, gated by the in-order
- * scoreboard, the shared-unit issue port, and collector backpressure.
- */
-class IssueStage final : public Ticked
-{
-  public:
-    IssueStage(const DecodedTrace &trace, const ReplayDecode &dec,
-               const PipelineConfig &cfg,
-               const std::vector<int> &latency,
-               std::vector<WarpState> &warps, Port<IssueSlot> &out,
-               PipelineStats &stats, std::string &error)
-        : trace_(trace), dec_(dec), cfg_(cfg), latency_(latency),
-          warps_(warps), out_(out), stats_(stats), error_(error)
-    {
-        const int n = static_cast<int>(warps_.size());
-        int nactive = cfg.policy == SchedPolicy::TWO_LEVEL
+        const int n = trace.numWarps();
+        warps.resize(static_cast<std::size_t>(n));
+        acct.reserve(static_cast<std::size_t>(n));
+        const int nactive = cfg.policy == SchedPolicy::TWO_LEVEL
             ? std::max(1, cfg.activeWarps)
             : n;
         for (int w = 0; w < n; w++) {
-            if (warps_[static_cast<std::size_t>(w)].doneIssuing())
+            Warp &s = warps[static_cast<std::size_t>(w)];
+            s.cursor = trace.warpBegin[static_cast<std::size_t>(w)];
+            s.end = trace.warpBegin[static_cast<std::size_t>(w) + 1];
+            refresh(s);
+            acct.push_back(acctFactory.makeWarp(w));
+            if (s.doneIssuing())
                 continue;
-            if (static_cast<int>(active_.size()) < nactive)
-                active_.push_back(w);
+            if (static_cast<int>(active.size()) < nactive)
+                active.push_back(w);
             else
-                pendingQ_.push_back(w);
+                pendingQ.push_back(w);
         }
-        left_ = static_cast<int>(active_.size() + pendingQ_.size());
+        left = static_cast<int>(active.size() + pendingQ.size());
+        entries.reserve(slots);
+        pos.assign(static_cast<std::size_t>(n), -1);
+        masks.resize((static_cast<std::size_t>(n) + 63) / 64);
+        rebuildMasks(0);
+    }
+
+    /**
+     * Index of the pipe of latency @p lat, added on first use. A
+     * latency below one cycle completes after one cycle, like one.
+     */
+    std::uint8_t
+    pipeFor(int lat)
+    {
+        const auto l = static_cast<std::uint64_t>(std::max(1, lat));
+        std::size_t i = 0;
+        while (i < pipes.size() && pipes[i].lat != l)
+            i++;
+        if (i == pipes.size())
+            pipes.push_back(Pipe{l, {}, 0});
+        return static_cast<std::uint8_t>(i);
+    }
+
+    /** Reload @p w's cached next instruction after its cursor moved. */
+    void
+    refresh(Warp &w)
+    {
+        w.next = w.doneIssuing()
+            ? StaticOp{}
+            : ops[static_cast<std::size_t>(trace.lin[w.cursor])];
     }
 
     bool
-    tick(std::uint64_t now) override
+    finished() const
     {
-        issuedThis_ = false;
-        swappedThis_ = false;
-        sawScoreboard_ = sawCollector_ = sawExecBusy_ =
-            sawActivation_ = false;
-        bool progress = false;
-        int blockedLong = -1;
+        return left == 0 && entries.empty() && !hasSlot && inflight == 0;
+    }
 
-        if (cfg_.policy == SchedPolicy::GTO)
-            buildGtoOrder();
-
-        const std::size_t nc = cfg_.policy == SchedPolicy::GTO
-            ? gtoOrder_.size()
-            : active_.size();
-        for (std::size_t i = 0; i < nc && !issuedThis_; i++) {
-            const int wid = cfg_.policy == SchedPolicy::GTO
-                ? gtoOrder_[i]
-                : active_[(rr_ + i) % active_.size()];
-            WarpState &w = warps_[static_cast<std::size_t>(wid)];
-            if (w.doneIssuing())
-                continue;
-            if (now < w.activatedAt) {
-                sawActivation_ = true;
-                continue;
+    /**
+     * Execute + writeback: retire every op whose latency has elapsed,
+     * releasing its scoreboard bits. The pipes are visited only once
+     * the earliest completion is due. @return progress (ops dispatched
+     * last cycle entering the pipes count as progress).
+     */
+    bool
+    execute(std::uint64_t now)
+    {
+        bool progress = dispatched;
+        dispatched = false;
+        if (now < earliestDone)
+            return progress;
+        std::uint64_t earliest = kNoEvent;
+        for (Pipe &p : pipes) {
+            for (; !p.empty() && p.ops[p.head].done <= now; p.head++) {
+                const ExecOp &op = p.ops[p.head];
+                Warp &w = warps[static_cast<std::size_t>(op.warp)];
+                w.pending &= ~op.dst;
+                w.longPending &= ~op.dst;
+                updateMasks(op.warp);
+                inflight--;
+                progress = true;
             }
-            const int lin = trace_.lin[w.cursor];
-            const ReplayOp &o = dec_.op[static_cast<std::size_t>(lin)];
-            if ((o.flags & kOpShared) && now < sharedFree_) {
-                sawExecBusy_ = true;
-                continue;
-            }
-            const RegSet &touched =
-                dec_.touched[static_cast<std::size_t>(lin)];
-            if ((touched & w.pending).any()) {
-                sawScoreboard_ = true;
-                if (blockedLong < 0 && (touched & w.longPending).any())
-                    blockedLong = wid;
+            if (p.empty()) {
+                p.ops.clear();
+                p.head = 0;
                 continue;
             }
-            if (!out_.canPush()) {
-                sawCollector_ = true;
-                break;  // a full collector port blocks every warp
+            if (p.head >= 64 && 2 * p.head >= p.ops.size()) {
+                // Drop the retired prefix so a never-empty pipe stays
+                // bounded by its in-flight ops.
+                p.ops.erase(p.ops.begin(),
+                            p.ops.begin() +
+                                static_cast<std::ptrdiff_t>(p.head));
+                p.head = 0;
             }
-            issueOne(wid, w, lin, o, now);
-            if (!error_.empty())
-                return true;
-            progress = true;
-            if (cfg_.policy != SchedPolicy::GTO)
-                rr_ = (rr_ + i + 1) %
-                    std::max<std::size_t>(1, active_.size());
-            if (w.doneIssuing())
-                retire(wid, now);
+            earliest = std::min(earliest, p.ops[p.head].done);
         }
-
-        // Two-level scheduler: a warp stalled on a long-latency value
-        // swaps out for a pending warp (paper Section 5.2).
-        if (!issuedThis_ && blockedLong >= 0 && !pendingQ_.empty()) {
-            swapOut(blockedLong, now);
-            progress = true;
-        }
+        earliestDone = earliest;
         return progress;
     }
 
-    bool allIssued() const { return left_ == 0; }
-    bool issuedThis() const { return issuedThis_; }
-    bool swappedThis() const { return swappedThis_; }
-    bool sawScoreboard() const { return sawScoreboard_; }
-    bool sawCollector() const { return sawCollector_; }
-    bool sawExecBusy() const { return sawExecBusy_; }
-    bool sawActivation() const { return sawActivation_; }
-
-    /** Shared-port free time, for fast-forward targeting. */
-    std::uint64_t
-    sharedFree() const
+    /**
+     * Operand collector: accept the issued instruction when an entry
+     * is free, then read MRF operands oldest entry first, one read
+     * per bank per cycle — same-bank operands serialise; bypass
+     * operands never enter the banks. An entry whose operands are all
+     * read dispatches to execute the same cycle. @return progress.
+     */
+    bool
+    collect(std::uint64_t now)
     {
-        return sharedFree_;
+        bool progress = false;
+        if (hasSlot && entries.size() < slots) {
+            entries.push_back(slot);
+            hasSlot = false;
+            progress = true;
+        }
+        // bankStamp[b] == now + 1: bank b already read this cycle.
+        const std::uint64_t stamp = now + 1;
+        for (Entry &e : entries) {
+            for (int i = 0; i < e.nbank; i++) {
+                if (e.served & (1u << i))
+                    continue;
+                std::uint64_t &b =
+                    bankStamp[static_cast<std::size_t>(e.bank[i])];
+                if (b != stamp) {
+                    b = stamp;
+                    e.served |= static_cast<std::uint8_t>(1u << i);
+                    progress = true;
+                } else {
+                    stats.bankConflicts++;
+                }
+            }
+        }
+        std::size_t kept = 0;
+        for (const Entry &e : entries) {
+            if (e.served == (1u << e.nbank) - 1u) {
+                Pipe &p = pipes[e.pipe];
+                const std::uint64_t done = now + p.lat;
+                p.ops.push_back(ExecOp{e.warp, e.dst, done});
+                inflight++;
+                earliestDone = std::min(earliestDone, done);
+                dispatched = true;
+                progress = true;
+            } else {
+                entries[kept++] = e;
+            }
+        }
+        entries.resize(kept);
+        return progress;
+    }
+
+    /**
+     * Issue: single-issue, one warp instruction per cycle, picked by
+     * the policy, gated by the scoreboard, the shared-unit issue
+     * port, and a free collector slot. Two-level: a warp stalled on a
+     * long-latency value swaps out for a pending warp (Section 5.2).
+     * The round-robin policies scan with position masks; GTO, whose
+     * order changes at every issue, scans warp by warp.
+     */
+    void
+    issue(std::uint64_t now)
+    {
+        issued = swapped = false;
+        sawScoreboard = sawCollector = sawExecBusy = sawActivation =
+            false;
+        blockedLong = -1;
+
+        if (cfg.policy == SchedPolicy::GTO) {
+            // Greedy: the last issuer first while it has work; then
+            // oldest — active is kept ordered by (lastIssue, id).
+            int wid = lastWarp;
+            bool stop = wid >= 0 &&
+                !warps[static_cast<std::size_t>(wid)].doneIssuing() &&
+                tryIssue(wid, now);
+            for (std::size_t i = 0; !stop && i < active.size(); i++) {
+                if (active[i] != lastWarp) {
+                    wid = active[i];
+                    stop = tryIssue(wid, now);
+                }
+            }
+            if (issued) {
+                if (warps[static_cast<std::size_t>(wid)].doneIssuing())
+                    retire(wid, now);
+                else
+                    moveToNewest(wid);
+            }
+        } else {
+            issueRoundRobin(now);
+        }
+        if (!error.empty())
+            return;
+
+        if (!issued && blockedLong >= 0 && !pendingQ.empty())
+            swapOut(blockedLong, now);
+    }
+
+    /**
+     * The round-robin scan as mask arithmetic over active-set
+     * positions, a 64-position word at a time in rotation order from
+     * @c rr: the first issuable position, and the stall observations
+     * of the positions a warp-by-warp scan would visit before it.
+     */
+    void
+    issueRoundRobin(std::uint64_t now)
+    {
+        const std::size_t n = active.size();
+        if (n == 0)
+            return;
+        if (now >= waitUntil)
+            refreshWaiting(now);
+        const bool portBusy = now < sharedFree;
+        const std::size_t words = (n + 63) / 64;
+        int q = -1;
+        // Visit word @p word's active positions in @p seg: the first
+        // ready one becomes q; the stalls of those before it are noted.
+        auto visit = [&](std::size_t word, std::uint64_t seg) {
+            const PosMasks &m = masks[word];
+            seg &= m.present;
+            const std::uint64_t wait = m.waiting & seg;
+            const std::uint64_t busy =
+                portBusy ? m.shared & seg & ~wait : 0;
+            const std::uint64_t stall = m.blocked & seg & ~wait & ~busy;
+            const std::uint64_t ready = seg & ~wait & ~busy & ~m.blocked;
+            std::uint64_t seen = seg;
+            if (ready != 0) {
+                const int b = std::countr_zero(ready);
+                q = static_cast<int>(word * 64) + b;
+                seen &= (1ull << b) - 1;
+            }
+            sawActivation |= (wait & seen) != 0;
+            sawExecBusy |= (busy & seen) != 0;
+            sawScoreboard |= (stall & seen) != 0;
+            const std::uint64_t onLong = stall & m.blockedOnLong & seen;
+            if (blockedLong < 0 && onLong != 0)
+                blockedLong =
+                    active[word * 64 +
+                           static_cast<std::size_t>(
+                               std::countr_zero(onLong))];
+        };
+        // Rotation order: rr's word from rr up, the words after it,
+        // round to the words before it, then rr's word below rr.
+        const std::size_t w0 = rr / 64;
+        const std::uint64_t belowRr = (1ull << (rr % 64)) - 1;
+        visit(w0, ~belowRr);
+        for (std::size_t k = 1; q < 0 && k < words; k++)
+            visit((w0 + k) % words, ~0ull);
+        if (q < 0 && belowRr != 0)
+            visit(w0, belowRr);
+        if (q < 0)
+            return;
+        if (hasSlot) {
+            sawCollector = true;  // a full collector blocks every warp
+            return;
+        }
+        const int wid = active[static_cast<std::size_t>(q)];
+        Warp &w = warps[static_cast<std::size_t>(wid)];
+        issueOne(wid, w, now);
+        if (!issued)
+            return;
+        rr = static_cast<std::size_t>(q) + 1 == n
+            ? 0
+            : static_cast<std::size_t>(q) + 1;
+        if (w.doneIssuing())
+            retire(wid, now);
+        else
+            updateMasks(wid);
+    }
+
+    /** Recompute the position bits of @p wid (no-op outside them). */
+    void
+    updateMasks(int wid)
+    {
+        const int p = pos[static_cast<std::size_t>(wid)];
+        if (p < 0)
+            return;
+        const Warp &w = warps[static_cast<std::size_t>(wid)];
+        PosMasks &m = masks[static_cast<std::size_t>(p) / 64];
+        const std::uint64_t bit = 1ull << (p % 64);
+        auto put = [bit](std::uint64_t &mask, bool on) {
+            mask = on ? mask | bit : mask & ~bit;
+        };
+        put(m.blocked, (w.next.touched & w.pending) != 0);
+        put(m.blockedOnLong, (w.next.touched & w.longPending) != 0);
+        put(m.shared, (w.next.flags & kOpShared) != 0);
+    }
+
+    /**
+     * Rebuild every position mask after the active set changed at
+     * @p now (round-robin policies; GTO scans warp by warp).
+     */
+    void
+    rebuildMasks(std::uint64_t now)
+    {
+        if (cfg.policy == SchedPolicy::GTO)
+            return;
+        std::fill(masks.begin(), masks.end(), PosMasks{});
+        waitUntil = kNoEvent;
+        for (std::size_t i = 0; i < active.size(); i++) {
+            const int wid = active[i];
+            pos[static_cast<std::size_t>(wid)] = static_cast<int>(i);
+            masks[i / 64].present |= 1ull << (i % 64);
+            updateMasks(wid);
+            const std::uint64_t at =
+                warps[static_cast<std::size_t>(wid)].activatedAt;
+            if (at > now) {
+                masks[i / 64].waiting |= 1ull << (i % 64);
+                waitUntil = std::min(waitUntil, at);
+            }
+        }
+    }
+
+    /** Clear the waiting bits of warps activated by @p now. */
+    void
+    refreshWaiting(std::uint64_t now)
+    {
+        waitUntil = kNoEvent;
+        for (std::size_t w = 0; w < masks.size(); w++) {
+            std::uint64_t &waiting = masks[w].waiting;
+            for (std::uint64_t m = waiting; m != 0; m &= m - 1) {
+                const int b = std::countr_zero(m);
+                const int wid = active[w * 64 + static_cast<std::size_t>(b)];
+                const std::uint64_t at =
+                    warps[static_cast<std::size_t>(wid)].activatedAt;
+                if (at <= now)
+                    waiting &= ~(1ull << b);
+                else
+                    waitUntil = std::min(waitUntil, at);
+            }
+        }
+    }
+
+    /**
+     * One step of the warp-by-warp scan: issue @p wid if it is ready,
+     * else note why not. @return true when the scan stops — an issue,
+     * an accounting error, or a full collector register, which blocks
+     * every warp.
+     */
+    bool
+    tryIssue(int wid, std::uint64_t now)
+    {
+        Warp &w = warps[static_cast<std::size_t>(wid)];
+        if (w.doneIssuing())
+            return false;
+        if (now < w.activatedAt) {
+            sawActivation = true;
+            return false;
+        }
+        if ((w.next.flags & kOpShared) && now < sharedFree) {
+            sawExecBusy = true;
+            return false;
+        }
+        if (w.next.touched & w.pending) {
+            sawScoreboard = true;
+            if (blockedLong < 0 && (w.next.touched & w.longPending))
+                blockedLong = wid;
+            return false;
+        }
+        if (hasSlot) {
+            sawCollector = true;
+            return true;
+        }
+        issueOne(wid, w, now);
+        return true;
+    }
+
+    void
+    issueOne(int wid, Warp &w, std::uint64_t now)
+    {
+        const std::uint32_t t = w.cursor;
+        const int lin = trace.lin[t];
+        const std::uint8_t fl = trace.flags[t];
+        OperandPlan plan;
+        WarpAccountant &a = *acct[static_cast<std::size_t>(wid)];
+        a.onIssue(lin, (fl & kReplayExecuted) != 0,
+                  (fl & kReplayBranchTaken) != 0,
+                  t + 1 < w.end
+                      ? trace.lin[t + 1]
+                      : trace.warpEndLin[static_cast<std::size_t>(wid)],
+                  plan);
+        if (!a.error().empty()) {
+            error = std::string(a.error());
+            return;
+        }
+        slot.warp = wid;
+        slot.pipe = w.next.pipe;
+        slot.dst = w.next.dst;
+        slot.nbank = plan.numMrf;
+        slot.served = 0;
+        for (int i = 0; i < plan.numMrf; i++)
+            slot.bank[static_cast<std::size_t>(i)] =
+                bankOf(plan.mrfReg[static_cast<std::size_t>(i)], wid,
+                       cfg.banks);
+        hasSlot = true;
+        w.pending |= w.next.dst;
+        if (w.next.flags & kOpLongLat)
+            w.longPending |= w.next.dst;
+        if (w.next.flags & kOpShared)
+            sharedFree = now + static_cast<std::uint64_t>(
+                                   cfg.sharedIssueInterval);
+        w.cursor++;
+        refresh(w);
+        w.lastIssue = now;
+        lastWarp = wid;
+        stats.issued++;
+        issued = true;
+    }
+
+    /**
+     * GTO: keep @c active ordered by (lastIssue, id) after @p wid
+     * issued — its lastIssue is now the largest, so it moves towards
+     * the back, past every warp that sorts before it.
+     */
+    void
+    moveToNewest(int wid)
+    {
+        auto it = std::find(active.begin(), active.end(), wid);
+        const Warp &w = warps[static_cast<std::size_t>(wid)];
+        auto before = [&](int other) {
+            const Warp &o = warps[static_cast<std::size_t>(other)];
+            return o.lastIssue != w.lastIssue ? o.lastIssue < w.lastIssue
+                                              : other < wid;
+        };
+        while (it + 1 != active.end() && before(*(it + 1))) {
+            std::iter_swap(it, it + 1);
+            ++it;
+        }
+    }
+
+    /** Remove a finished warp from the active set; promote a pending one. */
+    void
+    retire(int wid, std::uint64_t now)
+    {
+        auto it = std::find(active.begin(), active.end(), wid);
+        if (it != active.end())
+            active.erase(it);
+        pos[static_cast<std::size_t>(wid)] = -1;
+        left--;
+        if (!pendingQ.empty()) {
+            const int next = pendingQ.front();
+            pendingQ.erase(pendingQ.begin());
+            warps[static_cast<std::size_t>(next)].activatedAt =
+                now + static_cast<std::uint64_t>(cfg.swapPenalty);
+            active.push_back(next);
+        }
+        rr = 0;
+        rebuildMasks(now);
+    }
+
+    /** Swap a long-latency-blocked warp for a pending one. */
+    void
+    swapOut(int out, std::uint64_t now)
+    {
+        // Prefer a pending warp whose next instruction is ready.
+        std::size_t pick = 0;
+        for (std::size_t i = 0; i < pendingQ.size(); i++) {
+            const Warp &cand =
+                warps[static_cast<std::size_t>(pendingQ[i])];
+            if (!cand.doneIssuing() &&
+                (cand.next.touched & cand.pending) == 0) {
+                pick = i;
+                break;
+            }
+        }
+        const int next = pendingQ[pick];
+        pendingQ.erase(pendingQ.begin() +
+                       static_cast<std::ptrdiff_t>(pick));
+        auto it = std::find(active.begin(), active.end(), out);
+        if (it != active.end())
+            active.erase(it);
+        pos[static_cast<std::size_t>(out)] = -1;
+        pendingQ.push_back(out);
+        warps[static_cast<std::size_t>(next)].activatedAt =
+            now + static_cast<std::uint64_t>(cfg.swapPenalty);
+        active.push_back(next);
+        stats.swaps++;
+        swapped = true;
+        rr = 0;
+        rebuildMasks(now);
     }
 
     /** Earliest pending warp activation after @p now, or kNoEvent. */
@@ -403,145 +656,130 @@ class IssueStage final : public Ticked
     nextActivation(std::uint64_t now) const
     {
         std::uint64_t t = kNoEvent;
-        for (int wid : active_) {
-            const WarpState &w = warps_[static_cast<std::size_t>(wid)];
+        for (int wid : active) {
+            const Warp &w = warps[static_cast<std::size_t>(wid)];
             if (!w.doneIssuing() && w.activatedAt > now)
                 t = std::min(t, w.activatedAt);
         }
         return t;
     }
 
-  private:
-    void
-    issueOne(int wid, WarpState &w, int lin, const ReplayOp &o,
-             std::uint64_t now)
+    /** The unused issue slot's counter, or null when an op issued. */
+    std::uint64_t *
+    stallCounter()
     {
-        OperandPlan plan;
-        const std::uint8_t fl = trace_.flags[w.cursor];
-        w.acct->onIssue(lin, (fl & kReplayExecuted) != 0,
-                        (fl & kReplayBranchTaken) != 0,
-                        trace_.nextLin(wid, w.cursor), plan);
-        if (!w.acct->error().empty()) {
-            error_ = std::string(w.acct->error());
-            return;
-        }
-        IssueSlot s;
-        s.warp = wid;
-        s.lat = latency_[static_cast<std::size_t>(lin)];
-        s.dst = dec_.defined[static_cast<std::size_t>(lin)];
-        for (int i = 0; i < plan.numMrf; i++)
-            s.bank[static_cast<std::size_t>(s.nbank++)] =
-                bankOf(plan.mrfReg[static_cast<std::size_t>(i)], wid,
-                       cfg_.banks);
-        out_.push(s);
-        w.pending |= s.dst;
-        if (o.flags & kOpLongLat)
-            w.longPending |= s.dst;
-        if (o.flags & kOpShared)
-            sharedFree_ = now + static_cast<std::uint64_t>(
-                                    cfg_.sharedIssueInterval);
-        w.cursor++;
-        w.lastIssue = now;
-        lastWarp_ = wid;
-        stats_.issued++;
-        issuedThis_ = true;
+        if (issued)
+            return nullptr;
+        PipelineStalls &st = stats.stalls;
+        if (swapped)
+            return &st.swap;
+        if (sawScoreboard)
+            return &st.scoreboard;
+        if (sawCollector)
+            return &st.collector;
+        if (sawExecBusy)
+            return &st.execBusy;
+        if (sawActivation)
+            return &st.swap;
+        return &st.drain;
     }
 
-    /** Remove a finished warp from the active set; promote a pending one. */
     void
-    retire(int wid, std::uint64_t now)
+    run()
     {
-        auto it = std::find(active_.begin(), active_.end(), wid);
-        if (it != active_.end())
-            active_.erase(it);
-        left_--;
-        if (!pendingQ_.empty()) {
-            const int next = pendingQ_.front();
-            pendingQ_.pop_front();
-            warps_[static_cast<std::size_t>(next)].activatedAt =
-                now + static_cast<std::uint64_t>(cfg_.swapPenalty);
-            active_.push_back(next);
-        }
-        rr_ = 0;
-    }
+        std::uint64_t now = 0;
+        while (!finished() && now < cfg.maxCycles) {
+            bool progress = execute(now);
+            progress |= collect(now);
+            issue(now);
+            if (!error.empty())
+                break;
+            progress |= issued || swapped;
 
-    /** Swap a long-latency-blocked warp for a pending one. */
-    void
-    swapOut(int blocked, std::uint64_t now)
-    {
-        // Prefer a pending warp whose next instruction is ready.
-        std::size_t pick = 0;
-        for (std::size_t i = 0; i < pendingQ_.size(); i++) {
-            const WarpState &cand =
-                warps_[static_cast<std::size_t>(pendingQ_[i])];
-            if (cand.doneIssuing())
+            // Attribute an unused issue slot to its dominant cause.
+            std::uint64_t *stall = stallCounter();
+            if (stall != nullptr)
+                (*stall)++;
+
+            if (progress) {
+                now++;
                 continue;
-            const int lin = trace_.lin[cand.cursor];
-            if ((dec_.touched[static_cast<std::size_t>(lin)] &
-                 cand.pending)
-                    .none()) {
-                pick = i;
+            }
+
+            // Idle span: nothing can change until the next scheduled
+            // event. Jump there, attributing the skipped cycles to
+            // the same cause — cycle counts match the naive
+            // one-at-a-time loop exactly.
+            std::uint64_t next =
+                std::min(earliestDone, nextActivation(now));
+            if (sawExecBusy && sharedFree > now)
+                next = std::min(next, sharedFree);
+            if (next == kNoEvent) {
+                error = "pipeline deadlock: no issue, no progress, and "
+                        "no scheduled event";
                 break;
             }
+            next = std::max(next, now + 1);
+            if (next > cfg.maxCycles)
+                next = cfg.maxCycles;
+            if (stall != nullptr)
+                *stall += next - now - 1;
+            now = next;
         }
-        const int next = pendingQ_[pick];
-        pendingQ_.erase(pendingQ_.begin() +
-                        static_cast<std::ptrdiff_t>(pick));
-        auto it = std::find(active_.begin(), active_.end(), blocked);
-        if (it != active_.end())
-            active_.erase(it);
-        pendingQ_.push_back(blocked);
-        warps_[static_cast<std::size_t>(next)].activatedAt =
-            now + static_cast<std::uint64_t>(cfg_.swapPenalty);
-        active_.push_back(next);
-        stats_.swaps++;
-        swappedThis_ = true;
-        rr_ = 0;
+        stats.cycles = now;
+        if (error.empty() && !finished())
+            error = "cycle cap reached at " + std::to_string(now) +
+                " cycles with " + std::to_string(stats.issued) + " of " +
+                std::to_string(trace.instructions()) +
+                " instructions issued";
     }
 
-    /** Greedy-then-oldest priority: last issuer first, then LRU. */
-    void
-    buildGtoOrder()
-    {
-        gtoOrder_.clear();
-        for (int wid : active_)
-            if (!warps_[static_cast<std::size_t>(wid)].doneIssuing())
-                gtoOrder_.push_back(wid);
-        std::stable_sort(
-            gtoOrder_.begin(), gtoOrder_.end(), [this](int a, int b) {
-                const WarpState &wa = warps_[static_cast<std::size_t>(a)];
-                const WarpState &wb = warps_[static_cast<std::size_t>(b)];
-                if ((a == lastWarp_) != (b == lastWarp_))
-                    return a == lastWarp_;
-                if (wa.lastIssue != wb.lastIssue)
-                    return wa.lastIssue < wb.lastIssue;
-                return a < b;
-            });
-    }
+    const DecodedTrace &trace;
+    const PipelineConfig &cfg;
+    PipelineStats &stats;
+    std::string &error;
 
-    const DecodedTrace &trace_;
-    const ReplayDecode &dec_;
-    const PipelineConfig &cfg_;
-    const std::vector<int> &latency_;
-    std::vector<WarpState> &warps_;
-    Port<IssueSlot> &out_;
-    PipelineStats &stats_;
-    std::string &error_;
+    std::vector<StaticOp> ops;
+    std::vector<Warp> warps;
+    std::vector<std::unique_ptr<WarpAccountant>> acct;
 
-    std::deque<int> active_;
-    std::deque<int> pendingQ_;
-    std::vector<int> gtoOrder_;
-    std::size_t rr_ = 0;
-    std::uint64_t sharedFree_ = 0;
-    int left_ = 0;
-    int lastWarp_ = -1;
+    // Issue: the scheduler's sets and this cycle's observations.
+    std::vector<int> active;
+    std::vector<int> pendingQ;
+    std::size_t rr = 0;
+    std::uint64_t sharedFree = 0;
+    int left = 0;
+    int lastWarp = -1;
+    int blockedLong = -1;
+    bool issued = false;
+    bool swapped = false;
+    bool sawScoreboard = false;
+    bool sawCollector = false;
+    bool sawExecBusy = false;
+    bool sawActivation = false;
 
-    bool issuedThis_ = false;
-    bool swappedThis_ = false;
-    bool sawScoreboard_ = false;
-    bool sawCollector_ = false;
-    bool sawExecBusy_ = false;
-    bool sawActivation_ = false;
+    // Round-robin scan masks, word p / 64 holding active[p]'s bits.
+    // Changed only at issue, writeback, and active-set changes.
+    std::vector<int> pos;  ///< Active-set position per warp, or -1.
+    std::vector<PosMasks> masks;
+    /** Earliest activation among the @c waiting warps. */
+    std::uint64_t waitUntil = kNoEvent;
+
+    // Issue -> collector register: one optional slot.
+    Entry slot;
+    bool hasSlot = false;
+
+    // Collector: at most @c slots entries, oldest first.
+    std::size_t slots;
+    std::vector<Entry> entries;
+    std::vector<std::uint64_t> bankStamp;
+
+    // Execute: one pipe per latency, the in-flight op count, and the
+    // earliest completion among them.
+    std::vector<Pipe> pipes;
+    std::size_t inflight = 0;
+    std::uint64_t earliestDone = kNoEvent;
+    bool dispatched = false;
 };
 
 } // namespace
@@ -551,97 +789,8 @@ runPipeline(const DecodedTrace &trace, const ReplayDecode &dec,
             PipelineAccounting &acct, const PipelineConfig &cfg)
 {
     PipelineResult result;
-    const int n = trace.numWarps();
-
-    // Static latency table, one lookup per issue.
-    std::vector<int> latency(dec.instr.size(), 1);
-    for (std::size_t i = 0; i < dec.instr.size(); i++)
-        latency[i] = latencyOf(dec.instr[i], cfg);
-
-    std::vector<WarpState> warps(static_cast<std::size_t>(n));
-    for (int w = 0; w < n; w++) {
-        WarpState &s = warps[static_cast<std::size_t>(w)];
-        s.cursor = trace.warpBegin[static_cast<std::size_t>(w)];
-        s.end = trace.warpBegin[static_cast<std::size_t>(w) + 1];
-        s.acct = acct.makeWarp(w);
-    }
-
-    Port<IssueSlot> toCollector(1);
-    Port<ExecOp> toExec;
-    Port<ExecOp> toWriteback;
-
-    ExecStage exec(toExec, toWriteback);
-    WritebackStage writeback(toWriteback, warps);
-    CollectorStage collector(toCollector, toExec, cfg, result.stats);
-    IssueStage issue(trace, dec, cfg, latency, warps, toCollector,
-                     result.stats, result.error);
-
-    // Consumers before producers along the dataflow, except writeback
-    // directly after execute so a completing value unblocks a
-    // dependent issue in the same cycle (result forwarding).
-    TickSchedule sched;
-    sched.add(&exec);
-    sched.add(&writeback);
-    sched.add(&collector);
-    sched.add(&issue);
-
-    auto finished = [&] {
-        return issue.allIssued() && collector.empty() && exec.empty() &&
-            toCollector.empty() && toWriteback.empty();
-    };
-
-    std::uint64_t now = 0;
-    while (!finished() && now < cfg.maxCycles) {
-        const bool progress = sched.tick(now);
-        if (!result.error.empty())
-            break;
-
-        // Attribute an unused issue slot to its dominant cause.
-        std::uint64_t *stall = nullptr;
-        if (!issue.issuedThis()) {
-            PipelineStalls &st = result.stats.stalls;
-            if (issue.swappedThis())
-                stall = &st.swap;
-            else if (issue.sawScoreboard())
-                stall = &st.scoreboard;
-            else if (issue.sawCollector())
-                stall = &st.collector;
-            else if (issue.sawExecBusy())
-                stall = &st.execBusy;
-            else if (issue.sawActivation())
-                stall = &st.swap;
-            else
-                stall = &st.drain;
-            (*stall)++;
-        }
-
-        if (progress) {
-            now++;
-            continue;
-        }
-
-        // Idle span: nothing can change until the next scheduled
-        // event. Jump there, attributing the skipped cycles to the
-        // same cause — cycle counts match the naive one-at-a-time
-        // loop exactly.
-        std::uint64_t next = exec.nextDoneAt(now);
-        next = std::min(next, issue.nextActivation(now));
-        if (issue.sawExecBusy() && issue.sharedFree() > now)
-            next = std::min(next, issue.sharedFree());
-        if (next == kNoEvent) {
-            result.error = "pipeline deadlock: no issue, no progress, "
-                           "and no scheduled event";
-            break;
-        }
-        next = std::max(next, now + 1);
-        if (next > cfg.maxCycles)
-            next = cfg.maxCycles;
-        if (stall != nullptr)
-            *stall += next - now - 1;
-        now = next;
-    }
-
-    result.stats.cycles = now;
+    Sm sm(trace, dec, acct, cfg, result);
+    sm.run();
     return result;
 }
 

@@ -1,11 +1,11 @@
 /**
  * @file
- * Cycle-level staged SM pipeline (Section 6, Table 2).
+ * Cycle-level SM pipeline (Section 6, Table 2).
  *
- * Replaces the old cycle-approximate monolith with four composable
- * tick/port stages over the pre-decoded dynamic stream:
+ * Four stages over the pre-decoded dynamic stream, stepped by one
+ * fixed-order cycle loop:
  *
- *   issue ──port──> operand collector ──port──> execute ──port──> writeback
+ *   issue --> operand collector --> execute --> writeback
  *
  * Issue picks one warp instruction per cycle under a pluggable
  * scheduler policy (flat round-robin, the paper's two-level
@@ -14,9 +14,21 @@
  * source reads across the banked register file (sim/mrf_banks.h) —
  * same-bank operands serialise — while upper-level (LRF/ORF/RFC)
  * operands bypass the banks entirely, which is how hierarchy schemes
- * shorten operand collection. Execute models occupancy-tracked latency
- * pipes with a shared-unit issue interval; writeback releases the
+ * shorten operand collection. Execute holds each op for its latency,
+ * with a shared-unit issue interval; writeback releases the
  * scoreboard.
+ *
+ * Each cycle runs the stages consumers first — execute, writeback,
+ * collect, issue — so an instruction issued in cycle t reaches the
+ * collector in t+1 (one pipeline register between them). Writeback
+ * runs directly after execute, so a completion unblocks a dependent
+ * issue in the same cycle, like a forwarded result: a dependent chain
+ * on a latency-L unit issues every L+1 cycles. A cycle in which no
+ * stage makes progress cannot change state until the next scheduled
+ * event (a completion, a warp activation, the shared port freeing),
+ * so the loop jumps straight there; the skipped cycles are idle by
+ * definition, so cycle and stall counts are exactly those of stepping
+ * one cycle at a time.
  *
  * Counting is delegated to the scheme's WarpAccountant at issue
  * (sim/pipeline_account.h), so access totals are identical to the
@@ -74,7 +86,10 @@ struct PipelineConfig
     int collectorSlots = 4;
     /** MRF banking layout for source-operand arbitration. */
     MrfBankConfig banks;
-    /** Safety cap; the model stops counting past it. */
+    /**
+     * Safety cap: a run still unfinished at this many cycles stops
+     * with an error (PipelineResult::error).
+     */
     std::uint64_t maxCycles = 50'000'000;
 };
 
@@ -143,7 +158,11 @@ struct PipelineStats
 struct PipelineResult
 {
     PipelineStats stats;
-    /** First accounting verification failure; empty on success. */
+    /**
+     * Why the run stopped early — the first accounting verification
+     * failure, or the cycle cap (naming the cycles reached and the
+     * instructions issued of the total); empty on success.
+     */
     std::string error;
 
     bool
@@ -154,7 +173,7 @@ struct PipelineResult
 };
 
 /**
- * Run the staged pipeline over the pre-decoded stream @p trace of the
+ * Run the pipeline over the pre-decoded stream @p trace of the
  * kernel @p dec was built from, accounting through @p acct.
  *
  * @param trace per-warp dynamic record stream (recordDecodedTrace).

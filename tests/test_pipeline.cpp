@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the cycle-level staged SM pipeline (sim/pipeline.h): port
- * conservation, tick determinism, scheduler-policy properties, bank
- * conflicts, collector backpressure, the stall-accounting identity,
- * and the Table 2 / Section 6 scheduler claims (PerfSim.*). The golden IPC bands live in test_golden.cpp; the
- * pipeline-vs-functional count equality is oracle-enforced in
- * test_verify.cpp and the fuzz campaign.
+ * Tests for the cycle-level SM pipeline (sim/pipeline.h): determinism,
+ * scheduler-policy properties, bank conflicts, collector backpressure,
+ * the stall-accounting identity, the cycle cap, a golden digest of
+ * every PipelineStats field over a fixed corpus matrix, and the
+ * Table 2 / Section 6 scheduler claims (PerfSim.*). The golden IPC
+ * bands live in test_golden.cpp; the pipeline-vs-functional count
+ * equality is oracle-enforced in test_verify.cpp and the fuzz
+ * campaign.
  *
  * SwFailingRun.* pins the failure contract of the software hierarchy:
  * for each structural annotation fault, replay, the REPLAY engine, and
@@ -21,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <random>
 #include <utility>
 
 #include "core/experiment.h"
@@ -32,11 +33,10 @@
 #include "ir/parser.h"
 #include "sim/pipeline.h"
 #include "sim/pipeline_account.h"
-#include "sim/port.h"
 #include "sim/sw_exec.h"
-#include "sim/tick.h"
 #include "sim/trace.h"
 #include "verify/oracle.h"
+#include "workloads/profiles.h"
 #include "workloads/registry.h"
 
 namespace rfh {
@@ -128,95 +128,6 @@ statsEqual(const PipelineStats &a, const PipelineStats &b)
         a.stalls.execBusy == b.stalls.execBusy &&
         a.stalls.swap == b.stalls.swap &&
         a.stalls.drain == b.stalls.drain;
-}
-
-// ---- Port: the ready/valid conservation law ----
-
-TEST(Port, BoundedPortRefusesWhenFull)
-{
-    Port<int> p(2);
-    EXPECT_TRUE(p.push(1));
-    EXPECT_TRUE(p.push(2));
-    EXPECT_FALSE(p.canPush());
-    // A refused push consumes nothing: the element is not lost, the
-    // producer stalls.
-    EXPECT_FALSE(p.push(3));
-    EXPECT_EQ(p.pushed(), 2u);
-    EXPECT_EQ(p.front(), 1);
-    p.pop();
-    EXPECT_TRUE(p.push(3));
-    EXPECT_EQ(p.size(), 2u);
-}
-
-TEST(Port, FifoOrderSurvivesGrowth)
-{
-    Port<int> p;  // unbounded: the ring doubles under load
-    for (int i = 0; i < 100; i++)
-        ASSERT_TRUE(p.push(i));
-    for (int i = 0; i < 100; i++) {
-        ASSERT_FALSE(p.empty());
-        EXPECT_EQ(p.front(), i);
-        p.pop();
-    }
-    EXPECT_TRUE(p.empty());
-}
-
-TEST(Port, ConservationHoldsUnderRandomTraffic)
-{
-    // pushed() == popped() + size() at every step, for any
-    // interleaving: nothing dropped, nothing duplicated.
-    std::mt19937 rng(7);
-    Port<std::uint64_t> p(3);
-    std::uint64_t nextIn = 0, nextOut = 0;
-    for (int step = 0; step < 10000; step++) {
-        if (rng() % 2 == 0) {
-            if (p.push(nextIn))
-                nextIn++;
-        } else if (!p.empty()) {
-            // FIFO: values come out in the exact order they went in.
-            ASSERT_EQ(p.front(), nextOut);
-            p.pop();
-            nextOut++;
-        }
-        ASSERT_EQ(p.pushed(), p.popped() + p.size());
-        ASSERT_LE(p.size(), 3u);
-    }
-    EXPECT_EQ(p.pushed(), nextIn);
-    EXPECT_EQ(p.popped(), nextOut);
-}
-
-// ---- TickSchedule ----
-
-TEST(Tick, ScheduleTicksInRegistrationOrderAndOrsProgress)
-{
-    struct Probe final : Ticked
-    {
-        std::vector<int> *order;
-        int id;
-        bool busy;
-        Probe(std::vector<int> *o, int i, bool b)
-            : order(o), id(i), busy(b)
-        {
-        }
-        bool
-        tick(std::uint64_t) override
-        {
-            order->push_back(id);
-            return busy;
-        }
-    };
-    std::vector<int> order;
-    Probe a(&order, 0, false), b(&order, 1, true), c(&order, 2, false);
-    TickSchedule sched;
-    sched.add(&a);
-    sched.add(&b);
-    sched.add(&c);
-    EXPECT_TRUE(sched.tick(0));
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    b.busy = false;
-    order.clear();
-    EXPECT_FALSE(sched.tick(1));
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 // ---- Scheduler policies ----
@@ -410,6 +321,128 @@ TEST(Pipeline, CollectorBackpressureCostsCyclesNotInstructions)
     ASSERT_TRUE(rw.ok() && rn.ok());
     EXPECT_EQ(rw.stats.issued, rn.stats.issued);
     EXPECT_GE(rn.stats.cycles, rw.stats.cycles);
+}
+
+// ---- The cycle cap ----
+
+TEST(Pipeline, CycleCapEndsTheRunWithAnError)
+{
+    // A run stopped at maxCycles with work left is unfinished: it
+    // reports where it stopped instead of partial stats. A cap the
+    // run just fits under changes nothing.
+    PipelineConfig cfg;
+    const PipelineResult full = runFlat(aluLoop(), 8, cfg);
+    ASSERT_TRUE(full.ok()) << full.error;
+    cfg.maxCycles = full.stats.cycles;
+    const PipelineResult fits = runFlat(aluLoop(), 8, cfg);
+    ASSERT_TRUE(fits.ok()) << fits.error;
+    EXPECT_TRUE(statsEqual(fits.stats, full.stats));
+
+    cfg.maxCycles = full.stats.cycles - 1;
+    const PipelineResult capped = runFlat(aluLoop(), 8, cfg);
+    EXPECT_FALSE(capped.ok());
+    EXPECT_NE(capped.error.find("cycle cap"), std::string::npos)
+        << capped.error;
+    EXPECT_NE(capped.error.find(std::to_string(cfg.maxCycles) +
+                                " cycles"),
+              std::string::npos)
+        << capped.error;
+    EXPECT_NE(capped.error.find(" of " +
+                                std::to_string(full.stats.issued)),
+              std::string::npos)
+        << capped.error;
+}
+
+TEST(Pipeline, CappedPerfRunIsNotOk)
+{
+    // Under REPLAY the pipeline is a perf run's execute pass; when it
+    // hits the cap, runScheme falls back to simulate for the counts
+    // and reports the pipeline's error — never ok with partial counts.
+    const Workload &w = workloadByName("nbody");
+    ExperimentConfig cfg;
+    cfg.scheme = Scheme::SW_THREE_LEVEL;
+    cfg.engine = ExecEngine::REPLAY;
+    const RunOutcome plain = runScheme(w, cfg);
+    ASSERT_TRUE(plain.ok()) << plain.error;
+
+    cfg.perf = true;
+    cfg.pipeline.maxCycles = 1000;
+    const RunOutcome capped = runScheme(w, cfg);
+    EXPECT_FALSE(capped.ok());
+    EXPECT_FALSE(capped.hasPerf);
+    EXPECT_EQ(capped.error.rfind("pipeline: ", 0), 0u) << capped.error;
+    EXPECT_NE(capped.error.find("1000 cycles"), std::string::npos)
+        << capped.error;
+    EXPECT_EQ(describeCountsDiff(capped.counts, plain.counts), "");
+}
+
+// ---- Golden stats digest ----
+
+/** Fold @p v's eight bytes into the FNV-1a digest @p h. */
+void
+fnvMix(std::uint64_t &h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; i++) {
+        h ^= (v >> (8 * i)) & 0xffu;
+        h *= 0x100000001b3ull;
+    }
+}
+
+TEST(Pipeline, StatsDigestMatchesTheGoldenMatrix)
+{
+    // Every PipelineStats field over a fixed matrix — corpus kernels
+    // x scheduler x accounting x bank layout x collector depth —
+    // folded into one digest. Any change to the cycle semantics, the
+    // stall attribution, or the idle-span fast-forward moves it; a
+    // change that only makes the loop faster must not.
+    struct Sched
+    {
+        SchedPolicy policy;
+        int active;
+    };
+    const Sched scheds[] = {{SchedPolicy::FLAT_RR, 8},
+                            {SchedPolicy::TWO_LEVEL, 2},
+                            {SchedPolicy::TWO_LEVEL, 8},
+                            {SchedPolicy::GTO, 8}};
+    const Scheme schemes[] = {Scheme::SW_THREE_LEVEL,
+                              Scheme::HW_TWO_LEVEL, Scheme::BASELINE};
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    int runs = 0;
+    for (const ScenarioProfile &p : allProfiles()) {
+        for (int i = 0; i < 4; i++) {
+            const Workload w = corpusWorkload(p, 1, i);
+            for (const Sched &s : scheds) {
+                for (Scheme scheme : schemes) {
+                    for (int banks : {32, 1}) {
+                        for (int slots : {1, 4}) {
+                            ExperimentConfig cfg;
+                            cfg.scheme = scheme;
+                            cfg.engine = ExecEngine::REPLAY;
+                            cfg.perf = true;
+                            cfg.pipeline.policy = s.policy;
+                            cfg.pipeline.activeWarps = s.active;
+                            cfg.pipeline.banks.numBanks = banks;
+                            cfg.pipeline.collectorSlots = slots;
+                            const RunOutcome out = runScheme(w, cfg);
+                            ASSERT_TRUE(out.ok() && out.hasPerf)
+                                << w.name << ": " << out.error;
+                            const PipelineStats &st = out.perf;
+                            for (std::uint64_t v :
+                                 {st.cycles, st.issued, st.swaps,
+                                  st.bankConflicts, st.stalls.scoreboard,
+                                  st.stalls.collector, st.stalls.execBusy,
+                                  st.stalls.swap, st.stalls.drain})
+                                fnvMix(h, v);
+                            runs++;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    globalExperimentCache().clear();
+    EXPECT_EQ(runs, 1536);
+    EXPECT_EQ(h, 0xf5e5a00dcd4a8e32ull) << std::hex << h;
 }
 
 // ---- Table 2 / Section 6 claims ----
