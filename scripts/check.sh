@@ -257,8 +257,10 @@ if [[ "$run_asan" == 1 ]]; then
     # replay executor's pointer-walking hot loop.
     # DiskCache.* adds the serializer round-trips and torn-entry
     # parsing (length-prefixed reads over untrusted file bytes).
+    # Memo.* and Sweep.* cover the per-kernel memo entry, which a run
+    # holds across a concurrent clear().
     "$repo/build-asan/tests/rfh_tests" \
-        --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:DiskCache.*'
+        --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:DiskCache.*:Memo.*:Sweep.*'
     # The scheme accountants: the hw2/hw3/ccrfc/regdem replay engine,
     # the software hierarchy's per-record fallback, and the pipeline
     # driving them at issue (SwFailingRun.* walks every structural

@@ -154,8 +154,15 @@ ExperimentConfig::allocOptions() const
               : SchemeBackend().allocOptions(*this);
 }
 
+namespace {
+
+/**
+ * runScheme over @p w's cache entry @p in: every input of the run is
+ * read through this one handle, so the kernel is hashed once per run.
+ */
 RunOutcome
-runScheme(const Workload &w, const ExperimentConfig &cfg)
+runSchemeWith(const Workload &w, const ExperimentConfig &cfg,
+              const ExperimentCache::Inputs &in)
 {
     RunOutcome out;
     const SchemeInfo *si = SchemeRegistry::instance().find(cfg.scheme);
@@ -177,7 +184,6 @@ runScheme(const Workload &w, const ExperimentConfig &cfg)
                             : cfg.engine;
     const RunPlan plan = planRun(caps, engine, cfg.perf);
 
-    ExperimentCache &cache = globalExperimentCache();
     Stopwatch watch;
 
     // Cooperative cancellation: polled between phases so a deadline
@@ -196,8 +202,8 @@ runScheme(const Workload &w, const ExperimentConfig &cfg)
     // memoized (configuration-independent) ----
     std::shared_ptr<const AnalysisBundle> analyses;
     if (plan.analyses)
-        analyses = cache.analyses(w.kernel);
-    const AccessCounts &base = cache.baseline(w.kernel, w.run);
+        analyses = in.analyses();
+    const AccessCounts &base = in.baseline();
     out.baselineEnergyPJ = base.totalEnergyPJ(em);
     out.phases.analyzeSec = watch.lap();
     recordPhaseSpan("analyze", w.name, out.phases.analyzeSec);
@@ -208,7 +214,7 @@ runScheme(const Workload &w, const ExperimentConfig &cfg)
     // (kernel, RunConfig) and shared by every replay grid cell ----
     std::shared_ptr<const DecodedTrace> trace;
     if (plan.trace) {
-        trace = cache.trace(w.kernel, w.run);
+        trace = in.trace();
         out.phases.traceSec = watch.lap();
         recordPhaseSpan("trace", w.name, out.phases.traceSec);
     }
@@ -219,7 +225,7 @@ runScheme(const Workload &w, const ExperimentConfig &cfg)
     // records + shared-consumer flags) across every grid cell.
     std::shared_ptr<const ReplayDecode> dec;
     if (plan.decode)
-        dec = cache.decode(w.kernel);
+        dec = in.decode();
 
     // ---- Allocate: the compiler annotates a private kernel copy ----
     Kernel annotated;
@@ -296,6 +302,15 @@ runScheme(const Workload &w, const ExperimentConfig &cfg)
     return out;
 }
 
+} // namespace
+
+RunOutcome
+runScheme(const Workload &w, const ExperimentConfig &cfg)
+{
+    return runSchemeWith(w, cfg,
+                         globalExperimentCache().inputs(w.kernel, &w.run));
+}
+
 void
 accumulateOutcome(RunOutcome &agg, const RunOutcome &one,
                   const std::string &name)
@@ -358,28 +373,34 @@ replayBatch(const std::vector<BatchItem> &items, ThreadPool *pool)
             cfgs[i].engine = ExecEngine::REPLAY;
     }
 
-    // ---- Pre-warm: one slot per distinct kernel ----
-    // Materialise each run's planned inputs once, in parallel, so the
-    // fan-out below never serialises on a cold cache entry (the memo's
-    // call_once would otherwise block every grid cell of a kernel
-    // behind the first).
+    // ---- Pre-warm: one slot per distinct (kernel, RunConfig) ----
+    // Each distinct workload's kernel is hashed once, and its items'
+    // runs read their inputs through that entry. Materialise each
+    // entry's planned inputs once, in parallel, so the fan-out below
+    // never serialises on a cold input (the memo's call_once would
+    // otherwise block every grid cell of a kernel behind the first).
     struct Warm
     {
-        const Workload *w = nullptr;
+        const ExperimentCache::Inputs *in = nullptr;
         RunPlan need;
     };
     SchemeRegistry &registry = SchemeRegistry::instance();
+    std::map<const Workload *, ExperimentCache::Inputs> resolved;
+    std::vector<const ExperimentCache::Inputs *> itemInputs(items.size());
     std::vector<Warm> warm;
-    std::map<std::uint64_t, std::size_t> slot;
+    std::map<const void *, std::size_t> slot;
     for (std::size_t i = 0; i < items.size(); i++) {
         const Workload *w = items[i].workload;
         const SchemeInfo *si = registry.find(cfgs[i].scheme);
         if (!w || !si)
             continue;
-        auto [it, fresh] =
-            slot.try_emplace(kernelFingerprint(w->kernel), warm.size());
+        auto [r, resolve] = resolved.try_emplace(w);
+        if (resolve)
+            r->second = cache.inputs(w->kernel, &w->run);
+        const ExperimentCache::Inputs *in = itemInputs[i] = &r->second;
+        auto [it, fresh] = slot.try_emplace(in->key(), warm.size());
         if (fresh)
-            warm.push_back(Warm{w, {}});
+            warm.push_back(Warm{in, {}});
         RunPlan &need = warm[it->second].need;
         const RunPlan plan =
             planRun(si->caps, cfgs[i].engine, cfgs[i].perf);
@@ -389,13 +410,13 @@ replayBatch(const std::vector<BatchItem> &items, ThreadPool *pool)
     }
     p.parallelFor(static_cast<int>(warm.size()), [&](int i) {
         const Warm &e = warm[i];
-        cache.baseline(e.w->kernel, e.w->run);
+        e.in->baseline();
         if (e.need.analyses || e.need.decode)
-            cache.analyses(e.w->kernel);
+            e.in->analyses();
         if (e.need.trace)
-            cache.trace(e.w->kernel, e.w->run);
+            e.in->trace();
         if (e.need.decode)
-            cache.decode(e.w->kernel);
+            e.in->decode();
     });
 
     // ---- Fan out ----
@@ -405,7 +426,9 @@ replayBatch(const std::vector<BatchItem> &items, ThreadPool *pool)
             outs[i].error = "batch item has no workload";
             return;
         }
-        outs[i] = runScheme(*items[i].workload, cfgs[i]);
+        outs[i] = itemInputs[i]
+            ? runSchemeWith(*items[i].workload, cfgs[i], *itemInputs[i])
+            : runScheme(*items[i].workload, cfgs[i]);
     });
     return outs;
 }

@@ -211,11 +211,12 @@ struct BatchItem
 
 /**
  * Run a batch of experiments through the replay engine, amortising
- * the per-kernel setup across the batch: every distinct kernel's
- * analyses, decoded trace, and replay pre-decode are materialised in
- * the ExperimentCache once (in parallel) before the items fan out, so
- * no two items race to record the same trace and every item starts
- * with warm caches and a reusable per-thread replay arena.
+ * the per-kernel setup across the batch: each distinct workload's
+ * cache entry is fetched once (one kernel hash), and every distinct
+ * (kernel, RunConfig)'s baseline, analyses, decoded trace, and replay
+ * pre-decode are materialised once (in parallel) before the items fan
+ * out, so no two items race to record the same trace and every item
+ * starts with warm caches and a reusable per-thread replay arena.
  *
  * Each item's AUTO engine resolves to REPLAY (this is the batch fast
  * path; callers wanting the direct oracle say so explicitly).

@@ -1,6 +1,9 @@
 #include "core/memo.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <type_traits>
 
 #include "core/diskcache.h"
 #include "core/metrics.h"
@@ -10,20 +13,24 @@ namespace rfh {
 
 namespace {
 
-/** Registry mirror of the cache counters (one-time registration). */
+/** Input kinds by Kind: disk-key prefixes and metric names. */
+const char *const kKindNames[] = {"baseline", "analysis", "trace",
+                                  "decode"};
+
+/** Registry mirror of the cache counters, indexed like Kind. */
 struct MemoMetrics
 {
-    Counter &baselineHits = globalMetrics().counter("memo.baseline.hits");
-    Counter &baselineMisses =
-        globalMetrics().counter("memo.baseline.misses");
-    Counter &analysisHits = globalMetrics().counter("memo.analysis.hits");
-    Counter &analysisMisses =
-        globalMetrics().counter("memo.analysis.misses");
-    Counter &traceHits = globalMetrics().counter("memo.trace.hits");
-    Counter &traceMisses = globalMetrics().counter("memo.trace.misses");
-    Counter &decodeHits = globalMetrics().counter("memo.decode.hits");
-    Counter &decodeMisses =
-        globalMetrics().counter("memo.decode.misses");
+    Counter *hits[4];
+    Counter *misses[4];
+
+    MemoMetrics()
+    {
+        for (int k = 0; k < 4; k++) {
+            const std::string name = std::string("memo.") + kKindNames[k];
+            hits[k] = &globalMetrics().counter(name + ".hits");
+            misses[k] = &globalMetrics().counter(name + ".misses");
+        }
+    }
 };
 
 MemoMetrics &
@@ -33,292 +40,274 @@ memoMetrics()
     return m;
 }
 
-/** FNV-1a 64-bit. */
-class Fnv
+// ---- Disk round trips of the persisted inputs ----
+// Each load reports whether the parsed value is usable; fill() also
+// requires the reader to have consumed the whole payload cleanly.
+
+void
+save(ByteWriter &w, const AccessCounts &c)
 {
-  public:
-    void
-    mix(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; i++) {
-            h_ ^= (v >> (8 * i)) & 0xff;
-            h_ *= 0x100000001b3ull;
-        }
-    }
+    serializeAccessCounts(w, c);
+}
 
-    void
-    mix(const std::string &s)
-    {
-        mix(s.size());
-        for (char c : s) {
-            h_ ^= static_cast<unsigned char>(c);
-            h_ *= 0x100000001b3ull;
-        }
-    }
-
-    std::uint64_t
-    value() const
-    {
-        return h_;
-    }
-
-  private:
-    std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
-/**
- * Disk-cache key strings. The key embeds every input the entry depends
- * on (the structural fingerprint plus the run parameters); the cache
- * stores the full string in the entry header, so a 64-bit filename
- * collision can never serve the wrong entry.
- */
-std::string
-diskKey(const char *kind, std::uint64_t fp, int numInstrs, int numWarps,
-        std::uint64_t maxInstrs)
+void
+save(ByteWriter &w, const std::shared_ptr<const AnalysisBundle> &b)
 {
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "%s:fp=%016llx:n=%d:warps=%d:cap=%llu", kind,
-                  static_cast<unsigned long long>(fp), numInstrs, numWarps,
-                  static_cast<unsigned long long>(maxInstrs));
-    return buf;
+    b->serialize(w);
+}
+
+void
+save(ByteWriter &w, const std::shared_ptr<const DecodedTrace> &t)
+{
+    serializeDecodedTrace(w, *t);
+}
+
+bool
+load(ByteReader &r, int, AccessCounts &out)
+{
+    out = deserializeAccessCounts(r);
+    return true;
+}
+
+bool
+load(ByteReader &r, int, std::shared_ptr<const AnalysisBundle> &out)
+{
+    out = std::make_shared<const AnalysisBundle>(r);
+    return true;
+}
+
+bool
+load(ByteReader &r, int numInstrs,
+     std::shared_ptr<const DecodedTrace> &out)
+{
+    // A payload that parses but breaks the trace invariant (say,
+    // truncated planes) would index out of bounds in replay: treat it
+    // as a miss and re-record.
+    DecodedTrace t = deserializeDecodedTrace(r);
+    if (!r.ok() || !t.wellFormed(numInstrs))
+        return false;
+    out = std::make_shared<const DecodedTrace>(std::move(t));
+    return true;
 }
 
 } // namespace
 
+/** The baseline and trace of one kernel under one RunConfig. */
+struct ExperimentCache::RunEntry
+{
+    explicit RunEntry(const RunConfig &r) : run(r) {}
+
+    const RunConfig run;
+    Slot<AccessCounts> baseline;
+    Slot<std::shared_ptr<const DecodedTrace>> trace;
+};
+
+/** Every cached input of one kernel. */
+struct ExperimentCache::KernelEntry
+{
+    explicit KernelEntry(const KernelKey &k) : key(k) {}
+
+    const KernelKey key;
+    /** Set by clear(); guarded by the cache's mutex. */
+    bool dropped = false;
+    Slot<std::shared_ptr<const AnalysisBundle>> analyses;
+    Slot<std::shared_ptr<const ReplayDecode>> decode;
+    /** By (numWarps, maxInstrsPerWarp); guarded by the cache's mutex. */
+    std::map<std::pair<int, std::uint64_t>, RunEntry> runs;
+};
+
 std::uint64_t
 kernelFingerprint(const Kernel &k)
 {
-    Fnv f;
-    f.mix(k.name);
-    f.mix(k.blocks.size());
+    // One multiply and one xor-shift per 64-bit word. Each step is a
+    // bijection of the state for a fixed word, so two streams of the
+    // same shape that differ in a single word always hash apart.
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x9e3779b97f4a7c15ull;
+        h ^= h >> 32;
+    };
+    mix(k.name.size());
+    for (std::size_t i = 0; i < k.name.size(); i += 8) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, k.name.data() + i,
+                    std::min<std::size_t>(8, k.name.size() - i));
+        mix(w);
+    }
+    mix(k.blocks.size());
+    static_assert(kMaxSrcs == 3, "one word per two sources below");
     for (const auto &bb : k.blocks) {
-        f.mix(bb.instrs.size());
+        mix(bb.instrs.size());
         for (const Instruction &in : bb.instrs) {
-            f.mix(static_cast<std::uint64_t>(in.op));
-            f.mix(in.dst ? *in.dst : 0xffu);
-            f.mix(static_cast<std::uint64_t>(in.numSrcs));
+            // Unused source slots hash as zero, whatever they hold.
+            std::uint64_t src[kMaxSrcs] = {};
+            std::uint64_t isReg = 0;
             for (int s = 0; s < in.numSrcs; s++) {
-                const SrcOperand &src = in.srcs[s];
-                f.mix(src.isReg ? 1u : 0u);
-                f.mix(src.isReg ? src.reg : src.imm);
+                const SrcOperand &op = in.srcs[s];
+                isReg |= std::uint64_t{op.isReg} << s;
+                src[s] = op.isReg ? op.reg : op.imm;
             }
-            f.mix(in.pred ? *in.pred : 0xffu);
-            f.mix(static_cast<std::uint64_t>(
-                static_cast<std::int64_t>(in.branchTarget)));
-            f.mix(in.wide ? 1u : 0u);
-            f.mix(in.memOffset);
+            mix(static_cast<std::uint64_t>(in.op) |
+                std::uint64_t{in.dst.has_value()} << 8 |
+                std::uint64_t{in.dst.value_or(0)} << 9 |
+                std::uint64_t{in.pred.has_value()} << 17 |
+                std::uint64_t{in.pred.value_or(0)} << 18 |
+                std::uint64_t{in.wide} << 26 |
+                static_cast<std::uint64_t>(in.numSrcs) << 27 |
+                isReg << 29 |
+                static_cast<std::uint64_t>(
+                    static_cast<std::uint32_t>(in.branchTarget))
+                    << 32);
+            mix(src[0] | src[1] << 32);
+            mix(src[2] | std::uint64_t{in.memOffset} << 32);
         }
     }
-    return f.value();
+    return h;
+}
+
+/**
+ * Fill @p slot once: from the disk cache when one is attached and
+ * holds a valid payload, else by @p compute (then stored back). Every
+ * call counts one hit or, for the call that filled, one miss.
+ */
+template <class T, class Compute>
+const T &
+ExperimentCache::fill(Slot<T> &slot, Kind kind, const KernelEntry &e,
+                      const RunConfig *run, Compute compute)
+{
+    // The decode rebuilds cheaply from the cached analyses.
+    constexpr bool persisted =
+        !std::is_same_v<T, std::shared_ptr<const ReplayDecode>>;
+    bool miss = false;
+    std::call_once(slot.once, [&] {
+        miss = true;
+        {
+            // An entry a clear() dropped no longer counts.
+            std::lock_guard<std::mutex> lk(mu_);
+            filled_ += e.dropped ? 0 : 1;
+        }
+        DiskCache *dc = persisted ? diskCache() : nullptr;
+        // The key embeds every input the entry depends on, and the
+        // disk cache checks the full string on load, so a 64-bit
+        // filename collision can never serve the wrong entry.
+        char dkey[160] = {};
+        if constexpr (persisted) {
+            if (dc) {
+                std::snprintf(
+                    dkey, sizeof dkey, "%s:fp=%016llx:n=%d:warps=%d:cap=%llu",
+                    kKindNames[kind],
+                    static_cast<unsigned long long>(e.key.first),
+                    e.key.second, run ? run->numWarps : 0,
+                    static_cast<unsigned long long>(
+                        run ? run->maxInstrsPerWarp : 0));
+                std::string payload;
+                if (dc->load(dkey, payload)) {
+                    ByteReader r(payload);
+                    T v;
+                    if (load(r, e.key.second, v) && r.ok() && r.atEnd()) {
+                        slot.value = std::move(v);
+                        return;
+                    }
+                }
+            }
+        }
+        slot.value = compute();
+        if constexpr (persisted) {
+            if (dc) {
+                ByteWriter w;
+                save(w, slot.value);
+                dc->store(dkey, w.bytes());
+            }
+        }
+    });
+    (miss ? misses_ : hits_)[kind]++;
+    (miss ? memoMetrics().misses : memoMetrics().hits)[kind]->add();
+    return slot.value;
+}
+
+ExperimentCache::Inputs
+ExperimentCache::inputs(const Kernel &k, const RunConfig *run)
+{
+    Inputs in;
+    in.cache_ = this;
+    in.kernel_ = &k;
+    const KernelKey key{kernelFingerprint(k), k.numInstrs()};
+    std::lock_guard<std::mutex> lk(mu_);
+    std::shared_ptr<KernelEntry> &e = entries_[key];
+    if (!e)
+        e = std::make_shared<KernelEntry>(key);
+    if (run)
+        in.run_ = &e->runs
+                       .try_emplace({run->numWarps, run->maxInstrsPerWarp},
+                                    *run)
+                       .first->second;
+    in.entry_ = e;
+    return in;
 }
 
 const AccessCounts &
-ExperimentCache::baseline(const Kernel &k, const RunConfig &run)
+ExperimentCache::Inputs::baseline() const
 {
-    BaselineKey key{kernelFingerprint(k), k.numInstrs(), run.numWarps,
-                    run.maxInstrsPerWarp};
-    std::shared_ptr<BaselineEntry> e;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto &slot = baseline_[key];
-        if (!slot)
-            slot = std::make_shared<BaselineEntry>();
-        e = slot;
-    }
-    bool miss = false;
-    std::call_once(e->once, [&] {
-        miss = true;
-        DiskCache *dc = diskCache();
-        std::string dkey;
-        if (dc) {
-            dkey = diskKey("baseline", std::get<0>(key), std::get<1>(key),
-                           std::get<2>(key), std::get<3>(key));
-            std::string payload;
-            if (dc->load(dkey, payload)) {
-                ByteReader r(payload);
-                AccessCounts c = deserializeAccessCounts(r);
-                if (r.ok() && r.atEnd()) {
-                    e->counts = c;
-                    return;
-                }
-            }
-        }
-        e->counts = runBaseline(k, run);
-        if (dc) {
-            ByteWriter w;
-            serializeAccessCounts(w, e->counts);
-            dc->store(dkey, w.bytes());
-        }
-    });
-    if (miss) {
-        baselineMisses_++;
-        memoMetrics().baselineMisses.add();
-    } else {
-        baselineHits_++;
-        memoMetrics().baselineHits.add();
-    }
-    return e->counts;
+    return cache_->fill(run_->baseline, BASELINE, *entry_, &run_->run,
+                        [&] { return runBaseline(*kernel_, run_->run); });
 }
 
 std::shared_ptr<const AnalysisBundle>
-ExperimentCache::analyses(const Kernel &k)
+ExperimentCache::Inputs::analyses() const
 {
-    AnalysisKey key{kernelFingerprint(k), k.numInstrs()};
-    std::shared_ptr<AnalysisEntry> e;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto &slot = analyses_[key];
-        if (!slot)
-            slot = std::make_shared<AnalysisEntry>();
-        e = slot;
-    }
-    bool miss = false;
-    std::call_once(e->once, [&] {
-        miss = true;
-        DiskCache *dc = diskCache();
-        std::string dkey;
-        if (dc) {
-            dkey = diskKey("analysis", key.first, key.second, 0, 0);
-            std::string payload;
-            if (dc->load(dkey, payload)) {
-                ByteReader r(payload);
-                auto bundle = std::make_shared<const AnalysisBundle>(r);
-                if (r.ok() && r.atEnd()) {
-                    e->bundle = std::move(bundle);
-                    return;
-                }
-            }
-        }
-        e->bundle = std::make_shared<const AnalysisBundle>(k);
-        if (dc) {
-            ByteWriter w;
-            e->bundle->serialize(w);
-            dc->store(dkey, w.bytes());
-        }
+    return cache_->fill(entry_->analyses, ANALYSIS, *entry_, nullptr, [&] {
+        return std::make_shared<const AnalysisBundle>(*kernel_);
     });
-    if (miss) {
-        analysisMisses_++;
-        memoMetrics().analysisMisses.add();
-    } else {
-        analysisHits_++;
-        memoMetrics().analysisHits.add();
-    }
-    return e->bundle;
 }
 
 std::shared_ptr<const DecodedTrace>
-ExperimentCache::trace(const Kernel &k, const RunConfig &run)
+ExperimentCache::Inputs::trace() const
 {
-    BaselineKey key{kernelFingerprint(k), k.numInstrs(), run.numWarps,
-                    run.maxInstrsPerWarp};
-    std::shared_ptr<TraceEntry> e;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto &slot = traces_[key];
-        if (!slot)
-            slot = std::make_shared<TraceEntry>();
-        e = slot;
-    }
-    bool miss = false;
-    std::call_once(e->once, [&] {
-        miss = true;
-        DiskCache *dc = diskCache();
-        std::string dkey;
-        if (dc) {
-            dkey = diskKey("trace", std::get<0>(key), std::get<1>(key),
-                           std::get<2>(key), std::get<3>(key));
-            std::string payload;
-            if (dc->load(dkey, payload)) {
-                // A payload that parses but breaks the trace invariant
-                // (say, truncated planes) would index out of bounds in
-                // replay: treat it as a miss and re-record.
-                ByteReader r(payload);
-                DecodedTrace t = deserializeDecodedTrace(r);
-                if (r.ok() && r.atEnd() && t.wellFormed(k.numInstrs())) {
-                    e->trace = std::make_shared<const DecodedTrace>(
-                        std::move(t));
-                    return;
-                }
-            }
-        }
-        e->trace =
-            std::make_shared<const DecodedTrace>(recordDecodedTrace(k, run));
-        if (dc) {
-            ByteWriter w;
-            serializeDecodedTrace(w, *e->trace);
-            dc->store(dkey, w.bytes());
-        }
+    return cache_->fill(run_->trace, TRACE, *entry_, &run_->run, [&] {
+        return std::make_shared<const DecodedTrace>(
+            recordDecodedTrace(*kernel_, run_->run));
     });
-    if (miss) {
-        traceMisses_++;
-        memoMetrics().traceMisses.add();
-    } else {
-        traceHits_++;
-        memoMetrics().traceHits.add();
-    }
-    return e->trace;
 }
 
 std::shared_ptr<const ReplayDecode>
-ExperimentCache::decode(const Kernel &k)
+ExperimentCache::Inputs::decode() const
 {
-    AnalysisKey key{kernelFingerprint(k), k.numInstrs()};
-    std::shared_ptr<DecodeEntry> e;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto &slot = decodes_[key];
-        if (!slot)
-            slot = std::make_shared<DecodeEntry>();
-        e = slot;
-    }
-    bool miss = false;
-    std::call_once(e->once, [&] {
-        auto bundle = analyses(k);
-        e->decode = std::make_shared<const ReplayDecode>(
-            k, &bundle->reachingDefs);
-        miss = true;
+    return cache_->fill(entry_->decode, DECODE, *entry_, nullptr, [&] {
+        std::shared_ptr<const AnalysisBundle> bundle = analyses();
+        return std::make_shared<const ReplayDecode>(
+            *kernel_, &bundle->reachingDefs);
     });
-    if (miss) {
-        decodeMisses_++;
-        memoMetrics().decodeMisses.add();
-    } else {
-        decodeHits_++;
-        memoMetrics().decodeHits.add();
-    }
-    return e->decode;
 }
 
 void
 ExperimentCache::clear()
 {
     std::lock_guard<std::mutex> lk(mu_);
-    baseline_.clear();
-    analyses_.clear();
-    traces_.clear();
-    decodes_.clear();
+    for (auto &kv : entries_)
+        kv.second->dropped = true;
+    entries_.clear();
+    filled_ = 0;
 }
 
 std::size_t
 ExperimentCache::entryCount() const
 {
     std::lock_guard<std::mutex> lk(mu_);
-    return baseline_.size() + analyses_.size() + traces_.size() +
-        decodes_.size();
+    return filled_;
 }
 
 ExperimentCache::Stats
 ExperimentCache::stats() const
 {
     Stats s;
-    s.baselineHits = baselineHits_.load();
-    s.baselineMisses = baselineMisses_.load();
-    s.analysisHits = analysisHits_.load();
-    s.analysisMisses = analysisMisses_.load();
-    s.traceHits = traceHits_.load();
-    s.traceMisses = traceMisses_.load();
-    s.decodeHits = decodeHits_.load();
-    s.decodeMisses = decodeMisses_.load();
+    s.baselineHits = hits_[BASELINE].load();
+    s.baselineMisses = misses_[BASELINE].load();
+    s.analysisHits = hits_[ANALYSIS].load();
+    s.analysisMisses = misses_[ANALYSIS].load();
+    s.traceHits = hits_[TRACE].load();
+    s.traceMisses = misses_[TRACE].load();
+    s.decodeHits = hits_[DECODE].load();
+    s.decodeMisses = misses_[DECODE].load();
     return s;
 }
 

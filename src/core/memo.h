@@ -1,24 +1,29 @@
 /**
  * @file
- * Memoization caches for the experiment engine.
+ * Memoization cache for the experiment engine.
  *
- * A design-space sweep evaluates schemes x ORF sizes x 36 workloads,
- * but two expensive inputs of every grid point are configuration
- * independent:
+ * A design-space sweep evaluates schemes x ORF sizes x workloads, but
+ * four expensive inputs of every grid point do not depend on the
+ * scheme or its configuration:
  *
- *  - the baseline functional execution (flat-MRF AccessCounts) depends
- *    only on the kernel and its RunConfig, and
- *  - the CFG / liveness / reaching-defs analyses depend only on the
- *    kernel's architectural structure (see ir/analysis_bundle.h).
+ *  - the CFG / liveness / reaching-defs analyses and the replay
+ *    pre-decode depend only on the kernel's architectural structure
+ *    (see ir/analysis_bundle.h and sim/trace.h), and
+ *  - the baseline functional execution (flat-MRF AccessCounts) and the
+ *    recorded dynamic stream depend only on the kernel and its
+ *    RunConfig.
  *
- * ExperimentCache computes each exactly once per process and serves
- * all later requests — including concurrent ones from the parallel
- * sweep — from the cache. Entries are keyed by a structural
- * fingerprint of the kernel (not its address), so distinct kernels
- * that happen to reuse storage can never alias, and annotated copies
- * of a cached kernel hit the same entry. Cached results are bitwise
- * identical to a fresh computation, so memoization never changes any
- * report.
+ * ExperimentCache keeps one entry per kernel, keyed by a structural
+ * fingerprint of the kernel (not its address) plus its instruction
+ * count, so distinct kernels that happen to reuse storage can never
+ * alias, and annotated copies of a cached kernel hit the same entry.
+ * The entry holds the analyses and the decode, and per RunConfig the
+ * baseline and the trace; each is computed exactly once per process
+ * and then served to every later request, including concurrent ones
+ * from the parallel sweep. A run hashes its kernel once: it fetches
+ * the entry through inputs() and reads every input from the returned
+ * handle. Cached results are bitwise identical to a fresh
+ * computation, so memoization never changes any report.
  */
 
 #ifndef RFH_CORE_MEMO_H
@@ -40,22 +45,83 @@ class DiskCache;
 
 /**
  * Structural fingerprint of a kernel: name, block layout, opcodes and
- * operands. Allocator annotations are deliberately excluded so a
- * kernel and its annotated copies fingerprint identically.
+ * operands, mixed one 64-bit word at a time. Allocator annotations
+ * are deliberately excluded so a kernel and its annotated copies
+ * fingerprint identically.
  */
 std::uint64_t kernelFingerprint(const Kernel &k);
 
-/** Process-wide memoization for baseline runs and analysis bundles. */
+/** Process-wide memoization of every configuration-independent input. */
 class ExperimentCache
 {
+    struct KernelEntry;
+    struct RunEntry;
+
   public:
     /**
+     * One kernel's cache entry, as fetched by inputs(): each accessor
+     * returns its input, computing it on first request (concurrent
+     * first requests block until the single computation finishes).
+     * Holding the handle keeps the entry alive across clear(). The
+     * handle computes from the kernel it was fetched with; every
+     * kernel of the same fingerprint computes the same inputs.
+     * Thread-safe.
+     */
+    class Inputs
+    {
+      public:
+        /** Flat-MRF baseline counts; needs a RunConfig handle. */
+        const AccessCounts &baseline() const;
+
+        /** Shared immutable CFG/liveness/reaching-defs analyses. */
+        std::shared_ptr<const AnalysisBundle> analyses() const;
+
+        /** Recorded dynamic stream; needs a RunConfig handle. */
+        std::shared_ptr<const DecodedTrace> trace() const;
+
+        /**
+         * Replay pre-decode, built with shared-consumer info from the
+         * cached reaching definitions. Annotated copies share it, so
+         * consumers must not read annotations out of its instruction
+         * snapshots (see ReplayDecode).
+         */
+        std::shared_ptr<const ReplayDecode> decode() const;
+
+        /**
+         * Identity of the (kernel, RunConfig) entry: two handles with
+         * the same key read the same cached inputs.
+         */
+        const void *
+        key() const
+        {
+            return run_ ? static_cast<const void *>(run_)
+                        : static_cast<const void *>(entry_.get());
+        }
+
+      private:
+        friend class ExperimentCache;
+
+        ExperimentCache *cache_ = nullptr;
+        std::shared_ptr<KernelEntry> entry_;
+        RunEntry *run_ = nullptr; ///< Owned by *entry_; null: none.
+        const Kernel *kernel_ = nullptr;
+    };
+
+    /**
+     * Fetch @p k's entry: one fingerprint, one lock. With @p run the
+     * handle also reads the baseline and trace of that RunConfig;
+     * without, only the run-independent analyses and decode. No input
+     * is computed or counted until the handle's accessors ask for it.
+     */
+    Inputs inputs(const Kernel &k, const RunConfig *run = nullptr);
+
+    /**
      * Back this in-memory cache with a persistent compile cache
-     * (core/diskcache.h). A miss in baseline(), analyses(), or trace()
-     * first consults the disk — a valid entry deserializes to
+     * (core/diskcache.h). A miss of the baseline, the analyses or the
+     * trace first consults the disk — a valid entry deserializes to
      * bit-identical contents and skips the computation entirely — and
      * a computed result is written back so later processes start warm.
-     * decode() is not persisted: it rebuilds cheaply from the kernel
+     * The decode is not persisted: it rebuilds cheaply from the kernel
      * plus the (cached) reaching definitions. Pass nullptr to detach.
      * The cache must outlive every lookup; attach before serving.
      */
@@ -72,42 +138,53 @@ class ExperimentCache
     }
 
     /**
-     * Flat-MRF baseline counts of @p k under @p run, computed on first
-     * request and cached. Concurrent first requests block until the
-     * single computation finishes. The returned reference stays valid
-     * until clear().
+     * Flat-MRF baseline counts of @p k under @p run. The returned
+     * reference stays valid until clear().
      */
-    const AccessCounts &baseline(const Kernel &k, const RunConfig &run);
+    const AccessCounts &
+    baseline(const Kernel &k, const RunConfig &run)
+    {
+        return inputs(k, &run).baseline();
+    }
 
-    /** Shared immutable analyses of @p k, computed on first request. */
-    std::shared_ptr<const AnalysisBundle> analyses(const Kernel &k);
+    /** Shared immutable analyses of @p k. */
+    std::shared_ptr<const AnalysisBundle>
+    analyses(const Kernel &k)
+    {
+        return inputs(k).analyses();
+    }
 
     /**
      * Pre-decoded dynamic stream of @p k under @p run, recorded by a
-     * single functional execution on first request and then shared
-     * read-only by every replay-mode grid cell. Keyed like baseline():
-     * annotated copies of a cached kernel hit the same entry, since
-     * annotations never change the dynamic path.
+     * single functional execution and then shared read-only by every
+     * replay-mode grid cell. Annotated copies of a cached kernel hit
+     * the same entry, since annotations never change the dynamic path.
      */
-    std::shared_ptr<const DecodedTrace> trace(const Kernel &k,
-                                              const RunConfig &run);
+    std::shared_ptr<const DecodedTrace>
+    trace(const Kernel &k, const RunConfig &run)
+    {
+        return inputs(k, &run).trace();
+    }
+
+    /** Shared replay pre-decode of @p k (see Inputs::decode). */
+    std::shared_ptr<const ReplayDecode>
+    decode(const Kernel &k)
+    {
+        return inputs(k).decode();
+    }
 
     /**
-     * Shared replay pre-decode of @p k, built (with shared-consumer
-     * info from the cached reaching definitions) on first request.
-     * Keyed by the structural fingerprint, so annotated copies share
-     * one entry — consumers must not read annotations out of the
-     * cached decode's instruction snapshots (see ReplayDecode).
+     * Drop every entry. Handles still held keep their entries alive,
+     * but references returned by baseline(k, run) dangle, so callers
+     * quiesce those lookups first.
      */
-    std::shared_ptr<const ReplayDecode> decode(const Kernel &k);
-
-    /** Drop every entry (tests; not thread-safe vs. active lookups). */
     void clear();
 
     /**
-     * Total cached entries across the three maps. Long-lived callers
-     * (the batch service) poll this to bound memory: when it exceeds
-     * their budget they quiesce lookups and clear(). Thread-safe.
+     * Total cached inputs (each analyses, decode, baseline and trace
+     * counts one). Long-lived callers (the batch service) poll this
+     * to bound memory: when it exceeds their budget they quiesce
+     * lookups and clear(). Thread-safe.
      */
     std::size_t entryCount() const;
 
@@ -127,49 +204,32 @@ class ExperimentCache
     Stats stats() const;
 
   private:
-    struct BaselineEntry
+    /** The four kinds of input, indexing the counters. */
+    enum Kind { BASELINE, ANALYSIS, TRACE, DECODE, NUM_KINDS };
+
+    /** One input, filled once. */
+    template <class T>
+    struct Slot
     {
         std::once_flag once;
-        AccessCounts counts;
+        T value;
     };
 
-    struct AnalysisEntry
-    {
-        std::once_flag once;
-        std::shared_ptr<const AnalysisBundle> bundle;
-    };
+    template <class T, class Compute>
+    const T &fill(Slot<T> &slot, Kind kind, const KernelEntry &e,
+                  const RunConfig *run, Compute compute);
 
-    struct TraceEntry
-    {
-        std::once_flag once;
-        std::shared_ptr<const DecodedTrace> trace;
-    };
+    /** Fingerprint + instruction count. */
+    using KernelKey = std::pair<std::uint64_t, int>;
 
-    struct DecodeEntry
-    {
-        std::once_flag once;
-        std::shared_ptr<const ReplayDecode> decode;
-    };
-
-    /** Fingerprint + instruction count + run parameters. */
-    using BaselineKey =
-        std::tuple<std::uint64_t, int, int, std::uint64_t>;
-    using AnalysisKey = std::pair<std::uint64_t, int>;
-
-    mutable std::mutex mu_;
     std::atomic<DiskCache *> disk_{nullptr};
-    std::map<BaselineKey, std::shared_ptr<BaselineEntry>> baseline_;
-    std::map<AnalysisKey, std::shared_ptr<AnalysisEntry>> analyses_;
-    std::map<BaselineKey, std::shared_ptr<TraceEntry>> traces_;
-    std::map<AnalysisKey, std::shared_ptr<DecodeEntry>> decodes_;
-    std::atomic<std::uint64_t> baselineHits_{0};
-    std::atomic<std::uint64_t> baselineMisses_{0};
-    std::atomic<std::uint64_t> analysisHits_{0};
-    std::atomic<std::uint64_t> analysisMisses_{0};
-    std::atomic<std::uint64_t> traceHits_{0};
-    std::atomic<std::uint64_t> traceMisses_{0};
-    std::atomic<std::uint64_t> decodeHits_{0};
-    std::atomic<std::uint64_t> decodeMisses_{0};
+    /** Guards entries_, filled_, and each entry's runs and dropped. */
+    mutable std::mutex mu_;
+    std::map<KernelKey, std::shared_ptr<KernelEntry>> entries_;
+    /** Inputs filled into the entries of entries_. */
+    std::size_t filled_ = 0;
+    std::atomic<std::uint64_t> hits_[NUM_KINDS] = {};
+    std::atomic<std::uint64_t> misses_[NUM_KINDS] = {};
 };
 
 /** The cache shared by runScheme, the sweeps, and the limit study. */

@@ -146,6 +146,50 @@ TEST(Replay, BatchMatchesLoneRunsAcrossSchemes)
     }
 }
 
+TEST(Replay, BatchMatchesLoneRunsAcrossWarpCounts)
+{
+    // One kernel at two RunConfigs in one batch: the pre-warm fills
+    // each config's baseline and trace, so every item's run hits.
+    const Workload &wl = workloadByName("nbody");
+    const Workload more = [&] {
+        Workload w = wl;
+        w.run.numWarps += 3;
+        return w;
+    }();
+    std::vector<BatchItem> items;
+    for (Scheme s : allSchemes()) {
+        for (bool perf : {false, true}) {
+            for (const Workload *w : {&wl, &more}) {
+                BatchItem it;
+                it.workload = w;
+                it.cfg.scheme = s;
+                it.cfg.entries = 3;
+                it.cfg.perf = perf;
+                items.push_back(it);
+            }
+        }
+    }
+    ExperimentCache &cache = globalExperimentCache();
+    cache.clear();
+    const ExperimentCache::Stats before = cache.stats();
+    std::vector<RunOutcome> outs = replayBatch(items);
+    const ExperimentCache::Stats after = cache.stats();
+    EXPECT_EQ(after.baselineMisses - before.baselineMisses, 2u);
+    EXPECT_EQ(after.baselineHits - before.baselineHits, items.size());
+    ASSERT_EQ(outs.size(), items.size());
+    for (std::size_t i = 0; i < items.size(); i++) {
+        ExperimentConfig lone = items[i].cfg;
+        lone.engine = ExecEngine::REPLAY;
+        EXPECT_EQ(outcomeToJson(outs[i]),
+                  outcomeToJson(runScheme(*items[i].workload, lone)))
+            << schemeName(items[i].cfg.scheme) << " warps="
+            << items[i].workload->run.numWarps
+            << " perf=" << items[i].cfg.perf;
+    }
+    // The two configs really differ.
+    EXPECT_NE(outcomeToJson(outs[0]), outcomeToJson(outs[1]));
+}
+
 TEST(Replay, BatchSizesOneThreeEightMixedWorkloads)
 {
     const char *names[] = {"vectoradd", "reduction", "lu"};

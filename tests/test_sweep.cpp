@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
+#include "core/experiment.h"
 #include "core/json.h"
 #include "core/memo.h"
 #include "core/parallel.h"
@@ -112,21 +116,180 @@ TEST(Memo, AnalysesSharedAcrossAnnotatedCopies)
 
 TEST(Memo, FingerprintDistinguishesStructure)
 {
-    Kernel a = parseKernelOrDie(R"(.kernel fp
+    const Kernel base = parseKernelOrDie(R"(.kernel fp
 entry:
     iadd R1, R0, #1
+    imul.wide R2, R1, R0
+    ld.global R4, [R63+4]
+    setgt R5, R4, #0
+    @R5 bra done
+body:
+    iadd R6, R1, R4
+done:
     exit
 )");
-    Kernel b = parseKernelOrDie(R"(.kernel fp
-entry:
-    iadd R1, R0, #2
-    exit
-)");
-    EXPECT_NE(kernelFingerprint(a), kernelFingerprint(b));
-    Kernel annotated = a;
-    annotated.instr(0).writeAnno.toORF = true;
-    annotated.instr(0).endOfStrand = true;
-    EXPECT_EQ(kernelFingerprint(a), kernelFingerprint(annotated));
+    // Linear indices into base.
+    const int IADD = 0, WIDE = 1, LOAD = 2, BRA = 4;
+    std::vector<std::pair<std::string, Kernel>> variants;
+    auto mutate = [&](const char *what, auto edit) {
+        Kernel k = base;
+        edit(k);
+        variants.emplace_back(what, std::move(k));
+    };
+    mutate("base", [](Kernel &) {});
+    mutate("op", [&](Kernel &k) { k.instr(IADD).op = Opcode::ISUB; });
+    mutate("dst", [&](Kernel &k) { k.instr(IADD).dst = Reg{7}; });
+    // R1 where #1 was: the same number, now a register.
+    mutate("reg-vs-imm", [&](Kernel &k) {
+        k.instr(IADD).srcs[1] = SrcOperand::makeReg(1);
+    });
+    mutate("imm", [&](Kernel &k) { k.instr(IADD).srcs[1].imm = 2; });
+    mutate("pred", [&](Kernel &k) { k.instr(BRA).pred = Reg{4}; });
+    mutate("target", [&](Kernel &k) { k.instr(BRA).branchTarget = 1; });
+    mutate("wide", [&](Kernel &k) { k.instr(WIDE).wide = false; });
+    mutate("memOffset", [&](Kernel &k) { k.instr(LOAD).memOffset = 8; });
+    mutate("name", [](Kernel &k) { k.name = "fq"; });
+    // The same instruction sequence, cut into blocks elsewhere.
+    mutate("blocks", [](Kernel &k) {
+        k.blocks[0].instrs.push_back(k.blocks[1].instrs.front());
+        k.blocks[1].instrs.erase(k.blocks[1].instrs.begin());
+        k.blocks[1].instrs.push_back(k.blocks[2].instrs.front());
+        k.blocks.pop_back();
+        k.finalize();
+    });
+    for (std::size_t a = 0; a < variants.size(); a++)
+        for (std::size_t b = a + 1; b < variants.size(); b++)
+            EXPECT_NE(kernelFingerprint(variants[a].second),
+                      kernelFingerprint(variants[b].second))
+                << variants[a].first << " vs " << variants[b].first;
+
+    Kernel annotated = base;
+    annotated.instr(IADD).writeAnno.toORF = true;
+    annotated.instr(IADD).writeAnno.orfEntry = 2;
+    annotated.instr(IADD).readAnno[0].level = Level::LRF;
+    annotated.instr(WIDE).endOfStrand = true;
+    EXPECT_EQ(kernelFingerprint(base), kernelFingerprint(annotated));
+}
+
+TEST(Memo, ConcurrentFirstLookupsComputeOnce)
+{
+    const Workload &w = workloadByName("reduction");
+    ExperimentCache cache;
+    constexpr int kThreads = 8;
+    struct Seen
+    {
+        const AccessCounts *baseline = nullptr;
+        const void *analyses = nullptr, *trace = nullptr,
+                   *decode = nullptr;
+    };
+    std::vector<Seen> seen(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            ready++;
+            while (ready.load() < kThreads) {
+            }
+            ExperimentCache::Inputs in = cache.inputs(w.kernel, &w.run);
+            // Each thread asks in a different order.
+            for (int q = 0; q < 4; q++) {
+                switch ((q + t) % 4) {
+                  case 0: seen[t].baseline = &in.baseline(); break;
+                  case 1: seen[t].analyses = in.analyses().get(); break;
+                  case 2: seen[t].trace = in.trace().get(); break;
+                  case 3: seen[t].decode = in.decode().get(); break;
+                }
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (int t = 1; t < kThreads; t++) {
+        EXPECT_EQ(seen[t].baseline, seen[0].baseline) << t;
+        EXPECT_EQ(seen[t].analyses, seen[0].analyses) << t;
+        EXPECT_EQ(seen[t].trace, seen[0].trace) << t;
+        EXPECT_EQ(seen[t].decode, seen[0].decode) << t;
+    }
+    ExperimentCache::Stats s = cache.stats();
+    EXPECT_EQ(s.baselineMisses, 1u);
+    EXPECT_EQ(s.baselineHits, kThreads - 1u);
+    // The decode's fill reads the analyses once more.
+    EXPECT_EQ(s.analysisMisses, 1u);
+    EXPECT_EQ(s.analysisHits, kThreads * 1u);
+    EXPECT_EQ(s.traceMisses, 1u);
+    EXPECT_EQ(s.traceHits, kThreads - 1u);
+    EXPECT_EQ(s.decodeMisses, 1u);
+    EXPECT_EQ(s.decodeHits, kThreads - 1u);
+    EXPECT_EQ(cache.entryCount(), 4u);
+    cache.clear();
+    EXPECT_EQ(cache.entryCount(), 0u);
+}
+
+TEST(Memo, HeldHandleOutlivesClear)
+{
+    const Workload &w = workloadByName("lu");
+    ExperimentCache cache;
+    ExperimentCache::Inputs in = cache.inputs(w.kernel, &w.run);
+    std::shared_ptr<const AnalysisBundle> a = in.analyses();
+    cache.clear();
+    // The handle still owns its entry: filled inputs are served, and
+    // cold ones fill into the detached entry.
+    EXPECT_EQ(in.analyses().get(), a.get());
+    EXPECT_EQ(in.trace()->instructions(), in.baseline().instructions);
+    EXPECT_NE(cache.inputs(w.kernel, &w.run).key(), in.key());
+    // Inputs filled into the dropped entry are not counted.
+    EXPECT_EQ(cache.entryCount(), 0u);
+}
+
+TEST(Memo, ReplayBatchStatsDeltasArePinned)
+{
+    // One hit or miss per input a run uses, plus the pre-warm's own
+    // lookups, as (hits, misses) of baseline, analysis, trace and
+    // decode. Pinned so the cache's layout cannot change what it counts.
+    const char *names[] = {"vectoradd", "reduction", "lu"};
+    const std::pair<Scheme, int> cells[] = {
+        {Scheme::SW_THREE_LEVEL, 1}, {Scheme::SW_THREE_LEVEL, 3},
+        {Scheme::HW_TWO_LEVEL, 2}, {Scheme::BASELINE, 1}};
+    struct Want
+    {
+        bool perf;
+        std::uint64_t v[8];
+    };
+    const Want wants[] = {
+        {false, {12, 3, 12, 3, 9, 3, 3, 3}},
+        {true, {12, 3, 12, 3, 12, 3, 12, 3}},
+    };
+    ExperimentCache &cache = globalExperimentCache();
+    for (const Want &want : wants) {
+        std::vector<BatchItem> items;
+        for (const char *name : names) {
+            for (const auto &[scheme, entries] : cells) {
+                BatchItem it;
+                it.workload = &workloadByName(name);
+                it.cfg.scheme = scheme;
+                it.cfg.entries = entries;
+                it.cfg.perf = want.perf;
+                items.push_back(it);
+            }
+        }
+        cache.clear();
+        const ExperimentCache::Stats a = cache.stats();
+        replayBatch(items);
+        const ExperimentCache::Stats b = cache.stats();
+        const std::uint64_t got[8] = {
+            b.baselineHits - a.baselineHits,
+            b.baselineMisses - a.baselineMisses,
+            b.analysisHits - a.analysisHits,
+            b.analysisMisses - a.analysisMisses,
+            b.traceHits - a.traceHits,
+            b.traceMisses - a.traceMisses,
+            b.decodeHits - a.decodeHits,
+            b.decodeMisses - a.decodeMisses};
+        for (int i = 0; i < 8; i++)
+            EXPECT_EQ(got[i], want.v[i]) << "perf=" << want.perf
+                                         << " counter " << i;
+    }
+    cache.clear();
 }
 
 TEST(Experiment, ErrorAggregationCollectsEveryFailure)
