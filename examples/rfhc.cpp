@@ -100,8 +100,6 @@
  *   --batch N          max requests a worker drains per wakeup into
  *                      one batched replay (default 8; 1 disables)
  *   --cache-max N      memo-cache entries before eviction (default 1024)
- *   --cache-dir D      persistent disk compile cache directory
- *   --cache-max-bytes N disk-cache size cap before LRU eviction
  *   --manifest F       write a session manifest on drain
  *   --trace-events F   record per-request chrome://tracing spans
  *
@@ -124,11 +122,13 @@
  * snapshots (see docs/observability.md).
  */
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -195,9 +195,7 @@ usage()
                  "[--manifest out.json]\n"
                  "       rfhc serve [--socket PATH] [--workers N] "
                  "[--queue N] [--batch N]\n"
-                 "            [--cache-max N] [--cache-dir DIR] "
-                 "[--cache-max-bytes N]\n"
-                 "            [--manifest out.json] "
+                 "            [--cache-max N] [--manifest out.json] "
                  "[--trace-events out.json]\n"
                  "       rfhc loadgen [--socket PATH] [--clients N] "
                  "[--requests N]\n"
@@ -208,6 +206,80 @@ usage()
                  "            [--manifest out.json]\n");
     return 2;
 }
+
+/** Parse all of @p s as a T; false on empty input, junk, or overflow. */
+template <class T>
+bool
+parseWhole(const std::string &s, T &out)
+{
+    const char *end = s.data() + s.size();
+    auto [p, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && p == end && !s.empty();
+}
+
+/**
+ * Cursor over one subcommand's arguments. Each value reader consumes
+ * the next argument and returns false when it is missing or malformed:
+ * trailing junk, overflow, a sign on an unsigned value, and an empty
+ * string all reject.
+ */
+class Flags
+{
+  public:
+    Flags(int argc, char **argv, int first)
+        : argc_(argc), argv_(argv), i_(first)
+    {
+    }
+
+    /** The next flag; false once every argument is consumed. */
+    bool
+    next(std::string &flag)
+    {
+        if (i_ >= argc_)
+            return false;
+        flag = argv_[i_++];
+        return true;
+    }
+
+    /** A non-empty string. */
+    bool
+    str(std::string &out)
+    {
+        if (i_ >= argc_ || !*argv_[i_])
+            return false;
+        out = argv_[i_++];
+        return true;
+    }
+
+    /** An integer in [1, @p max]. */
+    bool
+    positive(int &out, int max = std::numeric_limits<int>::max())
+    {
+        std::string s;
+        return str(s) && parseWhole(s, out) && out >= 1 && out <= max;
+    }
+
+    /** An unsigned decimal 64-bit integer. */
+    bool
+    u64(std::uint64_t &out)
+    {
+        std::string s;
+        return str(s) && parseWhole(s, out);
+    }
+
+    /** A finite real number. */
+    bool
+    real(double &out)
+    {
+        std::string s;
+        return str(s) && parseWhole(s, out) && std::isfinite(out);
+    }
+
+  private:
+    int argc_;
+    char **argv_;
+    int i_;
+};
 
 /** Load and parse one JSON snapshot; exits via return on failure. */
 bool
@@ -243,12 +315,10 @@ benchDiffMain(int argc, char **argv)
     std::string old_path = argv[2];
     std::string new_path = argv[3];
     double threshold = 0.10;
-    for (int i = 4; i < argc; i++) {
-        std::string a = argv[i];
-        if (a == "--threshold" && i + 1 < argc) {
-            char *end = nullptr;
-            threshold = std::strtod(argv[++i], &end);
-            if (!end || *end != '\0' || threshold < 0)
+    Flags f(argc, argv, 4);
+    for (std::string a; f.next(a);) {
+        if (a == "--threshold") {
+            if (!f.real(threshold) || threshold < 0)
                 return usage();
         } else {
             return usage();
@@ -291,30 +361,27 @@ compareMain(int argc, char **argv)
     bool json = false;
     int corpusKernels = 0;
     std::string out_path;
-    for (int i = 2; i < argc; i++) {
-        std::string a = argv[i];
-        if (a == "--entries" && i + 1 < argc) {
-            base.entries = std::atoi(argv[++i]);
-            if (base.entries < 1 || base.entries > kMaxOrfEntries)
+    Flags f(argc, argv, 2);
+    for (std::string a; f.next(a);) {
+        if (a == "--entries") {
+            if (!f.positive(base.entries, kMaxOrfEntries))
                 return usage();
         } else if (a == "--json") {
             json = true;
         } else if (a == "--perf") {
             base.perf = true;
-        } else if (a == "--sched" && i + 1 < argc) {
-            if (!parseSchedPolicy(argv[++i], base.pipeline.policy))
+        } else if (a == "--sched") {
+            std::string tok;
+            if (!f.str(tok) || !parseSchedPolicy(tok, base.pipeline.policy))
                 return usage();
-        } else if (a == "--active" && i + 1 < argc) {
-            base.pipeline.activeWarps = std::atoi(argv[++i]);
-            if (base.pipeline.activeWarps < 1)
+        } else if (a == "--active") {
+            if (!f.positive(base.pipeline.activeWarps))
                 return usage();
-        } else if (a == "--corpus" && i + 1 < argc) {
-            corpusKernels = std::atoi(argv[++i]);
-            if (corpusKernels < 1)
+        } else if (a == "--corpus") {
+            if (!f.positive(corpusKernels))
                 return usage();
-        } else if (a == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-            if (out_path.empty())
+        } else if (a == "--out") {
+            if (!f.str(out_path))
                 return usage();
         } else {
             return usage();
@@ -395,87 +462,76 @@ corpusMain(int argc, char **argv)
     bool remote = false;
     bool json = false;
     std::string out_path;
-    for (int i = 2; i < argc; i++) {
-        std::string a = argv[i];
-        auto next_int = [&](int &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = std::atoi(argv[++i]);
-            return out > 0;
-        };
-        auto next_str = [&](std::string &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = argv[++i];
-            return !out.empty();
-        };
+    Flags f(argc, argv, 2);
+    for (std::string a; f.next(a);) {
         if (a == "--profiles") {
             std::string list;
-            if (!next_str(list))
+            if (!f.str(list))
                 return usage();
             cfg.profiles = splitList(list);
             if (cfg.profiles.empty())
                 return usage();
         } else if (a == "--n") {
-            if (!next_int(totalKernels))
+            if (!f.positive(totalKernels))
                 return usage();
         } else if (a == "--schemes") {
             std::string list;
-            if (!next_str(list))
+            if (!f.str(list))
                 return usage();
             schemeTokens = splitList(list);
             if (schemeTokens.empty())
                 return usage();
         } else if (a == "--entries") {
             std::string list;
-            if (!next_str(list))
+            if (!f.str(list))
                 return usage();
             for (const std::string &piece : splitList(list)) {
-                int e = std::atoi(piece.c_str());
-                if (e < 1 || e > kMaxOrfEntries)
+                int e = 0;
+                if (!parseWhole(piece, e) || e < 1 || e > kMaxOrfEntries)
                     return usage();
                 entriesList.push_back(e);
             }
             if (entriesList.empty())
                 return usage();
-        } else if (a == "--seed" && i + 1 < argc) {
-            cfg.seed = std::strtoull(argv[++i], nullptr, 10);
+        } else if (a == "--seed") {
+            if (!f.u64(cfg.seed))
+                return usage();
         } else if (a == "--chunk") {
-            if (!next_int(cfg.chunk))
+            if (!f.positive(cfg.chunk))
                 return usage();
         } else if (a == "--warps") {
-            if (!next_int(cfg.warps))
+            if (!f.positive(cfg.warps))
                 return usage();
         } else if (a == "--perf") {
             cfg.perf = true;
-        } else if (a == "--sched" && i + 1 < argc) {
-            if (!parseSchedPolicy(argv[++i], cfg.pipeline.policy))
+        } else if (a == "--sched") {
+            std::string tok;
+            if (!f.str(tok) || !parseSchedPolicy(tok, cfg.pipeline.policy))
                 return usage();
-        } else if (a == "--active" && i + 1 < argc) {
-            cfg.pipeline.activeWarps = std::atoi(argv[++i]);
-            if (cfg.pipeline.activeWarps < 1)
+        } else if (a == "--active") {
+            if (!f.positive(cfg.pipeline.activeWarps))
                 return usage();
         } else if (a == "--resamples") {
-            if (!next_int(cfg.bootstrapResamples))
+            if (!f.positive(cfg.bootstrapResamples))
                 return usage();
-        } else if (a == "--confidence" && i + 1 < argc) {
-            cfg.confidence = std::strtod(argv[++i], nullptr);
-            if (cfg.confidence <= 0.0 || cfg.confidence >= 1.0)
+        } else if (a == "--confidence") {
+            // Range-checked by runCorpus (resolveCorpusConfig).
+            if (!f.real(cfg.confidence))
                 return usage();
         } else if (a == "--socket") {
-            if (!next_str(client.socketPath))
+            if (!f.str(client.socketPath))
                 return usage();
             remote = true;
         } else if (a == "--connections") {
-            if (!next_int(client.connections))
+            if (!f.positive(client.connections))
                 return usage();
         } else if (a == "--retries") {
-            if (!next_int(client.maxRetries))
+            if (!f.positive(client.maxRetries))
                 return usage();
         } else if (a == "--json") {
             json = true;
         } else if (a == "--out") {
-            if (!next_str(out_path))
+            if (!f.str(out_path))
                 return usage();
         } else {
             return usage();
@@ -587,49 +643,36 @@ fuzzMain(int argc, char **argv)
     oo.run.numWarps = 4;
     oo.run.maxInstrsPerWarp = 1u << 16;
 
-    for (int i = 2; i < argc; i++) {
-        std::string a = argv[i];
-        auto next_int = [&](int &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = std::atoi(argv[++i]);
-            return out > 0;
-        };
-        auto next_str = [&](std::string &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = argv[++i];
-            return !out.empty();
-        };
+    Flags f(argc, argv, 2);
+    for (std::string a; f.next(a);) {
         if (a == "--iters") {
-            if (!next_int(iters))
+            if (!f.positive(iters))
                 return usage();
         } else if (a == "--seed") {
-            if (i + 1 >= argc)
+            if (!f.u64(seed))
                 return usage();
-            seed = std::strtoull(argv[++i], nullptr, 10);
         } else if (a == "--shrink") {
             do_shrink = true;
         } else if (a == "--inject") {
             inject = true;
         } else if (a == "--dump") {
-            if (!next_str(dump_dir))
+            if (!f.str(dump_dir))
                 return usage();
         } else if (a == "--out") {
-            if (!next_str(out_path))
+            if (!f.str(out_path))
                 return usage();
         } else if (a == "--warps") {
-            if (!next_int(oo.run.numWarps))
+            if (!f.positive(oo.run.numWarps))
                 return usage();
         } else if (a == "--entries") {
-            if (!next_int(oo.entries) || oo.entries > kMaxOrfEntries)
+            if (!f.positive(oo.entries, kMaxOrfEntries))
                 return usage();
         } else if (a == "--no-hw") {
             oo.checkHwSchemes = false;
         } else if (a == "--no-simt") {
             oo.checkSimt = false;
         } else if (a == "--manifest") {
-            if (!next_str(manifest_path))
+            if (!f.str(manifest_path))
                 return usage();
         } else {
             return usage();
@@ -799,50 +842,31 @@ int
 serveMain(int argc, char **argv)
 {
     ServeOptions so;
-    for (int i = 2; i < argc; i++) {
-        std::string a = argv[i];
-        auto next_int = [&](int &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = std::atoi(argv[++i]);
-            return out > 0;
-        };
-        auto next_str = [&](std::string &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = argv[++i];
-            return !out.empty();
-        };
+    Flags f(argc, argv, 2);
+    for (std::string a; f.next(a);) {
         if (a == "--socket") {
-            if (!next_str(so.socketPath))
+            if (!f.str(so.socketPath))
                 return usage();
         } else if (a == "--workers") {
-            if (!next_int(so.service.workers))
+            if (!f.positive(so.service.workers))
                 return usage();
         } else if (a == "--queue") {
-            if (!next_int(so.service.queueCapacity))
+            if (!f.positive(so.service.queueCapacity))
                 return usage();
         } else if (a == "--batch") {
-            if (!next_int(so.service.batchMax))
+            if (!f.positive(so.service.batchMax))
                 return usage();
         } else if (a == "--cache-max") {
             int n = 0;
-            if (!next_int(n))
+            if (!f.positive(n))
                 return usage();
             so.service.cacheMaxEntries =
                 static_cast<std::size_t>(n);
-        } else if (a == "--cache-dir") {
-            if (!next_str(so.cacheDir))
-                return usage();
-        } else if (a == "--cache-max-bytes") {
-            if (i + 1 >= argc)
-                return usage();
-            so.cacheMaxBytes = std::strtoull(argv[++i], nullptr, 10);
         } else if (a == "--manifest") {
-            if (!next_str(so.manifestPath))
+            if (!f.str(so.manifestPath))
                 return usage();
         } else if (a == "--trace-events") {
-            if (!next_str(so.traceEventsPath))
+            if (!f.str(so.traceEventsPath))
                 return usage();
         } else {
             return usage();
@@ -856,56 +880,41 @@ int
 loadgenMain(int argc, char **argv)
 {
     LoadgenOptions lo;
-    for (int i = 2; i < argc; i++) {
-        std::string a = argv[i];
-        auto next_int = [&](int &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = std::atoi(argv[++i]);
-            return out > 0;
-        };
-        auto next_str = [&](std::string &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = argv[++i];
-            return !out.empty();
-        };
+    Flags f(argc, argv, 2);
+    for (std::string a; f.next(a);) {
         if (a == "--socket") {
-            if (!next_str(lo.socketPath))
+            if (!f.str(lo.socketPath))
                 return usage();
         } else if (a == "--clients") {
-            if (!next_int(lo.clients))
+            if (!f.positive(lo.clients))
                 return usage();
         } else if (a == "--requests") {
-            if (!next_int(lo.requests))
+            if (!f.positive(lo.requests))
                 return usage();
         } else if (a == "--workload") {
-            if (!next_str(lo.workload))
+            if (!f.str(lo.workload))
                 return usage();
         } else if (a == "--scheme") {
-            if (!next_str(lo.scheme))
+            if (!f.str(lo.scheme))
                 return usage();
         } else if (a == "--entries") {
-            if (!next_int(lo.entries) || lo.entries > kMaxOrfEntries)
+            if (!f.positive(lo.entries, kMaxOrfEntries))
                 return usage();
         } else if (a == "--warps") {
-            if (!next_int(lo.warps))
+            if (!f.positive(lo.warps))
                 return usage();
         } else if (a == "--deadline") {
-            if (i + 1 >= argc)
-                return usage();
-            lo.deadlineMs = std::strtod(argv[++i], nullptr);
-            if (lo.deadlineMs <= 0)
+            if (!f.real(lo.deadlineMs) || lo.deadlineMs <= 0)
                 return usage();
         } else if (a == "--retries") {
-            if (!next_int(lo.maxRetries))
+            if (!f.positive(lo.maxRetries))
                 return usage();
         } else if (a == "--verify") {
             lo.verify = true;
         } else if (a == "--shutdown") {
             lo.shutdownAfter = true;
         } else if (a == "--manifest") {
-            if (!next_str(lo.manifestPath))
+            if (!f.str(lo.manifestPath))
                 return usage();
         } else {
             return usage();
@@ -950,23 +959,10 @@ main(int argc, char **argv)
     std::string manifest_path;
     std::string trace_events_path;
     std::string scheme_token;
-    for (int i = 3; i < argc; i++) {
-        std::string a = argv[i];
-        auto next_int = [&](int &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = std::atoi(argv[++i]);
-            return out > 0;
-        };
-        auto next_str = [&](std::string &out) {
-            if (i + 1 >= argc)
-                return false;
-            out = argv[++i];
-            return !out.empty();
-        };
+    Flags f(argc, argv, 3);
+    for (std::string a; f.next(a);) {
         if (a == "--entries") {
-            if (!next_int(opts.orfEntries) ||
-                opts.orfEntries > kMaxOrfEntries)
+            if (!f.positive(opts.orfEntries, kMaxOrfEntries))
                 return usage();
         } else if (a == "--no-lrf") {
             opts.useLRF = opts.splitLRF = false;
@@ -981,29 +977,28 @@ main(int argc, char **argv)
         } else if (a == "--json") {
             json = true;
         } else if (a == "--manifest") {
-            if (!next_str(manifest_path))
+            if (!f.str(manifest_path))
                 return usage();
         } else if (a == "--trace-events") {
-            if (!next_str(trace_events_path))
+            if (!f.str(trace_events_path))
                 return usage();
         } else if (a == "--regalloc") {
-            if (!next_int(regalloc_budget))
+            if (!f.positive(regalloc_budget))
                 return usage();
         } else if (a == "--warps") {
-            if (!next_int(warps))
+            if (!f.positive(warps))
                 return usage();
         } else if (a == "--perf") {
             perf = true;
         } else if (a == "--sched") {
             std::string tok;
-            if (!next_str(tok) ||
-                !parseSchedPolicy(tok, pcfg.policy))
+            if (!f.str(tok) || !parseSchedPolicy(tok, pcfg.policy))
                 return usage();
         } else if (a == "--active") {
-            if (!next_int(pcfg.activeWarps))
+            if (!f.positive(pcfg.activeWarps))
                 return usage();
         } else if (a == "--scheme") {
-            if (!next_str(scheme_token))
+            if (!f.str(scheme_token))
                 return usage();
         } else {
             return usage();

@@ -6,7 +6,8 @@
 # engine (whose pre-decoded buffers and ring-buffer RFC are the
 # library's most index-heavy code), and with UndefinedBehaviorSanitizer
 # over the cycle-level pipeline (whose loop runs on shifts and
-# bitmasks). Two observability gates follow: a Doxygen-warning check
+# bitmasks), the replay, allocator and protocol tests, and a fuzz
+# smoke. Two observability gates follow: a Doxygen-warning check
 # over the metrics/trace/manifest/replay headers (skipped when doxygen
 # is not installed) and a performance
 # gate that takes a fresh snapshot and diffs it against the newest
@@ -113,41 +114,34 @@ if [[ "$run_golden" == 1 ]]; then
 fi
 
 if [[ "$run_serve" == 1 ]]; then
-    echo "== batch service smoke: serve + loadgen, cold and warm disk cache =="
+    echo "== batch service smoke: serve + loadgen =="
     sock="$(mktemp -u /tmp/rfhc-check-XXXXXX.sock)"
-    cache="$(mktemp -d /tmp/rfhc-cache-XXXXXX)"
-    # Two sessions on one cache directory: the first fills it, the
-    # restarted server must start warm from it. loadgen retries until
-    # the socket appears, verifies every result byte-for-byte against
-    # a local runScheme(), reports the server's cache counters, and
-    # sends shutdown; the server must then drain and exit 0 on its own.
-    for session in cold warm; do
-        "$repo/build/examples/rfhc" serve --socket "$sock" --queue 8 \
-            --cache-dir "$cache" &
-        serve_pid=$!
-        if ! "$repo/build/examples/rfhc" loadgen --socket "$sock" \
-            --clients 4 --requests 50 --verify --shutdown \
-            | tee "$cache.log"; then
-            kill "$serve_pid" 2>/dev/null || true
-            rm -rf "$cache" "$cache.log"
-            echo "check.sh: service loadgen failed ($session)" >&2
-            exit 1
-        fi
-        if ! wait "$serve_pid"; then
-            rm -rf "$cache" "$cache.log"
-            echo "check.sh: rfhc serve did not exit cleanly" >&2
-            exit 1
-        fi
-        rm -f "$sock"
-    done
-    if ! grep -q "verify: 0 mismatches" "$cache.log" ||
-        ! grep -qE "disk cache: [1-9][0-9]* hits" "$cache.log"; then
-        rm -rf "$cache" "$cache.log"
-        echo "check.sh: restarted serve did not start warm from" \
-             "its disk cache" >&2
+    log="$(mktemp)"
+    # loadgen retries until the socket appears, verifies every result
+    # byte-for-byte against a local runScheme(), reports the server's
+    # memo counters, and sends shutdown; the server must then drain
+    # and exit 0 on its own.
+    "$repo/build/examples/rfhc" serve --socket "$sock" --queue 8 &
+    serve_pid=$!
+    if ! "$repo/build/examples/rfhc" loadgen --socket "$sock" \
+        --clients 4 --requests 50 --verify --shutdown | tee "$log"; then
+        kill "$serve_pid" 2>/dev/null || true
+        rm -f "$log" "$sock"
+        echo "check.sh: service loadgen failed" >&2
         exit 1
     fi
-    rm -rf "$cache" "$cache.log"
+    if ! wait "$serve_pid"; then
+        rm -f "$log" "$sock"
+        echo "check.sh: rfhc serve did not exit cleanly" >&2
+        exit 1
+    fi
+    rm -f "$sock"
+    if ! grep -q "verify: 0 mismatches" "$log"; then
+        rm -f "$log"
+        echo "check.sh: served results differ from local runs" >&2
+        exit 1
+    fi
+    rm -f "$log"
 fi
 
 if [[ "$run_compare" == 1 ]]; then
@@ -243,10 +237,8 @@ if [[ "$run_tsan" == 1 ]]; then
     # Exercise the thread pool and the parallel sweep (the code that
     # actually runs concurrently) with a real multi-thread pool even
     # on small CI hosts.
-    # DiskCache.* covers concurrent readers racing store()/eviction in
-    # the persistent compile cache.
     RFH_THREADS=4 "$repo/build-tsan/tests/rfh_tests" \
-        --gtest_filter='Parallel.*:Sweep.*:Memo.*:DiskCache.*'
+        --gtest_filter='Parallel.*:Sweep.*:Memo.*'
 fi
 
 if [[ "$run_asan" == 1 ]]; then
@@ -255,12 +247,10 @@ if [[ "$run_asan" == 1 ]]; then
     cmake --build "$repo/build-asan" -j "$jobs" --target rfh_tests
     # The recording walk, the pre-decoded SoA buffers, and every
     # replay executor's pointer-walking hot loop.
-    # DiskCache.* adds the serializer round-trips and torn-entry
-    # parsing (length-prefixed reads over untrusted file bytes).
     # Memo.* and Sweep.* cover the per-kernel memo entry, which a run
     # holds across a concurrent clear().
     "$repo/build-asan/tests/rfh_tests" \
-        --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:DiskCache.*:Memo.*:Sweep.*'
+        --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:Memo.*:Sweep.*'
     # The scheme accountants: the hw2/hw3/ccrfc/regdem replay engine,
     # the software hierarchy's per-record fallback, and the pipeline
     # driving them at issue (SwFailingRun.* walks every structural
@@ -281,16 +271,25 @@ if [[ "$run_asan" == 1 ]]; then
 fi
 
 if [[ "$run_ubsan" == 1 ]]; then
-    echo "== UndefinedBehaviorSanitizer: cycle-level pipeline =="
+    echo "== UndefinedBehaviorSanitizer: pipeline, replay, allocator, fuzz =="
     cmake -B "$repo/build-ubsan" -S "$repo" -DRFH_SANITIZE=undefined \
         >/dev/null
     cmake --build "$repo/build-ubsan" -j "$jobs" \
-        --target rfh_pipeline_tests
+        --target rfh_pipeline_tests rfh_tests rfh_verify_tests rfhc
     # The pipeline loop's scoreboard, served-operand and bank masks,
     # the golden digest matrix over every scheduler, and the failing
     # runs; any undefined shift or overflow aborts the stage.
     "$repo/build-ubsan/tests/rfh_pipeline_tests" \
         --gtest_filter='Pipeline.*:PerfSim.*:SwFailingRun.*'
+    # The trace/replay engine and its bit-planes, the memo, the
+    # allocator passes, the scheme executors, and the JSON parser and
+    # service protocol over hostile input.
+    "$repo/build-ubsan/tests/rfh_tests" \
+        --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:Memo.*:Sweep.*:Strand.*:Instances.*:Intervals.*:Allocator.*:VariableAllocation.*:HwCache.*:SwExec.*:Json*.*:ServiceProtocol.*:ServiceServer.*:StreamStat.*:WireRound.*'
+    # The differential oracle and invariant checker, then a short
+    # fixed-seed fuzz campaign through the same instrumented build.
+    "$repo/build-ubsan/tests/rfh_verify_tests"
+    "$repo/build-ubsan/examples/rfhc" fuzz --iters 50 --seed 1
 fi
 
 if command -v doxygen >/dev/null 2>&1; then

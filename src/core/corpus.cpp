@@ -85,6 +85,11 @@ resolveCorpusConfig(const CorpusConfig &cfg,
         return fail("corpus: kernelsPerProfile must be >= 1");
     if (cfg.chunk < 1)
         return fail("corpus: chunk must be >= 1");
+    // Negated so NaN fails too.
+    if (!(cfg.confidence > 0.0 && cfg.confidence < 1.0))
+        return fail("corpus: confidence must be in (0,1)");
+    if (cfg.bootstrapResamples < 1)
+        return fail("corpus: bootstrapResamples must be >= 1");
     if (!resolveProfiles(cfg.profiles, profiles, err))
         return false;
     cells = cfg.cells.empty() ? defaultCorpusCells() : cfg.cells;

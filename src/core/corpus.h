@@ -221,7 +221,9 @@ std::string renderCorpusSummary(const CorpusResult &r);
 /**
  * Resolve and validate @p cfg without running anything: expand
  * profiles, default empty cells, range-check entries and scheme
- * registration. Shared by the local runner and the corpus client.
+ * registration, and require a band confidence in (0,1) and at least
+ * one bootstrap resample. Shared by the local runner and the corpus
+ * client.
  */
 bool resolveCorpusConfig(const CorpusConfig &cfg,
                          std::vector<ScenarioProfile> &profiles,

@@ -1,19 +1,15 @@
 #include "core/memo.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
-#include <type_traits>
 
-#include "core/diskcache.h"
 #include "core/metrics.h"
-#include "core/serialize.h"
 
 namespace rfh {
 
 namespace {
 
-/** Input kinds by Kind: disk-key prefixes and metric names. */
+/** Input kinds by Kind: metric names. */
 const char *const kKindNames[] = {"baseline", "analysis", "trace",
                                   "decode"};
 
@@ -40,56 +36,6 @@ memoMetrics()
     return m;
 }
 
-// ---- Disk round trips of the persisted inputs ----
-// Each load reports whether the parsed value is usable; fill() also
-// requires the reader to have consumed the whole payload cleanly.
-
-void
-save(ByteWriter &w, const AccessCounts &c)
-{
-    serializeAccessCounts(w, c);
-}
-
-void
-save(ByteWriter &w, const std::shared_ptr<const AnalysisBundle> &b)
-{
-    b->serialize(w);
-}
-
-void
-save(ByteWriter &w, const std::shared_ptr<const DecodedTrace> &t)
-{
-    serializeDecodedTrace(w, *t);
-}
-
-bool
-load(ByteReader &r, int, AccessCounts &out)
-{
-    out = deserializeAccessCounts(r);
-    return true;
-}
-
-bool
-load(ByteReader &r, int, std::shared_ptr<const AnalysisBundle> &out)
-{
-    out = std::make_shared<const AnalysisBundle>(r);
-    return true;
-}
-
-bool
-load(ByteReader &r, int numInstrs,
-     std::shared_ptr<const DecodedTrace> &out)
-{
-    // A payload that parses but breaks the trace invariant (say,
-    // truncated planes) would index out of bounds in replay: treat it
-    // as a miss and re-record.
-    DecodedTrace t = deserializeDecodedTrace(r);
-    if (!r.ok() || !t.wellFormed(numInstrs))
-        return false;
-    out = std::make_shared<const DecodedTrace>(std::move(t));
-    return true;
-}
-
 } // namespace
 
 /** The baseline and trace of one kernel under one RunConfig. */
@@ -105,9 +51,6 @@ struct ExperimentCache::RunEntry
 /** Every cached input of one kernel. */
 struct ExperimentCache::KernelEntry
 {
-    explicit KernelEntry(const KernelKey &k) : key(k) {}
-
-    const KernelKey key;
     /** Set by clear(); guarded by the cache's mutex. */
     bool dropped = false;
     Slot<std::shared_ptr<const AnalysisBundle>> analyses;
@@ -166,18 +109,14 @@ kernelFingerprint(const Kernel &k)
 }
 
 /**
- * Fill @p slot once: from the disk cache when one is attached and
- * holds a valid payload, else by @p compute (then stored back). Every
- * call counts one hit or, for the call that filled, one miss.
+ * Fill @p slot once by @p compute. Every call counts one hit or, for
+ * the call that filled, one miss.
  */
 template <class T, class Compute>
 const T &
 ExperimentCache::fill(Slot<T> &slot, Kind kind, const KernelEntry &e,
-                      const RunConfig *run, Compute compute)
+                      Compute compute)
 {
-    // The decode rebuilds cheaply from the cached analyses.
-    constexpr bool persisted =
-        !std::is_same_v<T, std::shared_ptr<const ReplayDecode>>;
     bool miss = false;
     std::call_once(slot.once, [&] {
         miss = true;
@@ -186,39 +125,7 @@ ExperimentCache::fill(Slot<T> &slot, Kind kind, const KernelEntry &e,
             std::lock_guard<std::mutex> lk(mu_);
             filled_ += e.dropped ? 0 : 1;
         }
-        DiskCache *dc = persisted ? diskCache() : nullptr;
-        // The key embeds every input the entry depends on, and the
-        // disk cache checks the full string on load, so a 64-bit
-        // filename collision can never serve the wrong entry.
-        char dkey[160] = {};
-        if constexpr (persisted) {
-            if (dc) {
-                std::snprintf(
-                    dkey, sizeof dkey, "%s:fp=%016llx:n=%d:warps=%d:cap=%llu",
-                    kKindNames[kind],
-                    static_cast<unsigned long long>(e.key.first),
-                    e.key.second, run ? run->numWarps : 0,
-                    static_cast<unsigned long long>(
-                        run ? run->maxInstrsPerWarp : 0));
-                std::string payload;
-                if (dc->load(dkey, payload)) {
-                    ByteReader r(payload);
-                    T v;
-                    if (load(r, e.key.second, v) && r.ok() && r.atEnd()) {
-                        slot.value = std::move(v);
-                        return;
-                    }
-                }
-            }
-        }
         slot.value = compute();
-        if constexpr (persisted) {
-            if (dc) {
-                ByteWriter w;
-                save(w, slot.value);
-                dc->store(dkey, w.bytes());
-            }
-        }
     });
     (miss ? misses_ : hits_)[kind]++;
     (miss ? memoMetrics().misses : memoMetrics().hits)[kind]->add();
@@ -235,7 +142,7 @@ ExperimentCache::inputs(const Kernel &k, const RunConfig *run)
     std::lock_guard<std::mutex> lk(mu_);
     std::shared_ptr<KernelEntry> &e = entries_[key];
     if (!e)
-        e = std::make_shared<KernelEntry>(key);
+        e = std::make_shared<KernelEntry>();
     if (run)
         in.run_ = &e->runs
                        .try_emplace({run->numWarps, run->maxInstrsPerWarp},
@@ -248,14 +155,14 @@ ExperimentCache::inputs(const Kernel &k, const RunConfig *run)
 const AccessCounts &
 ExperimentCache::Inputs::baseline() const
 {
-    return cache_->fill(run_->baseline, BASELINE, *entry_, &run_->run,
+    return cache_->fill(run_->baseline, BASELINE, *entry_,
                         [&] { return runBaseline(*kernel_, run_->run); });
 }
 
 std::shared_ptr<const AnalysisBundle>
 ExperimentCache::Inputs::analyses() const
 {
-    return cache_->fill(entry_->analyses, ANALYSIS, *entry_, nullptr, [&] {
+    return cache_->fill(entry_->analyses, ANALYSIS, *entry_, [&] {
         return std::make_shared<const AnalysisBundle>(*kernel_);
     });
 }
@@ -263,7 +170,7 @@ ExperimentCache::Inputs::analyses() const
 std::shared_ptr<const DecodedTrace>
 ExperimentCache::Inputs::trace() const
 {
-    return cache_->fill(run_->trace, TRACE, *entry_, &run_->run, [&] {
+    return cache_->fill(run_->trace, TRACE, *entry_, [&] {
         return std::make_shared<const DecodedTrace>(
             recordDecodedTrace(*kernel_, run_->run));
     });
@@ -272,7 +179,7 @@ ExperimentCache::Inputs::trace() const
 std::shared_ptr<const ReplayDecode>
 ExperimentCache::Inputs::decode() const
 {
-    return cache_->fill(entry_->decode, DECODE, *entry_, nullptr, [&] {
+    return cache_->fill(entry_->decode, DECODE, *entry_, [&] {
         std::shared_ptr<const AnalysisBundle> bundle = analyses();
         return std::make_shared<const ReplayDecode>(
             *kernel_, &bundle->reachingDefs);

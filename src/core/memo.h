@@ -23,7 +23,9 @@
  * from the parallel sweep. A run hashes its kernel once: it fetches
  * the entry through inputs() and reads every input from the returned
  * handle. Cached results are bitwise identical to a fresh
- * computation, so memoization never changes any report.
+ * computation, so memoization never changes any report. The cache
+ * lives only in process memory: nothing outside the process can
+ * supply an input.
  */
 
 #ifndef RFH_CORE_MEMO_H
@@ -40,8 +42,6 @@
 #include "sim/trace.h"
 
 namespace rfh {
-
-class DiskCache;
 
 /**
  * Structural fingerprint of a kernel: name, block layout, opcodes and
@@ -114,28 +114,6 @@ class ExperimentCache
      * is computed or counted until the handle's accessors ask for it.
      */
     Inputs inputs(const Kernel &k, const RunConfig *run = nullptr);
-
-    /**
-     * Back this in-memory cache with a persistent compile cache
-     * (core/diskcache.h). A miss of the baseline, the analyses or the
-     * trace first consults the disk — a valid entry deserializes to
-     * bit-identical contents and skips the computation entirely — and
-     * a computed result is written back so later processes start warm.
-     * The decode is not persisted: it rebuilds cheaply from the kernel
-     * plus the (cached) reaching definitions. Pass nullptr to detach.
-     * The cache must outlive every lookup; attach before serving.
-     */
-    void
-    attachDiskCache(DiskCache *dc)
-    {
-        disk_.store(dc, std::memory_order_release);
-    }
-
-    DiskCache *
-    diskCache() const
-    {
-        return disk_.load(std::memory_order_acquire);
-    }
 
     /**
      * Flat-MRF baseline counts of @p k under @p run. The returned
@@ -217,12 +195,11 @@ class ExperimentCache
 
     template <class T, class Compute>
     const T &fill(Slot<T> &slot, Kind kind, const KernelEntry &e,
-                  const RunConfig *run, Compute compute);
+                  Compute compute);
 
     /** Fingerprint + instruction count. */
     using KernelKey = std::pair<std::uint64_t, int>;
 
-    std::atomic<DiskCache *> disk_{nullptr};
     /** Guards entries_, filled_, and each entry's runs and dropped. */
     mutable std::mutex mu_;
     std::map<KernelKey, std::shared_ptr<KernelEntry>> entries_;

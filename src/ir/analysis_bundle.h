@@ -34,26 +34,6 @@ struct AnalysisBundle
     {
     }
 
-    /**
-     * Rebuild a bundle from serialize() output (the persistent compile
-     * cache, core/diskcache.h). Members deserialize in declaration
-     * order; the result is bit-identical to the bundle that was
-     * serialized, so a disk-cache hit changes no downstream number.
-     */
-    explicit AnalysisBundle(ByteReader &r)
-        : cfg(r), liveness(r), reachingDefs(r)
-    {
-    }
-
-    /** Exact binary encoding of all three analyses. */
-    void
-    serialize(ByteWriter &w) const
-    {
-        cfg.serialize(w);
-        liveness.serialize(w);
-        reachingDefs.serialize(w);
-    }
-
     AnalysisBundle(const AnalysisBundle &) = delete;
     AnalysisBundle &operator=(const AnalysisBundle &) = delete;
 };

@@ -3,40 +3,7 @@
 #include <algorithm>
 #include <functional>
 
-#include "core/serialize.h"
-
 namespace rfh {
-
-Cfg::Cfg(ByteReader &r)
-{
-    std::uint32_t n = r.u32();
-    succs_.resize(n);
-    preds_.resize(n);
-    for (auto &v : succs_)
-        v = r.vec<int>();
-    for (auto &v : preds_)
-        v = r.vec<int>();
-    reachable_ = r.boolVec();
-    backwardSource_ = r.boolVec();
-    backwardTarget_ = r.boolVec();
-    rpo_ = r.vec<int>();
-    ipdom_ = r.vec<int>();
-}
-
-void
-Cfg::serialize(ByteWriter &w) const
-{
-    w.u32(static_cast<std::uint32_t>(succs_.size()));
-    for (const auto &v : succs_)
-        w.vec(v);
-    for (const auto &v : preds_)
-        w.vec(v);
-    w.boolVec(reachable_);
-    w.boolVec(backwardSource_);
-    w.boolVec(backwardTarget_);
-    w.vec(rpo_);
-    w.vec(ipdom_);
-}
 
 Cfg::Cfg(const Kernel &k)
 {

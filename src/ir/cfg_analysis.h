@@ -14,16 +14,11 @@
 
 namespace rfh {
 
-class ByteReader;
-class ByteWriter;
-
 /** Cached CFG structure for a finalized kernel. */
 class Cfg
 {
   public:
     explicit Cfg(const Kernel &k);
-    /** Rebuild from serialize() output (persistent compile cache). */
-    explicit Cfg(ByteReader &r);
 
     int
     numBlocks() const
@@ -73,9 +68,6 @@ class Cfg
     {
         return rpo_;
     }
-
-    /** Exact binary encoding; Cfg(ByteReader&) restores it bitwise. */
-    void serialize(ByteWriter &w) const;
 
     /**
      * Immediate post-dominator of block @p b, or -1 when @p b

@@ -1,46 +1,6 @@
 #include "ir/liveness.h"
 
-#include "core/serialize.h"
-
 namespace rfh {
-
-namespace {
-
-std::vector<RegSet>
-readRegSets(ByteReader &r)
-{
-    std::uint32_t n = r.u32();
-    std::vector<RegSet> v;
-    v.reserve(n);
-    for (std::uint32_t i = 0; i < n; i++)
-        v.push_back(r.bits<kMaxRegs>());
-    return v;
-}
-
-void
-writeRegSets(ByteWriter &w, const std::vector<RegSet> &v)
-{
-    w.u32(static_cast<std::uint32_t>(v.size()));
-    for (const RegSet &s : v)
-        w.bits(s);
-}
-
-} // namespace
-
-Liveness::Liveness(ByteReader &r)
-{
-    liveIn_ = readRegSets(r);
-    liveOut_ = readRegSets(r);
-    liveAfter_ = readRegSets(r);
-}
-
-void
-Liveness::serialize(ByteWriter &w) const
-{
-    writeRegSets(w, liveIn_);
-    writeRegSets(w, liveOut_);
-    writeRegSets(w, liveAfter_);
-}
 
 RegSet
 usedRegs(const Instruction &instr)

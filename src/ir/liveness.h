@@ -29,19 +29,11 @@ RegSet usedRegs(const Instruction &instr);
 /** Registers written by @p instr (destination; two when wide). */
 RegSet definedRegs(const Instruction &instr);
 
-class ByteReader;
-class ByteWriter;
-
 /** Liveness information for one kernel. */
 class Liveness
 {
   public:
     Liveness(const Kernel &k, const Cfg &cfg);
-    /** Rebuild from serialize() output (persistent compile cache). */
-    explicit Liveness(ByteReader &r);
-
-    /** Exact binary encoding; Liveness(ByteReader&) restores it. */
-    void serialize(ByteWriter &w) const;
 
     /** Registers live on entry to block @p b. */
     const RegSet &

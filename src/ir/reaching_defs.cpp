@@ -3,59 +3,9 @@
 #include <algorithm>
 #include <array>
 
-#include "core/serialize.h"
 #include "ir/liveness.h"
 
 namespace rfh {
-
-ReachingDefs::ReachingDefs(ByteReader &r)
-{
-    defLin_ = r.vec<int>();
-    defReg_ = r.vec<Reg>();
-    defsAt_.resize(r.u32());
-    for (auto &v : defsAt_)
-        v = r.vec<DefId>();
-    uses_.resize(r.u32());
-    for (auto &sites : uses_) {
-        sites.resize(r.u32());
-        for (UseSite &u : sites) {
-            u.lin = r.i32();
-            u.slot = r.i32();
-        }
-    }
-    useDefs_.resize(r.u32());
-    for (auto &slots : useDefs_) {
-        slots.resize(r.u32());
-        for (auto &defs : slots)
-            defs = r.vec<DefId>();
-    }
-    slotBase_ = r.vec<int>();
-}
-
-void
-ReachingDefs::serialize(ByteWriter &w) const
-{
-    w.vec(defLin_);
-    w.vec(defReg_);
-    w.u32(static_cast<std::uint32_t>(defsAt_.size()));
-    for (const auto &v : defsAt_)
-        w.vec(v);
-    w.u32(static_cast<std::uint32_t>(uses_.size()));
-    for (const auto &sites : uses_) {
-        w.u32(static_cast<std::uint32_t>(sites.size()));
-        for (const UseSite &u : sites) {
-            w.i32(u.lin);
-            w.i32(u.slot);
-        }
-    }
-    w.u32(static_cast<std::uint32_t>(useDefs_.size()));
-    for (const auto &slots : useDefs_) {
-        w.u32(static_cast<std::uint32_t>(slots.size()));
-        for (const auto &defs : slots)
-            w.vec(defs);
-    }
-    w.vec(slotBase_);
-}
 
 namespace {
 

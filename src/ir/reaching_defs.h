@@ -43,19 +43,11 @@ struct UseSite
     }
 };
 
-class ByteReader;
-class ByteWriter;
-
 /** Reaching definitions over a finalized kernel. */
 class ReachingDefs
 {
   public:
     ReachingDefs(const Kernel &k, const Cfg &cfg);
-    /** Rebuild from serialize() output (persistent compile cache). */
-    explicit ReachingDefs(ByteReader &r);
-
-    /** Exact binary encoding; ReachingDefs(ByteReader&) restores it. */
-    void serialize(ByteWriter &w) const;
 
     /** @return true if @p d is a synthetic kernel-boundary def. */
     static bool

@@ -291,16 +291,10 @@ clientLoop(const LoadgenOptions &opts, int clientIndex,
     netClose(fd);
 }
 
-/**
- * Server cache counters pulled from the `stats` op after the run: the
- * disk-cache hit ratio proves whether a restarted server actually
- * started warm.
- */
+/** Server memo-cache counters pulled from the `stats` op after the run. */
 struct ServerStats
 {
     bool ok = false;
-    bool diskAttached = false;
-    double diskHits = 0, diskMisses = 0;
     double memoHits = 0, memoMisses = 0;
 };
 
@@ -321,11 +315,6 @@ queryStats(const std::string &socketPath)
     if (!parsed.ok || !parsed.value.boolOr("ok", false))
         return fs;
     if (const JsonValue *stats = parsed.value.find("stats")) {
-        if (const JsonValue *disk = stats->find("disk")) {
-            fs.diskAttached = disk->boolOr("attached", false);
-            fs.diskHits = disk->numberOr("hits", 0.0);
-            fs.diskMisses = disk->numberOr("misses", 0.0);
-        }
         if (const JsonValue *memo = stats->find("memo")) {
             for (const char *map :
                  {"baseline", "analysis", "trace", "decode"}) {
@@ -424,14 +413,11 @@ runLoadgen(const LoadgenOptions &opts)
                     total.mismatches, total.ok);
 
     ServerStats server = queryStats(opts.socketPath);
-    double diskTotal = server.diskHits + server.diskMisses;
-    double diskRatio = diskTotal > 0 ? server.diskHits / diskTotal : 0.0;
     if (server.ok) {
         double memoTotal = server.memoHits + server.memoMisses;
         std::printf(
-            "  disk cache: %.0f hits / %.0f misses (hit ratio "
-            "%.2f), memo hit ratio %.2f\n",
-            server.diskHits, server.diskMisses, diskRatio,
+            "  memo cache: %.0f hits / %.0f misses (hit ratio %.2f)\n",
+            server.memoHits, server.memoMisses,
             memoTotal > 0 ? server.memoHits / memoTotal : 0.0);
     } else {
         std::fprintf(stderr,
@@ -476,9 +462,6 @@ runLoadgen(const LoadgenOptions &opts)
             {"rfhc.loadgen/p50", p50, "ms", false},
             {"rfhc.loadgen/p99", p99, "ms", false},
         };
-        if (server.diskAttached)
-            m.benchmarks.push_back({"rfhc.loadgen/disk_hit_ratio",
-                                    diskRatio, "ratio", true});
         if (!opts.manifestPath.empty()) {
             if (!writeManifest(opts.manifestPath, m)) {
                 std::fprintf(stderr, "rfhc: cannot write %s\n",

@@ -14,7 +14,7 @@
  * locally computed runScheme() of the same configuration — the
  * end-to-end check that the service path changes nothing about the
  * numbers. After the run, loadgen queries the server's `stats` op and
- * reports the memo-cache and persistent disk-cache hit ratios.
+ * reports the memo-cache hit ratio.
  */
 
 #ifndef RFH_SERVICE_LOADGEN_H

@@ -224,8 +224,12 @@ parseServiceRequest(const std::string &line)
                 return bad("field 'perf' must be a boolean");
             req.perf = value.boolean;
         } else if (key == "deadline_ms") {
-            if (!value.isNumber())
-                return bad("field 'deadline_ms' must be a number");
+            // Bounded (and NaN-proof) so the server's nanosecond
+            // deadline cannot overflow.
+            if (!value.isNumber() || !(value.number >= 0) ||
+                value.number > kMaxDeadlineMs)
+                return bad("field 'deadline_ms' must be a number in "
+                           "[0, 1e9]");
             req.deadlineMs = value.number;
         } else {
             return bad("unknown field '" + key + "'");

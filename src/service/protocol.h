@@ -64,6 +64,9 @@ enum class ServiceOp
     STATS,     ///< Snapshot of service + cache counters; answered inline.
 };
 
+/** Largest accepted `deadline_ms` (about 11.6 days). */
+constexpr double kMaxDeadlineMs = 1e9;
+
 /** One parsed request line. */
 struct ServiceRequest
 {
@@ -88,7 +91,10 @@ struct ServiceRequest
      * accounting fail the run with EXEC_ERROR).
      */
     bool perf = false;
-    /** Relative deadline in milliseconds; unset = no deadline. */
+    /**
+     * Relative deadline in milliseconds, in [0, kMaxDeadlineMs];
+     * unset = no deadline.
+     */
     std::optional<double> deadlineMs;
 
     /** The experiment configuration this request describes. */

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <iostream>
 #include <list>
-#include <memory>
 #include <string>
 
 #include <poll.h>
@@ -16,7 +15,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "core/diskcache.h"
 #include "core/json.h"
 #include "core/manifest.h"
 #include "core/memo.h"
@@ -130,9 +128,8 @@ BatchService::submit(const std::string &line, Responder respond)
     Job job;
     job.respond = std::move(respond);
     if (req.deadlineMs)
-        job.deadlineNs = nowNs() +
-            static_cast<std::uint64_t>(
-                std::max(0.0, *req.deadlineMs) * 1e6);
+        job.deadlineNs =
+            nowNs() + static_cast<std::uint64_t>(*req.deadlineMs * 1e6);
     job.request = std::move(req);
 
     {
@@ -435,19 +432,6 @@ BatchService::makeStatsLine(const std::string &idJson) const
     w.key("entries").value(
         static_cast<std::uint64_t>(cache.entryCount()));
     w.endObject();
-    w.key("disk").beginObject();
-    DiskCache *dc = cache.diskCache();
-    w.key("attached").value(dc != nullptr);
-    DiskCacheStats d = dc ? dc->stats() : DiskCacheStats{};
-    w.key("hits").value(d.hits);
-    w.key("misses").value(d.misses);
-    w.key("writes").value(d.writes);
-    w.key("evictions").value(d.evictions);
-    w.key("invalidated").value(d.invalidated);
-    w.key("bytes_read").value(d.bytesRead);
-    w.key("bytes_written").value(d.bytesWritten);
-    w.key("bytes_stored").value(d.bytesStored);
-    w.endObject();
     w.endObject();
     w.endObject();
     return w.str();
@@ -668,24 +652,6 @@ runServe(const ServeOptions &opts)
     if (!opts.traceEventsPath.empty())
         TraceEventLog::global().enable();
 
-    // Attach the persistent compile cache before serving: memo misses
-    // then hydrate from disk (a restarted server skips recompilation)
-    // and write computed entries back for the next session.
-    std::unique_ptr<DiskCache> diskCache;
-    if (!opts.cacheDir.empty()) {
-        DiskCacheOptions dco;
-        dco.dir = opts.cacheDir;
-        dco.maxBytes = opts.cacheMaxBytes;
-        diskCache = std::make_unique<DiskCache>(dco);
-        if (!diskCache->usable())
-            std::fprintf(stderr,
-                         "rfhc serve: cache dir %s unusable; running "
-                         "without a disk cache\n",
-                         opts.cacheDir.c_str());
-        else
-            globalExperimentCache().attachDiskCache(diskCache.get());
-    }
-
     BatchService svc(opts.service);
     svc.start();
     Stopwatch wall;
@@ -722,8 +688,6 @@ runServe(const ServeOptions &opts)
         {"batch_max", std::to_string(opts.service.batchMax)},
         {"cache_max_entries",
          std::to_string(opts.service.cacheMaxEntries)},
-        {"cache_dir",
-         opts.cacheDir.empty() ? std::string("(none)") : opts.cacheDir},
     };
     m.timing.wallSec = wall.elapsedSec();
     m.timing.threads = opts.service.workers > 0
@@ -757,8 +721,6 @@ runServe(const ServeOptions &opts)
                      opts.traceEventsPath.c_str());
     }
     emitRunArtifacts(m);
-    if (diskCache)
-        globalExperimentCache().attachDiskCache(nullptr);
     return rc;
 }
 

@@ -132,9 +132,8 @@ class BatchService
     ServiceStats stats() const;
 
     /**
-     * `op:"stats"` response: service counters plus the memo-cache and
-     * (when attached) disk-cache counters; loadgen reports the memo
-     * and disk hit ratios from it.
+     * `op:"stats"` response: service counters plus the memo-cache
+     * counters; loadgen reports the memo hit ratio from it.
      */
     std::string makeStatsLine(const std::string &idJson) const;
 
@@ -194,15 +193,6 @@ struct ServeOptions
     std::string manifestPath;
     /** Chrome-trace span output path ("" = only $RFH_TRACE_EVENTS). */
     std::string traceEventsPath;
-    /**
-     * Persistent compile-cache directory (core/diskcache.h); empty
-     * disables. When set, memo misses consult and populate the disk
-     * cache, so a restarted server skips recompiling every kernel it
-     * has seen.
-     */
-    std::string cacheDir;
-    /** Disk-cache size cap before LRU eviction (0 = unlimited). */
-    std::uint64_t cacheMaxBytes = 256ull << 20;
 };
 
 /**

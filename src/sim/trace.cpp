@@ -77,25 +77,6 @@ recordDecodedTrace(const Kernel &k, const RunConfig &cfg)
     return trace;
 }
 
-bool
-DecodedTrace::wellFormed(int numInstrs) const
-{
-    if (flags.size() != lin.size() ||
-        warpBegin.size() != warpEndLin.size() + 1 ||
-        warpBegin.front() != 0 || warpBegin.back() != lin.size())
-        return false;
-    for (std::size_t w = 1; w < warpBegin.size(); w++)
-        if (warpBegin[w] < warpBegin[w - 1])
-            return false;
-    for (std::int32_t l : lin)
-        if (l < 0 || l >= numInstrs)
-            return false;
-    for (std::int32_t l : warpEndLin)
-        if (l < -1 || l >= numInstrs)
-            return false;
-    return hasPlanes();
-}
-
 void
 DecodedTrace::buildPlanes(const Kernel &k)
 {

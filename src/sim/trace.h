@@ -80,10 +80,9 @@ struct DecodedTrace
 
     // ---- Bit-planes over the record stream ----
     // Bit (t % 64) of word (t / 64) classifies record t. Always built
-    // by the recorder (buildPlanes) and kept by the disk-cache
-    // serializer; the replay executors consume them with popcount
-    // sweeps and bit scans instead of per-record branching. Unused
-    // bits of the final word are zero.
+    // by the recorder (buildPlanes); the replay executors consume
+    // them with popcount sweeps and bit scans instead of per-record
+    // branching. Unused bits of the final word are zero.
 
     /** kReplayExecuted per record. */
     std::vector<std::uint64_t> execWords;
@@ -100,27 +99,8 @@ struct DecodedTrace
     /** Total records with kReplayBranchTaken (classification pass). */
     std::uint64_t takenBranches = 0;
 
-    /** True when the planes match the current record stream. */
-    bool
-    hasPlanes() const
-    {
-        const std::size_t words = (lin.size() + 63) / 64;
-        return execWords.size() == words && llWords.size() == words;
-    }
-
     /** (Re)build the planes and classification totals from @p k. */
     void buildPlanes(const Kernel &k);
-
-    /**
-     * The structural invariant every consumer relies on, checked on
-     * traces that come in from outside the recorder (the disk cache):
-     * @c flags parallels @c lin; @c warpBegin has numWarps() + 1
-     * monotone entries from 0 to lin.size(); every @c lin and
-     * @c warpEndLin value names an instruction of a kernel with
-     * @p numInstrs instructions (-1 allowed for warpEndLin); and the
-     * bit-planes are present (hasPlanes()).
-     */
-    bool wellFormed(int numInstrs) const;
 
     int
     numWarps() const

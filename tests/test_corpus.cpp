@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -95,6 +97,36 @@ TEST(CorpusProfiles, RunCorpusSurfacesConfigErrors)
     err.clear();
     EXPECT_FALSE(runCorpus(bad, r, nullptr, &err));
     EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+}
+
+TEST(CorpusProfiles, ResolveRejectsBadBandConfig)
+{
+    std::vector<ScenarioProfile> profiles;
+    std::vector<CorpusCell> cells;
+    std::string err;
+    for (double c : {std::nan(""), 0.0, 1.0, -0.5, 1.5,
+                     std::numeric_limits<double>::infinity()}) {
+        CorpusConfig cfg;
+        cfg.confidence = c;
+        err.clear();
+        EXPECT_FALSE(resolveCorpusConfig(cfg, profiles, cells, &err)) << c;
+        EXPECT_NE(err.find("confidence must be in (0,1)"),
+                  std::string::npos)
+            << c << ": " << err;
+    }
+    for (int n : {0, -1}) {
+        CorpusConfig cfg;
+        cfg.bootstrapResamples = n;
+        err.clear();
+        EXPECT_FALSE(resolveCorpusConfig(cfg, profiles, cells, &err)) << n;
+        EXPECT_NE(err.find("bootstrapResamples must be >= 1"),
+                  std::string::npos)
+            << n << ": " << err;
+    }
+    CorpusConfig ok;
+    ok.confidence = 0.5;
+    ok.bootstrapResamples = 1;
+    EXPECT_TRUE(resolveCorpusConfig(ok, profiles, cells, &err)) << err;
 }
 
 // ---- seed corpus drift guard ----
