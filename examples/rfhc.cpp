@@ -68,10 +68,6 @@
  *   --active N         two-level active-set size for --perf
  *   --resamples N      bootstrap resamples per band (default 200)
  *   --confidence F     band confidence level (default 0.95)
- *   --socket PATH      run via `rfhc serve` at PATH instead of
- *                      in-process (same aggregate bytes)
- *   --connections N    client connections (default 4)
- *   --retries N        max retries of shed requests (default 8)
  *   --json             print the rfh-corpus-v1 JSON instead of the
  *                      summary table
  *   --out F            also write the corpus JSON to F
@@ -147,7 +143,6 @@
 #include "core/trace_events.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
-#include "service/corpus_client.h"
 #include "service/loadgen.h"
 #include "service/server.h"
 #include "sim/baseline_exec.h"
@@ -184,9 +179,7 @@ usage()
                  "[--warps N]\n"
                  "            [--perf] [--sched P] [--active N] "
                  "[--resamples N]\n"
-                 "            [--confidence F] [--socket PATH] "
-                 "[--connections N]\n"
-                 "            [--retries N] [--json] [--out F]\n"
+                 "            [--confidence F] [--json] [--out F]\n"
                  "       rfhc fuzz [--iters N] [--seed S] [--shrink] "
                  "[--inject]\n"
                  "            [--dump DIR] [--out repro.rptx] "
@@ -445,11 +438,10 @@ splitList(const std::string &s)
 
 /**
  * `rfhc corpus`: stream a population of generated kernels from the
- * named scenario profiles through the replay engine (or a running
- * `rfhc serve` with --socket) and print streaming population
- * statistics per (profile, scheme, entries) cell. The rfh-corpus-v1
- * JSON document is byte-identical across runs, thread counts, and the
- * local/served substrates.
+ * named scenario profiles through the replay engine and print
+ * streaming population statistics per (profile, scheme, entries)
+ * cell. The rfh-corpus-v1 JSON document is byte-identical across runs
+ * and thread counts.
  */
 int
 corpusMain(int argc, char **argv)
@@ -458,8 +450,6 @@ corpusMain(int argc, char **argv)
     int totalKernels = 512;
     std::vector<std::string> schemeTokens;
     std::vector<int> entriesList;
-    CorpusClientOptions client;
-    bool remote = false;
     bool json = false;
     std::string out_path;
     Flags f(argc, argv, 2);
@@ -518,16 +508,6 @@ corpusMain(int argc, char **argv)
             // Range-checked by runCorpus (resolveCorpusConfig).
             if (!f.real(cfg.confidence))
                 return usage();
-        } else if (a == "--socket") {
-            if (!f.str(client.socketPath))
-                return usage();
-            remote = true;
-        } else if (a == "--connections") {
-            if (!f.positive(client.connections))
-                return usage();
-        } else if (a == "--retries") {
-            if (!f.positive(client.maxRetries))
-                return usage();
         } else if (a == "--json") {
             json = true;
         } else if (a == "--out") {
@@ -549,45 +529,13 @@ corpusMain(int argc, char **argv)
         (static_cast<std::size_t>(totalKernels) + resolved.size() - 1) /
         resolved.size());
 
-    if (!schemeTokens.empty() || !entriesList.empty()) {
-        const SchemeRegistry &reg = SchemeRegistry::instance();
-        std::vector<const SchemeInfo *> schemes;
-        if (schemeTokens.empty()) {
-            for (const SchemeInfo *si : reg.schemes())
-                if (si->scheme != Scheme::BASELINE)
-                    schemes.push_back(si);
-        } else {
-            for (const std::string &token : schemeTokens) {
-                const SchemeInfo *si = reg.findToken(token);
-                if (!si) {
-                    std::fprintf(stderr,
-                                 "rfhc corpus: unknown scheme '%s' "
-                                 "(valid: %s)\n",
-                                 token.c_str(),
-                                 reg.tokenList().c_str());
-                    return 2;
-                }
-                schemes.push_back(si);
-            }
-        }
-        static const int kDefaultEntries[] = {1, 2, 3, 4, 6, 8};
-        for (const SchemeInfo *si : schemes) {
-            if (!entriesList.empty()) {
-                for (int e : entriesList)
-                    cfg.cells.push_back({si->scheme, e});
-            } else if (si->caps.sweepsEntries) {
-                for (int e : kDefaultEntries)
-                    cfg.cells.push_back({si->scheme, e});
-            } else {
-                cfg.cells.push_back({si->scheme, 3});
-            }
-        }
+    if (!expandCorpusCells(schemeTokens, entriesList, cfg.cells, &err)) {
+        std::fprintf(stderr, "rfhc corpus: %s\n", err.c_str());
+        return 2;
     }
 
     CorpusResult res;
-    bool ok = remote ? runCorpusRemote(cfg, client, res, &err)
-                     : runCorpus(cfg, res, nullptr, &err);
-    if (!ok) {
+    if (!runCorpus(cfg, res, nullptr, &err)) {
         std::fprintf(stderr, "rfhc corpus: %s\n", err.c_str());
         return 2;
     }
@@ -609,7 +557,7 @@ corpusMain(int argc, char **argv)
     }
     std::fprintf(stderr,
                  "rfhc corpus: %llu runs over %llu kernels "
-                 "(%llu errors) in %.1fs%s\n",
+                 "(%llu errors) in %.1fs\n",
                  static_cast<unsigned long long>(res.totalRuns),
                  static_cast<unsigned long long>([&] {
                      std::uint64_t k = 0;
@@ -618,7 +566,7 @@ corpusMain(int argc, char **argv)
                      return k;
                  }()),
                  static_cast<unsigned long long>(res.totalErrors),
-                 res.wallSec, remote ? " (served)" : "");
+                 res.wallSec);
     return res.totalErrors > 0 ? 1 : 0;
 }
 

@@ -54,20 +54,49 @@ const char *const kLevelKeys[3] = {"MRF", "ORF", "LRF"};
 
 } // namespace
 
-std::vector<CorpusCell>
-defaultCorpusCells()
+bool
+expandCorpusCells(const std::vector<std::string> &schemeTokens,
+                  const std::vector<int> &entries,
+                  std::vector<CorpusCell> &cells, std::string *err)
 {
-    std::vector<CorpusCell> cells;
-    for (const SchemeInfo *info : SchemeRegistry::instance().schemes()) {
-        if (info->scheme == Scheme::BASELINE)
-            continue; // Its energy ratio is 1 by construction.
-        if (info->caps.sweepsEntries) {
+    const SchemeRegistry &reg = SchemeRegistry::instance();
+    std::vector<const SchemeInfo *> schemes;
+    if (schemeTokens.empty()) {
+        // Baseline is left out: its energy ratio is 1 by construction.
+        for (const SchemeInfo *info : reg.schemes())
+            if (info->scheme != Scheme::BASELINE)
+                schemes.push_back(info);
+    }
+    for (const std::string &token : schemeTokens) {
+        const SchemeInfo *info = reg.findToken(token);
+        if (!info) {
+            if (err)
+                *err = "unknown scheme '" + token + "' (valid: " +
+                    reg.tokenList() + ")";
+            return false;
+        }
+        schemes.push_back(info);
+    }
+    cells.clear();
+    for (const SchemeInfo *info : schemes) {
+        if (!entries.empty()) {
+            for (int e : entries)
+                cells.push_back({info->scheme, e});
+        } else if (info->caps.sweepsEntries) {
             for (int e : kSweepEntries)
                 cells.push_back({info->scheme, e});
         } else {
             cells.push_back({info->scheme, 3});
         }
     }
+    return true;
+}
+
+std::vector<CorpusCell>
+defaultCorpusCells()
+{
+    std::vector<CorpusCell> cells;
+    expandCorpusCells({}, {}, cells);
     return cells;
 }
 
@@ -116,7 +145,7 @@ corpusSampleFromOutcome(const RunOutcome &o)
 {
     CorpusSample s;
     // The one real-valued sample: quantize it through the result-JSON
-    // wire format so local and service-parsed samples are identical.
+    // wire format so the aggregate bytes stay stable (core/stats.h).
     s.normalizedEnergy = wireRound(o.normalizedEnergy());
     for (int l = 0; l < 3; l++) {
         Level lv = static_cast<Level>(l);
@@ -133,55 +162,6 @@ corpusSampleFromOutcome(const RunOutcome &o)
     s.cycles = static_cast<double>(o.perf.cycles);
     s.issued = static_cast<double>(o.perf.issued);
     return s;
-}
-
-bool
-corpusSampleFromResultJson(const JsonValue &result, CorpusSample &out,
-                           std::string *err)
-{
-    auto fail = [&](const std::string &m) {
-        if (err)
-            *err = m;
-        return false;
-    };
-    if (!result.isObject())
-        return fail("corpus sample: result is not an object");
-    const JsonValue *ne = result.find("normalizedEnergy");
-    if (!ne || !ne->isNumber())
-        return fail("corpus sample: missing normalizedEnergy");
-    CorpusSample s;
-    s.normalizedEnergy = ne->number;
-    const JsonValue *acc = result.find("accesses");
-    if (!acc || !acc->isObject())
-        return fail("corpus sample: missing accesses");
-    for (int l = 0; l < 3; l++) {
-        const JsonValue *lvl = acc->find(kLevelKeys[l]);
-        if (!lvl || !lvl->isObject())
-            return fail(std::string("corpus sample: missing accesses.") +
-                        kLevelKeys[l]);
-        // The wire "reads"/"writes" are already datapath totals
-        // (AccessCounts::totalReads); sharedReads/sharedWrites break
-        // out the shared component and must not be added again.
-        s.reads[l] = lvl->numberOr("reads", 0);
-        s.writes[l] = lvl->numberOr("writes", 0);
-    }
-    s.instructions = acc->numberOr("instructions", 0);
-    const JsonValue *alloc = result.find("allocation");
-    if (!alloc || !alloc->isObject())
-        return fail("corpus sample: missing allocation");
-    s.valueInstances = alloc->numberOr("valueInstances", 0);
-    s.lrfValues = alloc->numberOr("lrfValues", 0);
-    s.orfValues = alloc->numberOr("orfValuesFull", 0) +
-        alloc->numberOr("orfValuesPartial", 0);
-    s.mrfWritesElided = alloc->numberOr("mrfWritesElided", 0);
-    if (const JsonValue *perf = result.find("perf");
-        perf && perf->isObject()) {
-        s.hasPerf = true;
-        s.cycles = perf->numberOr("cycles", 0);
-        s.issued = perf->numberOr("instructions", 0);
-    }
-    out = s;
-    return true;
 }
 
 CorpusAccumulator::CorpusAccumulator(const CorpusConfig &cfg,
@@ -217,7 +197,7 @@ CorpusAccumulator::fold(int profileIdx, int cellIdx,
     cs.energyRatio.add(s.normalizedEnergy);
     // Shares are ratios of exact integer counts; the division result
     // is a pure function of those integers, so the folded sample is
-    // identical whichever substrate produced the counts.
+    // identical whichever thread produced the counts.
     double allReads = s.reads[0] + s.reads[1] + s.reads[2];
     double allWrites = s.writes[0] + s.writes[1] + s.writes[2];
     for (int l = 0; l < 3; l++) {
@@ -334,8 +314,7 @@ runCorpus(const CorpusConfig &cfg, CorpusResult &out, ThreadPool *pool,
                                           ": " + o.error);
                 }
             }
-            if (cfg.clearCaches)
-                globalExperimentCache().clear();
+            globalExperimentCache().clear();
         }
     }
     out = acc.take();

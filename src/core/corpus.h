@@ -15,10 +15,7 @@
  * Determinism contract: sample values are quantized through the
  * result-JSON wire format before folding and the fold itself is exact
  * integer arithmetic, so the aggregate document is byte-identical
- * across thread counts, across repeated runs, and across execution
- * substrates — a local run and a run served by `rfhc serve` produce
- * the same bytes (service/corpus_client.h drives the served variant
- * through this module's accumulator).
+ * across thread counts and across repeated runs.
  */
 
 #ifndef RFH_CORE_CORPUS_H
@@ -35,7 +32,6 @@
 namespace rfh {
 
 class ThreadPool;
-struct JsonValue;
 
 /** One aggregation cell: a scheme at one entries-per-thread point. */
 struct CorpusCell
@@ -45,9 +41,21 @@ struct CorpusCell
 };
 
 /**
- * The default cell grid: every paper-or-contributed scheme whose
- * capabilities sweep the entries axis, at entries {1, 2, 3, 4, 6, 8}.
+ * Expand a scheme list crossed with an entries list into the cell
+ * grid, scheme-major. Empty @p schemeTokens means every non-baseline
+ * registered scheme, in registry order. Empty @p entries means
+ * {1, 2, 3, 4, 6, 8} for a scheme whose capabilities sweep the
+ * entries axis and 3 for any other; a non-empty list applies to
+ * every scheme. Entries are not range-checked here
+ * (resolveCorpusConfig does that). @return false with a message
+ * listing the valid tokens when a token is not registered.
  */
+bool expandCorpusCells(const std::vector<std::string> &schemeTokens,
+                       const std::vector<int> &entries,
+                       std::vector<CorpusCell> &cells,
+                       std::string *err = nullptr);
+
+/** The default cell grid: expandCorpusCells({}, {}). */
 std::vector<CorpusCell> defaultCorpusCells();
 
 /** Corpus run configuration. */
@@ -73,19 +81,13 @@ struct CorpusConfig
     int bootstrapResamples = 200;
     /** Two-sided confidence level of the bands. */
     double confidence = 0.95;
-    /**
-     * Drop the process-wide experiment caches after each chunk so a
-     * 10k-kernel corpus runs in bounded memory. Tests sharing a
-     * process may turn this off.
-     */
-    bool clearCaches = true;
 };
 
 /**
  * One run's folded observation. Every field is either an exact
- * integer count widened to double or a wire-rounded real, so samples
- * extracted locally (corpusSampleFromOutcome) and from a service
- * result document (corpusSampleFromResultJson) are bit-identical.
+ * integer count widened to double or a wire-rounded real, so the
+ * folded aggregate is a pure function of the runs' integer counts
+ * and printed energy ratios.
  */
 struct CorpusSample
 {
@@ -105,16 +107,8 @@ struct CorpusSample
     double issued = 0.0;
 };
 
-/** Extract the sample of a local run outcome (wire-quantized). */
+/** Extract the sample of a run outcome (wire-quantized). */
 CorpusSample corpusSampleFromOutcome(const RunOutcome &o);
-
-/**
- * Extract the sample of a parsed service result document (the
- * "result" object of a response envelope). @return false with a
- * message when required fields are missing.
- */
-bool corpusSampleFromResultJson(const JsonValue &result,
-                                CorpusSample &out, std::string *err);
 
 /** Population statistics of one (profile, cell). */
 struct CorpusCellStats
@@ -161,10 +155,9 @@ struct CorpusResult
 
 /**
  * Order-canonical fold of samples into per-(profile, cell) streaming
- * statistics. Shared by the local runner and the corpus client so both
- * substrates aggregate identically; thanks to the exact merge the
- * fold order cannot change any byte, but callers still fold in
- * (kernel index, cell index) order by convention.
+ * statistics. Thanks to the exact merge the fold order cannot change
+ * any byte, but callers still fold in (kernel index, cell index)
+ * order by convention.
  */
 class CorpusAccumulator
 {
@@ -194,12 +187,14 @@ class CorpusAccumulator
 };
 
 /**
- * Run the corpus locally: generate each profile's kernels chunk by
- * chunk (fanned out across @p pool), execute every (kernel, cell)
- * pair through replayBatch, and fold. On a configuration error
- * (unknown profile, unregistered scheme, out-of-range entries)
- * returns false and sets @p err; the message lists the valid names,
- * mirroring the service's unknown_scheme/unknown-profile pattern.
+ * Run the corpus: generate each profile's kernels chunk by chunk
+ * (fanned out across @p pool), execute every (kernel, cell) pair
+ * through replayBatch, and fold. The process-wide experiment cache is
+ * cleared after each chunk, so a 10k-kernel corpus runs in bounded
+ * memory. On a configuration error (unknown profile, unregistered
+ * scheme, out-of-range entries) returns false and sets @p err; the
+ * message lists the valid names, mirroring the service's
+ * unknown_scheme/unknown-profile pattern.
  */
 bool runCorpus(const CorpusConfig &cfg, CorpusResult &out,
                ThreadPool *pool = nullptr, std::string *err = nullptr);
@@ -208,7 +203,7 @@ bool runCorpus(const CorpusConfig &cfg, CorpusResult &out,
  * The "rfh-corpus-v1" aggregate document: per profile, per cell, the
  * full streaming summaries with bootstrap bands on the energy ratio.
  * A pure function of the aggregate state — byte-identical across
- * thread counts, shard layouts, and local/service substrates.
+ * thread counts and shard layouts.
  */
 std::string corpusToJson(const CorpusResult &r);
 
@@ -222,8 +217,7 @@ std::string renderCorpusSummary(const CorpusResult &r);
  * Resolve and validate @p cfg without running anything: expand
  * profiles, default empty cells, range-check entries and scheme
  * registration, and require a band confidence in (0,1) and at least
- * one bootstrap resample. Shared by the local runner and the corpus
- * client.
+ * one bootstrap resample.
  */
 bool resolveCorpusConfig(const CorpusConfig &cfg,
                          std::vector<ScenarioProfile> &profiles,

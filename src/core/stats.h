@@ -15,7 +15,7 @@
  * across any number of workers or shards and merging in any order
  * reproduces the sequential state bit for bit, which is what lets the
  * corpus engine (core/corpus.h) promise byte-identical aggregate JSON
- * across thread counts and execution substrates.
+ * across thread counts.
  *
  * The derived figures (mean, variance, quantiles, bootstrap band) are
  * pure functions of that exact state, so they inherit the guarantee.
@@ -35,10 +35,9 @@ class JsonWriter;
 /**
  * Round @p v through the result-JSON wire format ("%.6g", the
  * JsonWriter double encoding). The corpus engine quantizes every
- * real-valued sample through this before folding, so samples derived
- * locally (from full-precision RunOutcome doubles) and remotely (from
- * parsed service result documents) are identical, and local and
- * served corpus aggregates agree byte for byte.
+ * real-valued sample through this before folding, which keeps the
+ * aggregate bytes stable: a folded energy ratio is exactly the value
+ * a run's result document prints.
  */
 double wireRound(double v);
 

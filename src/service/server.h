@@ -8,7 +8,7 @@
  * pool, where each request runs through the ordinary runScheme() path
  * with the process-wide memo/trace caches — so a hot kernel's
  * analyses, baseline and decoded trace are computed once and shared
- * across every later request that needs them, and every response's
+ * across every later request that needs them, and a lone request's
  * result document is byte-identical to a direct `rfhc run --json`
  * invocation.
  *
@@ -17,8 +17,14 @@
  * replayBatch() call, which pre-warms every distinct kernel's
  * analyses/trace/decode once before the items fan out; a worker that
  * wakes to a single queued request keeps the historical one-request
- * path (AUTO engine resolves to the direct oracle). Both paths yield
- * byte-identical result documents.
+ * path (AUTO engine resolves to the direct oracle). The two paths
+ * yield byte-identical result documents for every run both engines
+ * complete. They differ on kernels that hit the overlapping wide-pair
+ * allocator bug (ROADMAP.md item 1): the direct engine's value check
+ * answers `exec_error`, while replay carries no values and answers
+ * `ok:true` (corpus kernel wild_2_719, seed 2, sw3 at 3 entries).
+ * Until that bug is fixed, the answer for such a kernel depends on
+ * whether its worker drained it alone, that is, on load.
  *
  * Robustness model (the inference-server trifecta):
  *  - **deadlines** — a request may carry `deadline_ms`; expiry before
@@ -74,7 +80,10 @@ struct ServiceOptions
      * single replayBatch() call, amortising per-kernel setup across
      * the slice. A worker that wakes to exactly one queued request
      * keeps the historical single-run path (AUTO engine resolves to
-     * the direct oracle); 1 disables batching entirely.
+     * the direct oracle); 1 disables batching entirely. The paths
+     * agree byte for byte except on kernels that hit the allocator
+     * bug in ROADMAP.md item 1, which only the direct path reports
+     * (see the file comment).
      */
     int batchMax = 8;
     /** Memo-cache entries tolerated before an idle-point clear. */

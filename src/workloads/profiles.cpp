@@ -534,7 +534,8 @@ corpusWorkload(const ScenarioProfile &p, std::uint64_t seed,
             generateFuzzKernel(w.name, fuzzParamsFor(p, seed, index));
     // Only the warp count deviates from the default run configuration:
     // the service builds inline-kernel workloads with default limits,
-    // and local and served corpus runs must execute identically.
+    // so a printed corpus kernel sent to `rfhc serve` with the
+    // profile's warp count runs exactly as it does here.
     w.run.numWarps = p.warps;
     return w;
 }

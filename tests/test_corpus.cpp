@@ -6,8 +6,9 @@
  * hand-written workloads, this suite pins them over generated kernel
  * *populations*: per-profile energy-ratio confidence bands, per-level
  * access-share medians, the profile round-trip contract, the seed
- * corpus drift guard, and the byte-identity of the aggregate document
- * across thread counts. The bands were measured at the exact
+ * corpus drift guard, the cell-grid expansion behind `rfhc corpus`,
+ * and the byte-identity of the aggregate document across thread
+ * counts. The bands were measured at the exact
  * configurations used here (seed 1); a legitimate generator or engine
  * change that moves them must update the constants in this file and
  * the population table in EXPERIMENTS.md in the same commit.
@@ -19,10 +20,10 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/corpus.h"
-#include "core/experiment.h"
 #include "core/json.h"
 #include "core/parallel.h"
 #include "core/scheme.h"
@@ -162,44 +163,77 @@ TEST(CorpusProfiles, SeedCorpusSliceFingerprintsArePinned)
     }
 }
 
-// ---- sample extraction: local == wire ----
+// ---- cell-grid expansion: the four `rfhc corpus` flag shapes ----
 
-TEST(CorpusSamples, OutcomeAndResultJsonExtractIdentically)
+/** (scheme token, entries) pairs, in cell order. */
+using Cells = std::vector<std::pair<std::string, int>>;
+
+Cells
+cellTokens(const std::vector<CorpusCell> &cells)
 {
-    // The corpus client folds samples parsed from service result
-    // documents; the local runner folds them straight from
-    // RunOutcome. Byte-identity of the aggregates requires the two
-    // extractions to agree exactly — in particular the wire's
-    // per-level "reads"/"writes" are already datapath totals and must
-    // not have the shared component added again.
-    ExperimentConfig cfg;
-    cfg.scheme = schemeOf("sw3");
-    cfg.entries = 3;
-    RunOutcome o = runAllWorkloads(cfg);
-    ASSERT_TRUE(o.ok()) << o.error;
+    Cells out;
+    for (const CorpusCell &c : cells)
+        out.emplace_back(SchemeRegistry::instance().find(c.scheme)->token,
+                         c.entries);
+    return out;
+}
 
-    JsonWriter w;
-    writeJson(w, o);
-    JsonParseResult parsed = parseJson(w.str());
-    ASSERT_TRUE(parsed.ok) << parsed.error;
-
-    CorpusSample local = corpusSampleFromOutcome(o);
-    CorpusSample wire;
+Cells
+expandOrDie(const std::vector<std::string> &schemes,
+            const std::vector<int> &entries)
+{
+    std::vector<CorpusCell> cells;
     std::string err;
-    ASSERT_TRUE(corpusSampleFromResultJson(parsed.value, wire, &err))
-        << err;
+    EXPECT_TRUE(expandCorpusCells(schemes, entries, cells, &err)) << err;
+    return cellTokens(cells);
+}
 
-    EXPECT_EQ(local.normalizedEnergy, wire.normalizedEnergy);
-    for (int l = 0; l < 3; l++) {
-        EXPECT_EQ(local.reads[l], wire.reads[l]) << "level " << l;
-        EXPECT_EQ(local.writes[l], wire.writes[l]) << "level " << l;
+TEST(CorpusCells, ExpansionPinsEveryFlagShape)
+{
+    const char *const nonBaseline[] = {"hw2",   "hw3",    "sw2",    "sw3",
+                                       "ccrfc", "regdem", "greener"};
+
+    // Neither flag: every non-baseline scheme, the sweeping ones at
+    // {1,2,3,4,6,8} and greener (fixed entries) at 3. This is the
+    // default grid.
+    Cells none;
+    for (const char *t : nonBaseline) {
+        if (std::string(t) == "greener") {
+            none.emplace_back(t, 3);
+            continue;
+        }
+        for (int e : {1, 2, 3, 4, 6, 8})
+            none.emplace_back(t, e);
     }
-    EXPECT_EQ(local.instructions, wire.instructions);
-    EXPECT_EQ(local.valueInstances, wire.valueInstances);
-    EXPECT_EQ(local.lrfValues, wire.lrfValues);
-    EXPECT_EQ(local.orfValues, wire.orfValues);
-    EXPECT_EQ(local.mrfWritesElided, wire.mrfWritesElided);
-    EXPECT_EQ(local.hasPerf, wire.hasPerf);
+    EXPECT_EQ(expandOrDie({}, {}), none);
+    EXPECT_EQ(cellTokens(defaultCorpusCells()), none);
+
+    // --schemes alone: the listed schemes in flag order, each on its
+    // own default entries.
+    EXPECT_EQ(expandOrDie({"sw3", "greener"}, {}),
+              (Cells{{"sw3", 1}, {"sw3", 2}, {"sw3", 3}, {"sw3", 4},
+                     {"sw3", 6}, {"sw3", 8}, {"greener", 3}}));
+
+    // --entries alone: every non-baseline scheme at exactly the given
+    // points, greener included.
+    Cells entriesOnly;
+    for (const char *t : nonBaseline)
+        for (int e : {2, 5})
+            entriesOnly.emplace_back(t, e);
+    EXPECT_EQ(expandOrDie({}, {2, 5}), entriesOnly);
+
+    // Both flags: the plain cross product.
+    EXPECT_EQ(expandOrDie({"sw3", "greener"}, {2, 5}),
+              (Cells{{"sw3", 2}, {"sw3", 5}, {"greener", 2},
+                     {"greener", 5}}));
+
+    // An unknown token fails and quotes the valid set.
+    std::vector<CorpusCell> cells;
+    std::string err;
+    EXPECT_FALSE(expandCorpusCells({"sw3", "bogus"}, {}, cells, &err));
+    EXPECT_NE(err.find("unknown scheme 'bogus'"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("greener"), std::string::npos) << err;
 }
 
 // ---- aggregate byte-identity across thread counts ----
