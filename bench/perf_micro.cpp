@@ -202,7 +202,6 @@ BM_PipelineCycle(benchmark::State &state)
 {
     const Workload &w = workloadByName("nbody");
     DecodedTrace trace = recordDecodedTrace(w.kernel, w.run);
-    trace.buildPlanes(w.kernel);
     ReplayDecode dec(w.kernel);
     PipelineConfig cfg;
     cfg.activeWarps = static_cast<int>(state.range(0));
@@ -222,7 +221,6 @@ BM_PipelineOneBank(benchmark::State &state)
 {
     const Workload &w = workloadByName("nbody");
     DecodedTrace trace = recordDecodedTrace(w.kernel, w.run);
-    trace.buildPlanes(w.kernel);
     ReplayDecode dec(w.kernel);
     PipelineConfig cfg;
     cfg.banks.numBanks = 1;

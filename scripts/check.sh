@@ -181,11 +181,15 @@ if [[ "$run_corpus" == 1 ]]; then
 
     # Byte-identity smoke at the CLI: the same small corpus must
     # produce identical aggregate JSON at 1 and 4 threads, without and
-    # with the cycle-level pipeline (`--perf`).
+    # with the cycle-level pipeline (`--perf`). The fuzz-grammar
+    # profiles (wild, high-pressure) have the most distinct warp
+    # streams, so every accountant runs through the interned trace
+    # driver on mixed shared and distinct streams.
     c1="$(mktemp)"; c4="$(mktemp)"
     for perf in "" --perf; do
-        corpus_args=(corpus --profiles balanced,divergent --n 64
-                     --schemes sw3,hw2 --entries 3 --json $perf)
+        corpus_args=(corpus --profiles balanced,divergent,wild,high-pressure
+                     --n 64 --schemes sw3,hw2,hw3,ccrfc,regdem
+                     --entries 3 --json $perf)
         RFH_THREADS=1 "$repo/build/examples/rfhc" "${corpus_args[@]}" \
             >"$c1"
         RFH_THREADS=4 "$repo/build/examples/rfhc" "${corpus_args[@]}" \

@@ -285,9 +285,13 @@ InstanceAnalysis::InstanceAnalysis(const Kernel &k, const Cfg &cfg,
             vi.strand = s;
             vi.reg = defs[members.front()].reg;
             bool wide = defs[members.front()].wideHalf;
+            const Reg base = defs[members.front()].wideBase;
             bool mixed_wide = false;
             for (int d : members) {
-                if (defs[d].wideHalf != wide)
+                // Two wide pairs with different bases (R9:R10 and
+                // R10:R11) cannot share one base register either.
+                if (defs[d].wideHalf != wide ||
+                    (defs[d].wideHalf && defs[d].wideBase != base))
                     mixed_wide = true;
                 if (defs[d].wideHalf)
                     vi.reg = defs[d].wideBase;
@@ -317,8 +321,9 @@ InstanceAnalysis::InstanceAnalysis(const Kernel &k, const Cfg &cfg,
             std::sort(vi.mrfPinnedUses.begin(), vi.mrfPinnedUses.end(),
                       by_pos);
 
-            // A group that mixes wide and narrow defs is never
-            // allocated upper levels: pin all its reads to the MRF.
+            // A group that mixes wide and narrow defs, or wide pairs
+            // with different bases, is never allocated upper levels:
+            // pin all its reads to the MRF.
             if (mixed_wide) {
                 for (const auto &u : vi.uses)
                     vi.mrfPinnedUses.push_back(u);

@@ -93,6 +93,22 @@ struct AccessCounts
         deschedules += o.deschedules;
     }
 
+    /** Undo add(@p o): every field must be at least @p o's. */
+    void
+    sub(const AccessCounts &o)
+    {
+        for (int l = 0; l < 3; l++) {
+            for (int d = 0; d < 2; d++) {
+                reads[l][d] -= o.reads[l][d];
+                writes[l][d] -= o.writes[l][d];
+            }
+        }
+        wbReads -= o.wbReads;
+        wbWrites -= o.wbWrites;
+        instructions -= o.instructions;
+        deschedules -= o.deschedules;
+    }
+
     /** Total access+wire energy under @p em (pJ). */
     double totalEnergyPJ(const EnergyModel &em) const;
 

@@ -139,7 +139,7 @@ class CcAccounting final : public AccountingOf<CcWarpSim>
     CcAccounting(const Kernel &k, const CcRfcConfig &cfg,
                  const AnalysisBundle *analyses, const ReplayDecode *dec,
                  AccessCounts &counts)
-        : cfg_(cfg), counts_(counts),
+        : AccountingOf(counts), cfg_(cfg),
           hints_(ccRfcAllocationHints(k, cfg.entries))
     {
         analyses_ = analyses ? analyses : &localAnalyses_.emplace(k);
@@ -159,7 +159,6 @@ class CcAccounting final : public AccountingOf<CcWarpSim>
 
   private:
     CcRfcConfig cfg_;
-    AccessCounts &counts_;
     std::vector<std::uint8_t> hints_;
     std::optional<AnalysisBundle> localAnalyses_;
     std::optional<ReplayDecode> localDec_;

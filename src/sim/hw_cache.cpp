@@ -189,7 +189,7 @@ class HwAccounting final : public AccountingOf<HwWarpSim>
     HwAccounting(const Kernel &k, const HwCacheConfig &cfg,
                  const AnalysisBundle *analyses, const ReplayDecode *dec,
                  AccessCounts &counts)
-        : cfg_(cfg), counts_(counts)
+        : AccountingOf(counts), cfg_(cfg)
     {
         analyses_ = analyses ? analyses : &localAnalyses_.emplace(k);
         dec_ = dec && dec->hasSharedConsumerInfo()
@@ -208,7 +208,6 @@ class HwAccounting final : public AccountingOf<HwWarpSim>
 
   private:
     HwCacheConfig cfg_;
-    AccessCounts &counts_;
     std::optional<AnalysisBundle> localAnalyses_;
     std::optional<ReplayDecode> localDec_;
     const AnalysisBundle *analyses_;

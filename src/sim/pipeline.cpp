@@ -86,8 +86,9 @@ struct Warp
     StaticOp next;
     std::uint64_t activatedAt = 0;
     std::uint64_t lastIssue = 0;
-    std::uint32_t cursor = 0;  ///< Next flat record index.
-    std::uint32_t end = 0;     ///< One past the warp's last record.
+    std::uint32_t cursor = 0;  ///< Next record of the warp's stream.
+    std::uint32_t end = 0;     ///< One past the stream's last record.
+    std::int32_t endLin = -1;  ///< The stream's end lin.
 
     bool
     doneIssuing() const
@@ -179,8 +180,13 @@ struct Sm
             : n;
         for (int w = 0; w < n; w++) {
             Warp &s = warps[static_cast<std::size_t>(w)];
-            s.cursor = trace.warpBegin[static_cast<std::size_t>(w)];
-            s.end = trace.warpBegin[static_cast<std::size_t>(w) + 1];
+            // Warps on one interned stream share its records; each
+            // keeps its own cursor, since timing interleaves them.
+            const std::uint32_t stream =
+                trace.warpStream[static_cast<std::size_t>(w)];
+            s.cursor = trace.streamBegin[stream];
+            s.end = trace.streamBegin[stream + 1];
+            s.endLin = trace.streamEndLin[stream];
             refresh(s);
             acct.push_back(acctFactory.makeWarp(w));
             if (s.doneIssuing())
@@ -546,10 +552,7 @@ struct Sm
         WarpAccountant &a = *acct[static_cast<std::size_t>(wid)];
         a.onIssue(lin, (fl & kReplayExecuted) != 0,
                   (fl & kReplayBranchTaken) != 0,
-                  t + 1 < w.end
-                      ? trace.lin[t + 1]
-                      : trace.warpEndLin[static_cast<std::size_t>(wid)],
-                  plan);
+                  t + 1 < w.end ? trace.lin[t + 1] : w.endLin, plan);
         if (!a.error().empty()) {
             error = std::string(a.error());
             return;

@@ -42,7 +42,7 @@ class FlatAccounting final : public AccountingOf<FlatWarpAccountant>
   public:
     FlatAccounting(const Kernel &k, const ReplayDecode *dec,
                    AccessCounts &counts)
-        : counts_(counts)
+        : AccountingOf(counts)
     {
         dec_ = dec ? dec : &local_.emplace(k);
     }
@@ -57,7 +57,6 @@ class FlatAccounting final : public AccountingOf<FlatWarpAccountant>
   private:
     std::optional<ReplayDecode> local_;
     const ReplayDecode *dec_;
-    AccessCounts &counts_;
 };
 
 } // namespace

@@ -8,7 +8,9 @@
  * branch taken, next lin):
  *
  *  - the trace driver (PipelineAccounting::replay) walks a recorded
- *    DecodedTrace warp by warp — the REPLAY engine;
+ *    DecodedTrace warp by warp, accounting each distinct warp stream
+ *    once and adding its memoized counts for the warps that repeat
+ *    it — the REPLAY engine;
  *  - the functional-machine driver (PipelineAccounting::execute)
  *    interprets the kernel warp by warp and accounts each instruction
  *    as it steps — the DIRECT engine of schemes without a
@@ -36,6 +38,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "ir/kernel.h"
 #include "sim/access_counters.h"
@@ -67,7 +70,10 @@ struct OperandPlan
  * per onIssue() call, in the warp's trace order, including deschedule
  * counting. It is the scheme's only counting model: every driver feeds
  * it the same per-warp records, so the counts cannot depend on which
- * engine ran or how a scheduler interleaved the warps.
+ * engine ran or how a scheduler interleaved the warps. What it adds to
+ * the shared counts must depend only on the records it is fed, never
+ * on the warp id: the trace driver accounts a stream that several
+ * warps follow once and repeats its counts for the others.
  */
 class WarpAccountant
 {
@@ -102,30 +108,49 @@ class WarpAccountant
 };
 
 /**
- * Trace driver: feed every record of @p trace to the warp machines
- * @p makeWarp(w) returns, warp by warp in order, stopping at the first
- * error(). @return that error, or empty. Called with a pointer to a
- * `final` accountant type, the per-record onIssue is a direct call.
+ * Trace driver: walk the warps of @p trace in order, feeding each
+ * distinct stream's records to the warp machine @p makeWarp(w) returns
+ * for its first warp only, stopping at the first error(). A warp's
+ * counts are a pure function of its stream (no accountant reads the
+ * warp id, and @p counts is additive), so the driver memoizes the
+ * first warp's delta to @p counts and adds it for every later warp on
+ * the same stream. Walking in warp order keeps a failing run's error
+ * and partial counts those of a warp-by-warp walk. @return that
+ * error, or empty. Called with a pointer to a `final` accountant type,
+ * the per-record onIssue is a direct call.
  */
 template <typename MakeWarp>
 std::string
-driveTrace(const DecodedTrace &trace, MakeWarp &&makeWarp)
+driveTrace(const DecodedTrace &trace, AccessCounts &counts,
+           MakeWarp &&makeWarp)
 {
     OperandPlan plan;
+    // Streams are numbered in order of first appearance: a warp starts
+    // a new stream exactly when its index equals the streams driven.
+    std::vector<AccessCounts> delta;
+    delta.reserve(static_cast<std::size_t>(trace.numStreams()));
     for (int w = 0; w < trace.numWarps(); w++) {
+        const std::uint32_t s = trace.warpStream[w];
+        if (s < delta.size()) {
+            counts.add(delta[s]);
+            continue;
+        }
+        const AccessCounts before = counts;
         auto acct = makeWarp(w);
-        const std::uint32_t end = trace.warpBegin[w + 1];
-        for (std::uint32_t t = trace.warpBegin[w]; t < end; t++) {
+        const std::uint32_t end = trace.streamBegin[s + 1];
+        for (std::uint32_t t = trace.streamBegin[s]; t < end; t++) {
             const std::uint8_t flags = trace.flags[t];
             plan.numMrf = plan.numBypass = 0;
             acct->onIssue(trace.lin[t], (flags & kReplayExecuted) != 0,
                           (flags & kReplayBranchTaken) != 0,
                           t + 1 < end ? trace.lin[t + 1]
-                                      : trace.warpEndLin[w],
+                                      : trace.streamEndLin[s],
                           plan);
             if (!acct->error().empty())
                 return std::string(acct->error());
         }
+        delta.push_back(counts);
+        delta.back().sub(before);
     }
     return {};
 }
@@ -190,12 +215,16 @@ class PipelineAccounting
  * The one implementation of PipelineAccounting, over a concrete
  * `final` accountant type @p Warp: the scheme implements newWarp() and
  * gets makeWarp() plus both functional drivers, instantiated on
- * @p Warp so no record pays a virtual call.
+ * @p Warp so no record pays a virtual call. It holds the run's shared
+ * AccessCounts, which the scheme's warp machines count into and the
+ * trace driver adds memoized stream deltas to.
  */
 template <typename Warp>
 class AccountingOf : public PipelineAccounting
 {
   public:
+    explicit AccountingOf(AccessCounts &counts) : counts_(counts) {}
+
     std::unique_ptr<WarpAccountant>
     makeWarp(int warp) final
     {
@@ -205,7 +234,8 @@ class AccountingOf : public PipelineAccounting
     std::string
     replay(const DecodedTrace &trace) final
     {
-        return driveTrace(trace, [this](int w) { return newWarp(w); });
+        return driveTrace(trace, counts_,
+                          [this](int w) { return newWarp(w); });
     }
 
     std::string
@@ -218,6 +248,9 @@ class AccountingOf : public PipelineAccounting
   protected:
     /** The state machine of warp @p warp, reset for a fresh run. */
     virtual std::unique_ptr<Warp> newWarp(int warp) = 0;
+
+    /** The run's shared accumulator. */
+    AccessCounts &counts_;
 };
 
 /**

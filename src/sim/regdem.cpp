@@ -71,7 +71,7 @@ class RegDemAccounting final : public AccountingOf<RegDemWarpSim>
   public:
     RegDemAccounting(const Kernel &k, const RegDemConfig &cfg,
                      const ReplayDecode *dec, AccessCounts &counts)
-        : counts_(counts),
+        : AccountingOf(counts),
           demoted_(regdemDemotedSet(k, kRegDemRegsPerEntry * cfg.entries))
     {
         dec_ = dec ? dec : &localDec_.emplace(k);
@@ -85,7 +85,6 @@ class RegDemAccounting final : public AccountingOf<RegDemWarpSim>
     }
 
   private:
-    AccessCounts &counts_;
     RegSet demoted_;
     std::optional<ReplayDecode> localDec_;
     const ReplayDecode *dec_;

@@ -10,7 +10,6 @@
 #include "sim/machine.h"
 #include "sim/pipeline_account.h"
 #include "sim/replay_arena.h"
-#include "sim/replay_kernels.h"
 #include "sim/trace.h"
 
 namespace rfh {
@@ -360,7 +359,7 @@ nextSetBit(const std::vector<std::uint64_t> &words, std::uint32_t from,
  * Per-record accounting of the software hierarchy: annotated-level
  * counting with the structural (value-independent) checks of
  * runSwHierarchy, one warp per accountant. It drives REPLAY whenever
- * the popcount fast path cannot (a run that may fail), and the
+ * the fast path cannot (a run that may fail), and the
  * cycle-level pipeline at issue. A failing run stops at the same
  * record with the same message and the same partial counts as
  * runSwHierarchy; bit-exact values are that executor's job.
@@ -524,7 +523,7 @@ class SwAccounting final : public AccountingOf<SwWarpAccountant>
     SwAccounting(const Kernel &k, const AllocOptions &opts,
                  const SwExecConfig &cfg, const AnalysisBundle *analyses,
                  AccessCounts &counts)
-        : k_(k), opts_(opts), cfg_(cfg), counts_(counts),
+        : AccountingOf(counts), k_(k), opts_(opts), cfg_(cfg),
           cfgGraph_(analyses ? nullptr : &localCfg_.emplace(k)),
           strands_(k, analyses ? analyses->cfg : *cfgGraph_,
                    opts.strandOptions),
@@ -547,7 +546,6 @@ class SwAccounting final : public AccountingOf<SwWarpAccountant>
     const Kernel &k_;
     AllocOptions opts_;
     SwExecConfig cfg_;
-    AccessCounts &counts_;
     std::optional<Cfg> localCfg_;
     const Cfg *cfgGraph_;
     StrandAnalysis strands_;
@@ -577,15 +575,15 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
                   const DecodedTrace &trace, const SwExecConfig &cfg,
                   const AnalysisBundle *analyses)
 {
-    // ---- Fast path: histogram counting + popcount sweeps ----
+    // ---- Fast path: per-instruction deltas + bit-scan sweeps ----
     // Every count is a sum over dynamic records of a per-instruction
     // delta, so instead of walking the stream doing per-record
-    // annotation dispatch, histogram the stream by static instruction
-    // and apply each instruction's delta once — byte-identical totals
-    // in O(records) trivial work plus O(instrs) finalisation. Only the
-    // deschedule count is order-dependent; a dedicated pass handles it
-    // by bit-scanning directly between the rare records that can make
-    // a long-latency register outstanding.
+    // annotation dispatch, apply each instruction's delta once, scaled
+    // by the trace's weighted per-instruction record counts —
+    // byte-identical totals in O(instrs) work. Only the deschedule
+    // count is order-dependent; a dedicated pass handles it once per
+    // distinct warp stream, by bit-scanning directly between the rare
+    // records that can make a long-latency register outstanding.
     const int n = k.numInstrs();
     ReplayArena &arena = acquireThreadReplayArena();
     SwLinCost *cost = arena.allocZeroed<SwLinCost>(n);
@@ -597,7 +595,7 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
     SwExecResult result;
     AccessCounts &counts = result.counts;
 
-    // ---- Deschedule pass ----
+    // ---- Deschedule pass, once per stream ----
     // pending can only become non-empty at an executed long-latency
     // record with a destination (llWords); while it is empty every
     // other record is a no-op for this pass, so skip between set bits.
@@ -609,9 +607,10 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
         analyses ? analyses->cfg : localCfg.emplace(k);
     StrandAnalysis strands(k, cfg_graph, opts.strandOptions);
     const bool cut_backward = opts.strandOptions.cutAtBackwardBranch;
-    for (int w = 0; w < trace.numWarps(); w++) {
-        const std::uint32_t end = trace.warpBegin[w + 1];
-        std::uint32_t t = trace.warpBegin[w];
+    for (int s = 0; s < trace.numStreams(); s++) {
+        const std::uint32_t end = trace.streamBegin[s + 1];
+        std::uint32_t t = trace.streamBegin[s];
+        std::uint64_t deschedules = 0;
         RegSet pending;
         while (t < end) {
             const bool first_ll = pending.none();
@@ -625,37 +624,31 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
                 if (!cfg.idealNoFlush)
                     return replayPerRecord(k, opts, trace, cfg,
                                            analyses);
-                counts.deschedules++;
+                deschedules++;
                 pending.reset();
             }
             if ((trace.llWords[t / 64] >> (t % 64)) & 1u)
                 pending |= defined[lin];
             if (!cfg.idealNoFlush && pending.any()) {
-                const std::int32_t next = trace.nextLin(w, t);
+                const std::int32_t next = trace.nextLin(s, t);
                 if (next >= 0 &&
                     (strands.strandOf(next) != strands.strandOf(lin) ||
                      (next <= lin && cut_backward))) {
-                    counts.deschedules++;
+                    deschedules++;
                     pending.reset();
                 }
             }
             t++;
         }
+        counts.deschedules += deschedules * trace.multiplicity[s];
     }
 
-    // ---- Access counting: histogram + per-instruction deltas ----
-    const std::size_t total = trace.lin.size();
-    std::uint32_t *histAll = arena.allocZeroed<std::uint32_t>(n);
-    std::uint32_t *histOff = arena.allocZeroed<std::uint32_t>(n);
-    histogramRecords(trace.lin.data(), total, histAll);
-    if (trace.executedInstrs != total)
-        histogramClearBits(trace.execWords.data(), trace.lin.data(),
-                           total, histOff);
+    // ---- Access counting: per-instruction deltas ----
     for (int lin = 0; lin < n; lin++) {
-        const std::uint64_t all = histAll[lin];
+        const std::uint64_t all = trace.linRecords[lin];
         if (all == 0)
             continue;
-        const std::uint64_t ex = all - histOff[lin];
+        const std::uint64_t ex = trace.linExecuted[lin];
         const SwLinCost &c = cost[lin];
         const Datapath dp = datapathOf(k.instr(lin).unit());
         for (int l = 0; l < 3; l++)
@@ -667,7 +660,7 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
         if (c.wMRF)
             counts.write(Level::MRF, dp, c.wMRF * ex);
     }
-    counts.instructions = total;
+    counts.instructions = trace.instructions();
     noteSwRun(result, /*replay=*/true);
     return result;
 }

@@ -72,8 +72,9 @@ struct DecodedTrace;
  * dynamic stream @p trace (recorded once from the pristine kernel
  * under @p cfg.run; annotations do not change the dynamic path) doing
  * only access accounting at the annotated levels — no functional
- * execution and no value verification. A clean run takes the popcount
- * fast path (per-instruction deltas over a stream histogram); a run
+ * execution and no value verification. A clean run takes the fast
+ * path (per-instruction deltas scaled by the trace's weighted
+ * per-instruction counts, deschedules once per distinct stream); a run
  * that may fail a structural annotation check (level restrictions,
  * entry ranges, a mid-strand long-latency touch) is driven record by
  * record through the scheme's accountant, so it stops at the same

@@ -1,5 +1,7 @@
 #include "sim/trace.h"
 
+#include <algorithm>
+
 #include "core/metrics.h"
 #include "core/trace_events.h"
 #include "ir/reaching_defs.h"
@@ -14,7 +16,13 @@ namespace {
 struct RecorderMetrics
 {
     Counter &recordings = globalMetrics().counter("trace.recordings");
+    /** Records over all warps, duplicates included. */
     Counter &instrs = globalMetrics().counter("trace.record.instrs");
+    /** Distinct warp streams stored. */
+    Counter &streams = globalMetrics().counter("trace.record.streams");
+    /** Records stored: those of the distinct streams only. */
+    Counter &distinctInstrs =
+        globalMetrics().counter("trace.record.distinctInstrs");
     Timer &record = globalMetrics().timer("trace.record");
 };
 
@@ -29,15 +37,66 @@ void
 noteRecording(const Kernel &k, const DecodedTrace &trace, double sec)
 {
     RecorderMetrics &rm = recorderMetrics();
+    const std::uint64_t instrs = trace.instructions();
     rm.recordings.add();
-    rm.instrs.add(trace.lin.size());
+    rm.instrs.add(instrs);
+    rm.streams.add(static_cast<std::uint64_t>(trace.numStreams()));
+    rm.distinctInstrs.add(trace.lin.size());
     rm.record.addSec(sec);
     TraceEventLog &log = TraceEventLog::global();
     if (log.enabled()) {
         double endUs = TraceEventLog::nowUs();
         log.add("recordTrace", "trace", endUs - sec * 1e6, sec * 1e6,
                 "{\"kernel\":\"" + k.name + "\",\"instrs\":" +
-                    std::to_string(trace.lin.size()) + "}");
+                    std::to_string(instrs) + ",\"streams\":" +
+                    std::to_string(trace.numStreams()) + "}");
+    }
+}
+
+/** One step of the interning hash over a record. */
+std::uint64_t
+hashStep(std::uint64_t h, std::uint64_t v)
+{
+    return (h ^ v) * 0x9E3779B97F4A7C15ull;
+}
+
+/**
+ * Derive the fields that follow from @p trace's interned streams —
+ * the weighted per-instruction counts, the long-latency plane and the
+ * totals — for the kernel @p k they were recorded from.
+ */
+void
+finishTrace(const Kernel &k, DecodedTrace &trace)
+{
+    const std::size_t n = trace.lin.size();
+    const std::size_t nInstrs = static_cast<std::size_t>(k.numInstrs());
+    trace.linRecords.assign(nInstrs, 0);
+    trace.linExecuted.assign(nInstrs, 0);
+    trace.llWords.assign((n + 63) / 64, 0);
+    trace.executedInstrs = 0;
+    trace.takenBranches = 0;
+    // Long-latency-with-destination instructions: their executed
+    // records are the only ones that can set the replay pending set.
+    std::vector<std::uint8_t> ll(nInstrs, 0);
+    for (int l = 0; l < k.numInstrs(); l++) {
+        const Instruction &in = k.instr(l);
+        ll[l] = in.longLatency() && in.dst ? 1 : 0;
+    }
+    for (int s = 0; s < trace.numStreams(); s++) {
+        const std::uint32_t b = trace.streamBegin[s];
+        const std::uint32_t e = trace.streamBegin[s + 1];
+        const std::uint64_t m = trace.multiplicity[s];
+        FlagsClassCounts cls =
+            classifyReplayFlags(trace.flags.data() + b, e - b);
+        trace.executedInstrs += cls.executed * m;
+        trace.takenBranches += cls.taken * m;
+        for (std::uint32_t t = b; t < e; t++) {
+            const int lin = trace.lin[t];
+            const std::uint64_t ex = trace.flags[t] & kReplayExecuted;
+            trace.linRecords[lin] += m;
+            trace.linExecuted[lin] += ex * m;
+            trace.llWords[t / 64] |= (ll[lin] & ex) << (t % 64);
+        }
     }
 }
 
@@ -48,13 +107,19 @@ recordDecodedTrace(const Kernel &k, const RunConfig &cfg)
 {
     Stopwatch watch;
     DecodedTrace trace;
-    trace.warpBegin.reserve(cfg.numWarps + 1);
-    trace.warpEndLin.reserve(cfg.numWarps);
-    trace.warpBegin.push_back(0);
+    trace.warpStream.reserve(cfg.numWarps);
+    trace.streamBegin.push_back(0);
+    // Interning key per stream: a hash over (lin, flags) and the end
+    // lin. A hit is confirmed by comparing the records, so collisions
+    // cost a compare, never a wrong merge.
+    std::vector<std::uint64_t> streamHash;
     for (int w = 0; w < cfg.numWarps; w++) {
+        const std::uint32_t begin =
+            static_cast<std::uint32_t>(trace.lin.size());
         WarpContext warp;
         warp.reset(static_cast<std::uint32_t>(w));
         std::uint64_t executed = 0;
+        std::uint64_t h = 0;
         while (!warp.done && executed < cfg.maxInstrsPerWarp) {
             int lin = warp.pc(k);
             const Instruction &in = k.instr(lin);
@@ -66,45 +131,47 @@ recordDecodedTrace(const Kernel &k, const RunConfig &cfg)
                 flags |= kReplayBranchTaken;
             trace.lin.push_back(lin);
             trace.flags.push_back(flags);
+            h = hashStep(h, static_cast<std::uint64_t>(lin) << 8 | flags);
             executed++;
         }
-        trace.warpBegin.push_back(
-            static_cast<std::uint32_t>(trace.lin.size()));
-        trace.warpEndLin.push_back(warp.done ? -1 : warp.pc(k));
+        const std::int32_t endLin = warp.done ? -1 : warp.pc(k);
+        h = hashStep(h, static_cast<std::uint32_t>(endLin));
+
+        const std::uint32_t len =
+            static_cast<std::uint32_t>(trace.lin.size()) - begin;
+        int match = -1;
+        for (int s = 0; s < trace.numStreams() && match < 0; s++) {
+            const std::uint32_t sb = trace.streamBegin[s];
+            if (streamHash[s] == h && trace.streamEndLin[s] == endLin &&
+                trace.streamBegin[s + 1] - sb == len &&
+                std::equal(trace.lin.begin() + begin, trace.lin.end(),
+                           trace.lin.begin() + sb) &&
+                std::equal(trace.flags.begin() + begin,
+                           trace.flags.end(), trace.flags.begin() + sb))
+                match = s;
+        }
+        if (match >= 0) {
+            trace.lin.resize(begin);
+            trace.flags.resize(begin);
+            trace.multiplicity[match]++;
+            trace.warpStream.push_back(static_cast<std::uint32_t>(match));
+        } else {
+            trace.warpStream.push_back(
+                static_cast<std::uint32_t>(trace.numStreams()));
+            trace.streamBegin.push_back(
+                static_cast<std::uint32_t>(trace.lin.size()));
+            trace.streamEndLin.push_back(endLin);
+            trace.multiplicity.push_back(1);
+            streamHash.push_back(h);
+        }
     }
-    trace.buildPlanes(k);
+    // Merged warps were recorded and then cut back off: release that
+    // slack, since the memo keeps the trace for the kernel's lifetime.
+    trace.lin.shrink_to_fit();
+    trace.flags.shrink_to_fit();
+    finishTrace(k, trace);
     noteRecording(k, trace, watch.elapsedSec());
     return trace;
-}
-
-void
-DecodedTrace::buildPlanes(const Kernel &k)
-{
-    const std::size_t n = lin.size();
-    const std::size_t words = (n + 63) / 64;
-    execWords.assign(words, 0);
-    llWords.assign(words, 0);
-    if (n == 0) {
-        executedInstrs = 0;
-        takenBranches = 0;
-        return;
-    }
-    FlagsClassCounts cls = classifyReplayFlags(flags.data(), n);
-    executedInstrs = cls.executed;
-    takenBranches = cls.taken;
-    packReplayPlanes(flags.data(), n, execWords.data());
-    // Long-latency-with-destination records (the only ones that can
-    // set the replay pending set), masked to executed records.
-    std::vector<std::uint8_t> ll(k.numInstrs(), 0);
-    for (int l = 0; l < k.numInstrs(); l++) {
-        const Instruction &in = k.instr(l);
-        ll[l] = in.longLatency() && in.dst ? 1 : 0;
-    }
-    for (std::size_t t = 0; t < n; t++)
-        llWords[t / 64] |=
-            static_cast<std::uint64_t>(ll[lin[t]]) << (t % 64);
-    for (std::size_t w = 0; w < words; w++)
-        llWords[w] &= execWords[w];
 }
 
 namespace {

@@ -14,12 +14,23 @@
  * computation, no branch evaluation.
  *
  * The dynamic stream is a structure-of-arrays: one int32 linear
- * instruction index and one flags byte per dynamic instruction, with
- * per-warp extents. Everything value-dependent that the access
- * counters need is folded into the flags (executed-vs-predicated-off,
- * branch taken); everything static (register indices, immediates,
- * wide halves, unit class) is resolved once into a ReplayDecode table
- * indexed by the linear instruction id.
+ * instruction index and one flags byte per dynamic instruction.
+ * Everything value-dependent that the access counters need is folded
+ * into the flags (executed-vs-predicated-off, branch taken);
+ * everything static (register indices, immediates, wide halves, unit
+ * class) is resolved once into a ReplayDecode table indexed by the
+ * linear instruction id.
+ *
+ * Identical per-warp streams are interned at record time: warps that
+ * follow the same path (same lin, flags and end lin) share one stored
+ * stream, and the trace keeps each distinct stream once with the
+ * number of warps that follow it (its multiplicity) and a warp ->
+ * stream map. This is the paper's per-path execution frequency: an
+ * accountant's counts for a warp are a pure function of its stream,
+ * so the replay drivers account each distinct stream once and scale
+ * by its multiplicity. Per-static-instruction record and executed
+ * counts, weighted by multiplicity, are kept for the counting passes
+ * that need no order at all.
  */
 
 #ifndef RFH_SIM_TRACE_H
@@ -51,8 +62,9 @@ enum ReplayFlags : std::uint8_t
 };
 
 /**
- * The pre-decoded dynamic instruction stream of one kernel launch,
- * laid out as a flat structure-of-arrays over all warps.
+ * The pre-decoded dynamic instruction stream of one kernel launch:
+ * every distinct per-warp stream stored once, laid out as a flat
+ * structure-of-arrays, plus the warp -> stream map.
  *
  * Replaying the stream reproduces, bit-exactly, every quantity the
  * access counters depend on — which instruction issued, whether its
@@ -61,77 +73,98 @@ enum ReplayFlags : std::uint8_t
  */
 struct DecodedTrace
 {
-    /** Static linear instruction index, one per dynamic instruction. */
+    /**
+     * Static linear instruction index, one per record of the distinct
+     * streams.
+     */
     std::vector<std::int32_t> lin;
     /** ReplayFlags, parallel to @c lin. */
     std::vector<std::uint8_t> flags;
     /**
-     * Per-warp extents into the flat arrays: warp w's records are
-     * [warpBegin[w], warpBegin[w+1]). Size numWarps + 1.
+     * Per-stream extents into the flat arrays: stream s's records are
+     * [streamBegin[s], streamBegin[s+1]). Size numStreams() + 1.
      */
-    std::vector<std::uint32_t> warpBegin;
+    std::vector<std::uint32_t> streamBegin;
     /**
-     * Per warp: the linear index of the instruction that would have
+     * Per stream: the linear index of the instruction that would have
      * issued next had the run not hit the per-warp instruction cap,
      * or -1 when the warp terminated. Lets replay reproduce the
-     * strand-boundary check of the final recorded instruction.
+     * strand-boundary check of the final recorded instruction. Part
+     * of the interning key: streams that differ only here are
+     * distinct.
      */
-    std::vector<std::int32_t> warpEndLin;
-
-    // ---- Bit-planes over the record stream ----
-    // Bit (t % 64) of word (t / 64) classifies record t. Always built
-    // by the recorder (buildPlanes); the replay executors consume
-    // them with popcount sweeps and bit scans instead of per-record
-    // branching. Unused bits of the final word are zero.
-
-    /** kReplayExecuted per record. */
-    std::vector<std::uint64_t> execWords;
+    std::vector<std::int32_t> streamEndLin;
+    /** Per stream: how many warps follow it (>= 1). */
+    std::vector<std::uint32_t> multiplicity;
     /**
-     * Records that executed AND name a long-latency instruction with a
-     * destination — exactly the records that can set the outstanding
-     * (pending) register set during replay. Structural: annotations
-     * never affect it, so it is valid for any annotated copy of the
-     * recorded kernel.
+     * Per warp: the index of its stream. Streams are numbered in
+     * order of first appearance, so the first warp of stream s is the
+     * first w with warpStream[w] == s, and warpStream[w] <= w.
+     */
+    std::vector<std::uint32_t> warpStream;
+    /**
+     * Per static instruction: records naming it over all warps (each
+     * stream's records weighted by its multiplicity).
+     */
+    std::vector<std::uint64_t> linRecords;
+    /** Per static instruction: those records with kReplayExecuted. */
+    std::vector<std::uint64_t> linExecuted;
+
+    /**
+     * Bit (t % 64) of word (t / 64) is set for record t of the
+     * distinct streams when it executed AND names a long-latency
+     * instruction with a destination — exactly the records that can
+     * set the outstanding (pending) register set during replay.
+     * Structural: annotations never affect it, so it is valid for any
+     * annotated copy of the recorded kernel. Unused bits of the final
+     * word are zero.
      */
     std::vector<std::uint64_t> llWords;
-    /** Total records with kReplayExecuted (classification pass). */
+    /** Records with kReplayExecuted over all warps. */
     std::uint64_t executedInstrs = 0;
-    /** Total records with kReplayBranchTaken (classification pass). */
+    /** Records with kReplayBranchTaken over all warps. */
     std::uint64_t takenBranches = 0;
-
-    /** (Re)build the planes and classification totals from @p k. */
-    void buildPlanes(const Kernel &k);
 
     int
     numWarps() const
     {
-        return static_cast<int>(warpEndLin.size());
+        return static_cast<int>(warpStream.size());
+    }
+
+    int
+    numStreams() const
+    {
+        return static_cast<int>(multiplicity.size());
     }
 
     /** Total dynamic instructions across all warps. */
     std::uint64_t
     instructions() const
     {
-        return static_cast<std::uint64_t>(lin.size());
+        std::uint64_t n = 0;
+        for (int s = 0; s < numStreams(); s++)
+            n += std::uint64_t{streamBegin[s + 1] - streamBegin[s]} *
+                multiplicity[s];
+        return n;
     }
 
     /**
-     * Linear index of the instruction following record @p t of warp
-     * @p w along the recorded path, or -1 when the warp terminated.
+     * Linear index of the instruction following record @p t of stream
+     * @p s along the recorded path, or -1 when the warp terminated.
      */
     std::int32_t
-    nextLin(int w, std::uint32_t t) const
+    nextLin(int s, std::uint32_t t) const
     {
-        return t + 1 < warpBegin[w + 1] ? lin[t + 1] : warpEndLin[w];
+        return t + 1 < streamBegin[s + 1] ? lin[t + 1] : streamEndLin[s];
     }
 };
 
 /**
  * Execute @p k functionally — once — and record the pre-decoded
- * per-warp dynamic stream. The warp loop, instruction cap, and
- * predicate semantics mirror the direct executors exactly, so a
- * replay visits precisely the dynamic instructions a direct run
- * executes.
+ * per-warp dynamic stream, interning identical warp streams. The warp
+ * loop, instruction cap, and predicate semantics mirror the direct
+ * executors exactly, so a replay visits precisely the dynamic
+ * instructions a direct run executes.
  */
 DecodedTrace recordDecodedTrace(const Kernel &k, const RunConfig &cfg = {});
 

@@ -11,7 +11,9 @@
  * on random synthetic kernels including predicated and divergent code
  * (property: the accountants under the functional-machine and trace
  * drivers, the software hierarchy's fast path against its verifying
- * executors), and the memoization of the recorded stream itself.
+ * executors), the memoization of the recorded stream itself, and the
+ * interning of identical warp streams (one shared stream, all
+ * distinct streams, a run that first fails at a later warp).
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +23,9 @@
 #include "core/json.h"
 #include "core/memo.h"
 #include "core/metrics.h"
+#include "core/scheme.h"
 #include "core/sweep.h"
+#include "ir/parser.h"
 #include "sim/baseline_exec.h"
 #include "sim/cc_rfc.h"
 #include "sim/hw_cache.h"
@@ -235,6 +239,160 @@ TEST(Replay, ArenaReuseKeepsConsecutiveRunsByteIdentical)
     EXPECT_EQ(outcomeToJson(b1), outcomeToJson(b2));
     // The arena block was handed out again, not reallocated.
     EXPECT_GT(reuse.value(), before);
+}
+
+// ---- Interned streams: one stream, all distinct, failing runs ----
+
+/** Every warp follows one path: the loop count is a constant. */
+Kernel
+sharedStreamKernel()
+{
+    return parseKernelOrDie(R"(.kernel shared
+entry:
+    mov R1, #6
+    shl R4, R0, #2
+loop:
+    ld.global R2, [R4]
+    iadd R3, R2, R1
+    imul R5, R3, R3
+    tex R6, [R4+8]
+    fadd R7, R6, R5
+    st.global [R4], R7
+    isub R1, R1, #1
+    setgt R8, R1, #0
+    @R8 bra loop
+done:
+    exit
+)");
+}
+
+/** Warp w loops w + 1 times: no two warps share a path. */
+Kernel
+distinctStreamsKernel()
+{
+    return parseKernelOrDie(R"(.kernel distinct
+entry:
+    iadd R1, R0, #1
+    shl R4, R0, #2
+loop:
+    ld.global R2, [R4]
+    iadd R3, R2, R1
+    setlt R9, R1, #3
+    @R9 imul R5, R3, R3
+    tex R6, [R4+8]
+    fadd R7, R6, R5
+    st.global [R4], R7
+    isub R1, R1, #1
+    setgt R8, R1, #0
+    @R8 bra loop
+done:
+    exit
+)");
+}
+
+TEST(Replay, EverySchemeMatchesDirectOnSharedAndDistinctStreams)
+{
+    const char *tokens[] = {"baseline", "hw2", "hw3", "sw2",
+                            "sw3", "ccrfc", "regdem", "greener"};
+    struct Case
+    {
+        Kernel kernel;
+        int streams;
+    };
+    const int warps = 8;
+    const Case cases[] = {{sharedStreamKernel(), 1},
+                          {distinctStreamsKernel(), warps}};
+    for (const Case &c : cases) {
+        Workload w;
+        w.name = c.kernel.name;
+        w.kernel = c.kernel;
+        w.run.numWarps = warps;
+        ASSERT_EQ(recordDecodedTrace(w.kernel, w.run).numStreams(),
+                  c.streams)
+            << w.name;
+        for (const char *token : tokens) {
+            const SchemeInfo *si =
+                SchemeRegistry::instance().findToken(token);
+            ASSERT_NE(si, nullptr) << token;
+            for (int entries : {1, 3, 6}) {
+                ExperimentConfig cfg;
+                cfg.scheme = si->scheme;
+                cfg.entries = entries;
+                cfg.engine = ExecEngine::DIRECT;
+                RunOutcome direct = runScheme(w, cfg);
+                EXPECT_TRUE(direct.ok()) << direct.error;
+                cfg.engine = ExecEngine::REPLAY;
+                EXPECT_EQ(outcomeToJson(runScheme(w, cfg)),
+                          outcomeToJson(direct))
+                    << w.name << " " << token << "@" << entries;
+            }
+        }
+    }
+}
+
+TEST(Replay, FailureAtALaterWarpKeepsErrorAndPartialCounts)
+{
+    // Every warp but warp 2 takes "low", one shared stream; warp 2
+    // takes "high", where an out-of-range ORF entry is planted. The
+    // run first fails at warp 2: its partial counts hold warp 0's
+    // accounted stream and warp 1's memoized copy, but none of the
+    // five later warps that share that stream.
+    Kernel k = parseKernelOrDie(R"(.kernel latefault
+entry:
+    seteq R1, R0, #2
+    @R1 bra high
+low:
+    iadd R2, R0, #2
+    bra out
+high:
+    iadd R2, R0, #3
+out:
+    iadd R3, R2, R2
+    st.global [R0], R3
+    exit
+)");
+    AllocOptions opts;
+    opts.orfEntries = 3;
+    opts.useLRF = true;
+    opts.splitLRF = true;
+    HierarchyAllocator alloc(EnergyParams{}, opts);
+    alloc.run(k);
+    WriteAnnotation &wa = k.instr(4).writeAnno;  // iadd R2 on "high"
+    wa.toLRF = false;
+    wa.toORF = true;
+    wa.toMRF = true;
+    wa.orfEntry = static_cast<std::uint8_t>(opts.orfEntries);
+
+    SwExecConfig sc;
+    sc.run.numWarps = 8;
+    const DecodedTrace trace = recordDecodedTrace(k, sc.run);
+    ASSERT_EQ(trace.numStreams(), 2);
+    ASSERT_EQ(trace.multiplicity, std::vector<std::uint32_t>({7, 1}));
+
+    // The verifying executor walks every warp in order, as the trace
+    // driver did before warps shared streams.
+    SwExecResult direct = runSwHierarchy(k, opts, sc);
+    ASSERT_NE(direct.error.find("ORF entry out of range"),
+              std::string::npos)
+        << direct.error;
+    // Two clean 7-record warps, then warp 2 up to its failing record.
+    EXPECT_EQ(direct.counts.instructions, 2u * 7u + 3u);
+    SwExecResult replay = replaySwHierarchy(k, opts, trace, sc);
+    EXPECT_EQ(replay.error, direct.error);
+    EXPECT_EQ(countsJson(replay.counts), countsJson(direct.counts));
+
+    // The accountant under both functional drivers agrees too.
+    AccessCounts machine, traced;
+    const std::string machineError =
+        makeSwHierarchyAccounting(k, opts, sc, nullptr, machine)
+            ->execute(k, sc.run);
+    const std::string tracedError =
+        makeSwHierarchyAccounting(k, opts, sc, nullptr, traced)
+            ->replay(trace);
+    EXPECT_EQ(machineError, direct.error);
+    EXPECT_EQ(tracedError, direct.error);
+    EXPECT_EQ(countsJson(traced), countsJson(machine));
+    EXPECT_EQ(countsJson(traced), countsJson(direct.counts));
 }
 
 // ---- Property: per-executor count equality on random kernels ----

@@ -74,7 +74,7 @@ class EchoAccounting final : public AccountingOf<EchoWarp>
 {
   public:
     EchoAccounting(const Kernel &k, AccessCounts &counts)
-        : k_(k), counts_(counts)
+        : AccountingOf(counts), k_(k)
     {
     }
 
@@ -87,7 +87,6 @@ class EchoAccounting final : public AccountingOf<EchoWarp>
 
   private:
     const Kernel &k_;
-    AccessCounts &counts_;
 };
 
 /** Trivial backend: recounts the flat baseline. */

@@ -1,41 +1,67 @@
 /**
  * @file
  * Tests for decoded-trace recording: every warp's record stream must
- * be a legal execution of the recorded kernel.
+ * be a legal execution of the recorded kernel, and identical warp
+ * streams are stored once with the right multiplicity.
  */
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "core/metrics.h"
 #include "ir/cfg_analysis.h"
 #include "ir/parser.h"
+#include "sim/baseline_exec.h"
 #include "sim/trace.h"
+#include "workloads/profiles.h"
 #include "workloads/registry.h"
 
 namespace rfh {
 namespace {
 
 /**
- * Check that every warp's @c lin stream in @p t walks @p k legally: it
- * starts at block 0, steps to the next instruction of the same block
- * or along a CFG edge at a block end, and ends at an EXIT or at the
- * warpEndLin cap (whose step is checked like any other).
+ * Check that every stream's @c lin records in @p t walk @p k legally:
+ * each starts at block 0, steps to the next instruction of the same
+ * block or along a CFG edge at a block end, and ends at an EXIT or at
+ * the streamEndLin cap (whose step is checked like any other). Also
+ * check the interning bookkeeping: every warp names a stream, streams
+ * are numbered in order of first appearance, and each multiplicity
+ * counts the warps on its stream.
  *
  * @return empty string if consistent, else the first violation.
  */
 std::string
 streamError(const Kernel &k, const DecodedTrace &t)
 {
-    Cfg cfg(k);
+    const int n = t.numStreams();
+    if (static_cast<int>(t.streamBegin.size()) != n + 1 ||
+        static_cast<int>(t.streamEndLin.size()) != n)
+        return "stream extents disagree with the multiplicities";
+    std::vector<std::uint32_t> warps(static_cast<std::size_t>(n), 0);
+    std::uint32_t seen = 0;
     for (int w = 0; w < t.numWarps(); w++) {
-        std::string at = "warp " + std::to_string(w) + ": ";
-        if (t.warpBegin[w] == t.warpBegin[w + 1])
+        const std::uint32_t s = t.warpStream[w];
+        if (s > seen || static_cast<int>(s) >= n)
+            return "warp " + std::to_string(w) + ": stream " +
+                std::to_string(s) + " out of first-appearance order";
+        seen += s == seen;
+        warps[s]++;
+    }
+    if (warps != t.multiplicity)
+        return "multiplicities do not count the warps per stream";
+
+    Cfg cfg(k);
+    for (int s = 0; s < n; s++) {
+        std::string at = "stream " + std::to_string(s) + ": ";
+        if (t.streamBegin[s] == t.streamBegin[s + 1])
             return at + "empty stream";
-        if (t.lin[t.warpBegin[w]] != k.blockStart(0))
+        if (t.lin[t.streamBegin[s]] != k.blockStart(0))
             return at + "does not start at block 0";
-        for (std::uint32_t i = t.warpBegin[w]; i < t.warpBegin[w + 1];
+        for (std::uint32_t i = t.streamBegin[s]; i < t.streamBegin[s + 1];
              i++) {
             int cur = t.lin[i];
-            int next = t.nextLin(w, i);
+            int next = t.nextLin(s, i);
             InstrRef r = k.ref(cur);
             int blockSize =
                 static_cast<int>(k.blocks[r.block].instrs.size());
@@ -50,8 +76,8 @@ streamError(const Kernel &k, const DecodedTrace &t)
                     return step + " leaves its block mid-way";
             } else {
                 bool edge = false;
-                for (int s : cfg.succs(r.block))
-                    edge |= next == k.blockStart(s);
+                for (int succ : cfg.succs(r.block))
+                    edge |= next == k.blockStart(succ);
                 if (!edge)
                     return step + " is not a CFG edge";
             }
@@ -65,9 +91,25 @@ std::vector<std::uint64_t>
 recordsPerBlock(const Kernel &k, const DecodedTrace &t)
 {
     std::vector<std::uint64_t> out(k.blocks.size(), 0);
-    for (std::int32_t lin : t.lin)
-        out[k.ref(lin).block]++;
+    for (int s = 0; s < t.numStreams(); s++)
+        for (std::uint32_t i = t.streamBegin[s]; i < t.streamBegin[s + 1];
+             i++)
+            out[k.ref(t.lin[i]).block] += t.multiplicity[s];
     return out;
+}
+
+/** A one-stream trace of @p lin, ending at @p endLin, for one warp. */
+DecodedTrace
+handMade(std::vector<std::int32_t> lin, std::int32_t endLin = -1)
+{
+    DecodedTrace t;
+    t.flags.assign(lin.size(), kReplayExecuted);
+    t.streamBegin = {0, static_cast<std::uint32_t>(lin.size())};
+    t.lin = std::move(lin);
+    t.streamEndLin = {endLin};
+    t.multiplicity = {1};
+    t.warpStream = {0};
+    return t;
 }
 
 TEST(Trace, StraightLinePathIsOneBlock)
@@ -82,8 +124,12 @@ entry:
     cfg.numWarps = 2;
     DecodedTrace t = recordDecodedTrace(k, cfg);
     ASSERT_EQ(t.numWarps(), 2);
-    EXPECT_EQ(t.lin, std::vector<std::int32_t>({0, 1, 2, 0, 1, 2}));
-    EXPECT_EQ(t.warpEndLin, std::vector<std::int32_t>({-1, -1}));
+    // Both warps follow one path: it is stored once, twice weighted.
+    EXPECT_EQ(t.lin, std::vector<std::int32_t>({0, 1, 2}));
+    EXPECT_EQ(t.streamEndLin, std::vector<std::int32_t>({-1}));
+    EXPECT_EQ(t.multiplicity, std::vector<std::uint32_t>({2}));
+    EXPECT_EQ(t.warpStream, std::vector<std::uint32_t>({0, 0}));
+    EXPECT_EQ(t.linRecords, std::vector<std::uint64_t>({2, 2, 2}));
     EXPECT_EQ(t.instructions(), 6u);
     EXPECT_EQ(streamError(k, t), "");
 }
@@ -113,7 +159,7 @@ out:
     cfg.maxInstrsPerWarp = 5;
     DecodedTrace capped = recordDecodedTrace(k, cfg);
     EXPECT_EQ(capped.instructions(), 5u);
-    EXPECT_EQ(capped.warpEndLin, std::vector<std::int32_t>({2}));
+    EXPECT_EQ(capped.streamEndLin, std::vector<std::int32_t>({2}));
     EXPECT_EQ(streamError(k, capped), "");
 }
 
@@ -139,6 +185,9 @@ out:
     std::vector<std::uint64_t> perBlock = recordsPerBlock(k, t);
     EXPECT_EQ(perBlock[2], 2u);
     EXPECT_EQ(perBlock[1], 6u * 2u);
+    EXPECT_EQ(t.multiplicity, std::vector<std::uint32_t>({2, 6}));
+    EXPECT_EQ(t.warpStream,
+              std::vector<std::uint32_t>({0, 0, 1, 1, 1, 1, 1, 1}));
     EXPECT_EQ(streamError(k, t), "");
 }
 
@@ -161,17 +210,19 @@ skip:
     ASSERT_EQ(streamError(k, t), "");
 
     // Hand-made illegal streams, one fault each.
-    DecodedTrace bad = t;
-    bad.lin = {2, 3, 4};  // starts outside block 0
-    bad.warpBegin = {0, 3};
+    EXPECT_EQ(streamError(k, handMade({0, 1, 3, 4})), "");
+    EXPECT_NE(streamError(k, handMade({2, 3, 4})), "");  // not block 0
+    EXPECT_NE(streamError(k, handMade({0, 3, 4})), "");  // skips the bra
+    EXPECT_NE(streamError(k, handMade({0, 1, 4})), "");  // no such edge
+    EXPECT_NE(streamError(k, handMade({0, 1, 3})), "");  // no exit
+    EXPECT_NE(streamError(k, handMade({0, 1}, 4)), "");  // cap off-edge
+    // Interning bookkeeping faults.
+    DecodedTrace bad = handMade({0, 1, 3, 4});
+    bad.warpStream = {0, 0};  // two warps, multiplicity says one
     EXPECT_NE(streamError(k, bad), "");
-    bad.lin = {0, 3, 4};  // skips the branch mid-block
-    EXPECT_NE(streamError(k, bad), "");
-    bad.lin = {0, 1, 4};  // jumps from a block end along no edge
-    EXPECT_NE(streamError(k, bad), "");
-    bad = t;
-    bad.lin.pop_back();  // ends on the store, not the exit
-    bad.warpBegin = {0, 3};
+    bad.multiplicity = {2};
+    EXPECT_EQ(streamError(k, bad), "");
+    bad.warpStream = {1, 0};  // stream 1 named before stream 0
     EXPECT_NE(streamError(k, bad), "");
 }
 
@@ -184,6 +235,119 @@ TEST(Trace, AllWorkloadsProduceValidTraces)
         EXPECT_EQ(streamError(w.kernel, t), "") << w.name;
         EXPECT_GT(t.instructions(), 0u) << w.name;
     }
+}
+
+/** Registry workloads plus a few kernels of every corpus profile. */
+std::vector<Workload>
+interningWorkloads()
+{
+    std::vector<Workload> out = allWorkloads();
+    for (const ScenarioProfile &p : allProfiles())
+        for (int i = 0; i < 4; i++)
+            out.push_back(corpusWorkload(p, 1, i));
+    return out;
+}
+
+TEST(Trace, InternedStreamsAccountForEveryWarp)
+{
+    for (const Workload &w : interningWorkloads()) {
+        DecodedTrace t = recordDecodedTrace(w.kernel, w.run);
+        ASSERT_EQ(streamError(w.kernel, t), "") << w.name;
+        EXPECT_EQ(t.numWarps(), w.run.numWarps) << w.name;
+        EXPECT_EQ(std::accumulate(t.multiplicity.begin(),
+                                  t.multiplicity.end(), std::uint64_t{0}),
+                  static_cast<std::uint64_t>(w.run.numWarps))
+            << w.name;
+        EXPECT_EQ(t.instructions(),
+                  runBaseline(w.kernel, w.run).instructions)
+            << w.name;
+        EXPECT_EQ(std::accumulate(t.linRecords.begin(), t.linRecords.end(),
+                                  std::uint64_t{0}),
+                  t.instructions())
+            << w.name;
+        EXPECT_EQ(std::accumulate(t.linExecuted.begin(),
+                                  t.linExecuted.end(), std::uint64_t{0}),
+                  t.executedInstrs)
+            << w.name;
+        // No two stored streams are equal: interning is complete.
+        for (int a = 0; a < t.numStreams(); a++) {
+            for (int b = a + 1; b < t.numStreams(); b++) {
+                auto at = [&](int s, const auto &v) {
+                    return std::vector(v.begin() + t.streamBegin[s],
+                                       v.begin() + t.streamBegin[s + 1]);
+                };
+                EXPECT_FALSE(at(a, t.lin) == at(b, t.lin) &&
+                             at(a, t.flags) == at(b, t.flags) &&
+                             t.streamEndLin[a] == t.streamEndLin[b])
+                    << w.name << ": streams " << a << " and " << b;
+            }
+        }
+    }
+}
+
+TEST(Trace, CappedWarpsSplitOnTheirEndLin)
+{
+    // Warp w loops w + 1 times. Under a 4-record cap, warps 1 and 2
+    // record the same four records and stop at the same next
+    // instruction, so they share a stream. Warp 0 leaves the loop at
+    // its fourth record: its last branch falls through, so its end
+    // lin differs and it must not be merged with them. (On a recorded
+    // trace a warp's end lin follows from its last record, so the end
+    // lin never splits streams that agree record for record; the key
+    // keeps it so a stream's strand-boundary lookahead stays exact.)
+    Kernel k = parseKernelOrDie(R"(.kernel c
+entry:
+    iadd R1, R0, #1
+body:
+    isub R1, R1, #1
+    setgt R2, R1, #0
+    @R2 bra body
+out:
+    exit
+)");
+    RunConfig cfg;
+    cfg.numWarps = 3;
+    cfg.maxInstrsPerWarp = 4;
+    DecodedTrace t = recordDecodedTrace(k, cfg);
+    EXPECT_EQ(streamError(k, t), "");
+    EXPECT_EQ(t.warpStream, std::vector<std::uint32_t>({0, 1, 1}));
+    EXPECT_EQ(t.multiplicity, std::vector<std::uint32_t>({1, 2}));
+    EXPECT_EQ(t.streamEndLin, std::vector<std::int32_t>({4, 1}));
+    EXPECT_EQ(t.lin,
+              std::vector<std::int32_t>({0, 1, 2, 3, 0, 1, 2, 3}));
+    EXPECT_EQ(t.instructions(), 12u);
+}
+
+TEST(Trace, RecorderCountsStreamsAndDistinctRecords)
+{
+    MetricsRegistry &reg = globalMetrics();
+    Counter &instrs = reg.counter("trace.record.instrs");
+    Counter &streams = reg.counter("trace.record.streams");
+    Counter &distinct = reg.counter("trace.record.distinctInstrs");
+    const std::uint64_t i0 = instrs.value();
+    const std::uint64_t s0 = streams.value();
+    const std::uint64_t d0 = distinct.value();
+    Kernel k = parseKernelOrDie(R"(.kernel d
+entry:
+    setlt R1, R0, #2
+    @R1 bra low
+high:
+    iadd R2, R0, #1
+    bra out
+low:
+    iadd R2, R0, #2
+out:
+    st.global [R0], R2
+    exit
+)");
+    RunConfig cfg;
+    cfg.numWarps = 8;
+    DecodedTrace t = recordDecodedTrace(k, cfg);
+    // Two paths of 5 and 6 records: 2 x 5 + 6 x 6 records in all.
+    EXPECT_EQ(instrs.value() - i0, 46u);
+    EXPECT_EQ(streams.value() - s0, 2u);
+    EXPECT_EQ(distinct.value() - d0, 11u);
+    EXPECT_EQ(t.lin.size(), 11u);
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 
 #include "compiler/allocator.h"
 #include "core/experiment.h"
+#include "core/json.h"
 #include "core/memo.h"
 #include "energy/energy_params.h"
 #include "ir/parser.h"
@@ -28,6 +29,7 @@
 #include "verify/oracle.h"
 #include "verify/rptx_fuzz.h"
 #include "verify/shrink.h"
+#include "workloads/registry.h"
 
 namespace rfh {
 namespace {
@@ -43,12 +45,13 @@ testOracleOptions()
     return oo;
 }
 
+/** The kernels of tests/corpus/@p subdir (not its subdirectories). */
 std::vector<std::pair<std::string, Kernel>>
-loadCorpus()
+loadCorpus(const std::string &subdir = "")
 {
     std::vector<std::pair<std::string, Kernel>> corpus;
     auto dir = std::filesystem::path(RFH_SOURCE_DIR) / "tests" /
-        "corpus";
+        "corpus" / subdir;
     for (const auto &e : std::filesystem::directory_iterator(dir)) {
         if (e.path().extension() != ".rptx")
             continue;
@@ -388,6 +391,66 @@ TEST(VerifyCorpus, RegeneratedSeed7CorpusIsByteIdentical)
         EXPECT_EQ(committed.str(), printKernel(k))
             << name << ".rptx drifted from the generator";
     }
+}
+
+/**
+ * Regression kernels of the overlapping wide-pair bug: two wide defs
+ * with different bases (R9:R10 and R10:R11) both reaching one read
+ * were merged into one value with one base register, so the ORF slot
+ * pair held R10 at the wrong offset for one of them. The four
+ * generated kernels are the corpus kernels it broke (profile, seed,
+ * index in the name; 8 warps as in their profiles).
+ */
+TEST(VerifyCorpus, WidePairRegressionsBindCorrectly)
+{
+    auto corpus = loadCorpus("wide_pair");
+    ASSERT_EQ(corpus.size(), 5u);
+    for (auto &[name, k] : corpus) {
+        Workload w;
+        w.name = name;
+        w.kernel = k;
+        w.run.numWarps = 8;
+        for (Scheme s : {Scheme::SW_TWO_LEVEL, Scheme::SW_THREE_LEVEL}) {
+            for (int entries : {1, 2, 3, 4, 6, 8}) {
+                ExperimentConfig cfg;
+                cfg.scheme = s;
+                cfg.entries = entries;
+                cfg.engine = ExecEngine::DIRECT;
+                RunOutcome direct = runScheme(w, cfg);
+                EXPECT_TRUE(direct.ok())
+                    << name << " " << schemeName(s) << "@" << entries
+                    << ": " << direct.error;
+                cfg.engine = ExecEngine::REPLAY;
+                EXPECT_EQ(outcomeToJson(runScheme(w, cfg)),
+                          outcomeToJson(direct))
+                    << name << " " << schemeName(s) << "@" << entries;
+            }
+        }
+        OracleReport rep = runOracle(k, testOracleOptions());
+        EXPECT_TRUE(rep.ok()) << name << ": " << rep.summary();
+    }
+}
+
+/** The 8-instruction repro, at the cell that first showed the bug. */
+TEST(VerifyCorpus, WidePairReproVerifiesAtSw3ThreeEntries)
+{
+    auto corpus = loadCorpus("wide_pair");
+    const Kernel *repro = nullptr;
+    for (auto &[name, k] : corpus)
+        if (name == "wide_pair_repro.rptx")
+            repro = &k;
+    ASSERT_NE(repro, nullptr);
+    Workload w;
+    w.name = "wide_pair_repro";
+    w.kernel = *repro;
+    ExperimentConfig cfg;
+    cfg.scheme = Scheme::SW_THREE_LEVEL;
+    cfg.entries = 3;
+    cfg.engine = ExecEngine::DIRECT;
+    RunOutcome out = runScheme(w, cfg);
+    // Before the fix: "@lin 2: ORF entry 0 does not hold R10".
+    EXPECT_EQ(out.error, "");
+    EXPECT_TRUE(out.ok());
 }
 
 /** The reducer never invents an invalid kernel, whatever the oracle. */
