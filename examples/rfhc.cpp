@@ -109,7 +109,7 @@
  *   --warps N          warps per request (default 8)
  *   --deadline MS      per-request deadline in milliseconds
  *   --retries N        max retries of shed requests (default 8)
- *   --verify           byte-compare every result vs local runScheme()
+ *   --verify           byte-compare every result vs a local DIRECT run
  *   --shutdown         send {"op":"shutdown"} when done
  *   --manifest F       write a loadgen manifest (throughput, p50/p99)
  *
@@ -1072,7 +1072,6 @@ main(int argc, char **argv)
         cfg.partialRanges = opts.partialRanges;
         cfg.readOperands = opts.readOperands;
         cfg.strandOptions = opts.strandOptions;
-        cfg.engine = ExecEngine::DIRECT;
         cfg.perf = perf;
         cfg.pipeline = pcfg;
 
@@ -1086,7 +1085,7 @@ main(int argc, char **argv)
 
         ManifestInfo m;
         m.tool = "rfhc run";
-        m.engine = std::string(engineName(ExecEngine::DIRECT));
+        m.engine = std::string(engineName(resolveEngine(cfg.engine)));
         m.config = {
             {"file", path},
             {"kernel", w.name},

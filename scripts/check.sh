@@ -114,34 +114,43 @@ if [[ "$run_golden" == 1 ]]; then
 fi
 
 if [[ "$run_serve" == 1 ]]; then
-    echo "== batch service smoke: serve + loadgen =="
-    sock="$(mktemp -u /tmp/rfhc-check-XXXXXX.sock)"
-    log="$(mktemp)"
     # loadgen retries until the socket appears, verifies every result
-    # byte-for-byte against a local runScheme(), reports the server's
-    # memo counters, and sends shutdown; the server must then drain
-    # and exit 0 on its own.
-    "$repo/build/examples/rfhc" serve --socket "$sock" --queue 8 &
-    serve_pid=$!
-    if ! "$repo/build/examples/rfhc" loadgen --socket "$sock" \
-        --clients 4 --requests 50 --verify --shutdown | tee "$log"; then
-        kill "$serve_pid" 2>/dev/null || true
-        rm -f "$log" "$sock"
-        echo "check.sh: service loadgen failed" >&2
-        exit 1
-    fi
-    if ! wait "$serve_pid"; then
-        rm -f "$log" "$sock"
-        echo "check.sh: rfhc serve did not exit cleanly" >&2
-        exit 1
-    fi
-    rm -f "$sock"
-    if ! grep -q "verify: 0 mismatches" "$log"; then
+    # byte-for-byte against a local DIRECT runScheme(), reports the
+    # server's memo counters, and sends shutdown; the server must then
+    # drain and exit 0 on its own. The session runs once with every
+    # request in a slice of its own and once at the default batch
+    # size, so an answer cannot depend on batching.
+    for batch in 1 default; do
+        echo "== batch service smoke: serve + loadgen (batch $batch) =="
+        batch_args=()
+        [[ "$batch" == default ]] || batch_args=(--batch "$batch")
+        sock="$(mktemp -u /tmp/rfhc-check-XXXXXX.sock)"
+        log="$(mktemp)"
+        "$repo/build/examples/rfhc" serve --socket "$sock" --queue 8 \
+            "${batch_args[@]}" &
+        serve_pid=$!
+        if ! "$repo/build/examples/rfhc" loadgen --socket "$sock" \
+            --clients 4 --requests 50 --verify --shutdown | tee "$log"; then
+            kill "$serve_pid" 2>/dev/null || true
+            rm -f "$log" "$sock"
+            echo "check.sh: service loadgen failed (batch $batch)" >&2
+            exit 1
+        fi
+        if ! wait "$serve_pid"; then
+            rm -f "$log" "$sock"
+            echo "check.sh: rfhc serve did not exit cleanly" \
+                "(batch $batch)" >&2
+            exit 1
+        fi
+        rm -f "$sock"
+        if ! grep -q "verify: 0 mismatches" "$log"; then
+            rm -f "$log"
+            echo "check.sh: served results differ from local runs" \
+                "(batch $batch)" >&2
+            exit 1
+        fi
         rm -f "$log"
-        echo "check.sh: served results differ from local runs" >&2
-        exit 1
-    fi
-    rm -f "$log"
+    done
 fi
 
 if [[ "$run_compare" == 1 ]]; then

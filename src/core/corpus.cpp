@@ -287,7 +287,6 @@ runCorpus(const CorpusConfig &cfg, CorpusResult &out, ThreadPool *pool,
                     item.workload = &ws[static_cast<std::size_t>(k)];
                     item.cfg.scheme = cell.scheme;
                     item.cfg.entries = cell.entries;
-                    item.cfg.engine = ExecEngine::AUTO;
                     item.cfg.perf = cfg.perf;
                     item.cfg.pipeline = cfg.pipeline;
                     items.push_back(std::move(item));

@@ -8,6 +8,7 @@
 #include "core/scheme.h"
 #include "core/trace_events.h"
 #include "sim/trace.h"
+#include "verify/oracle.h"
 
 namespace rfh {
 
@@ -50,6 +51,7 @@ struct PipelineMetrics
  */
 struct RunPlan
 {
+    ExecEngine engine = ExecEngine::REPLAY; ///< Resolved: never AUTO.
     bool analyses = false; ///< CFG/liveness/reaching-defs bundle.
     bool replay = false;   ///< simulate() walks the decoded trace.
     bool pipeline = false; ///< The cycle-level pipeline runs.
@@ -58,12 +60,14 @@ struct RunPlan
 };
 
 RunPlan
-planRun(const SchemeCaps &caps, ExecEngine engine, bool perf)
+planRun(const SchemeCaps &caps, const ExperimentConfig &cfg)
 {
     RunPlan p;
-    p.analyses = caps.usesAnalyses;
-    p.replay = engine == ExecEngine::REPLAY && caps.usesTrace;
-    p.pipeline = perf && caps.pipelined;
+    p.engine = resolveEngine(cfg.engine);
+    // The allocator and its static check read the bundle too.
+    p.analyses = caps.usesAnalyses || caps.usesAllocator;
+    p.replay = p.engine == ExecEngine::REPLAY && caps.usesTrace;
+    p.pipeline = cfg.perf && caps.pipelined;
     p.trace = p.replay || p.pipeline;
     p.decode = p.pipeline || (p.replay && caps.wantsDecode);
     return p;
@@ -145,6 +149,12 @@ engineName(ExecEngine e)
     return "?";
 }
 
+ExecEngine
+resolveEngine(ExecEngine e)
+{
+    return e == ExecEngine::AUTO ? ExecEngine::REPLAY : e;
+}
+
 AllocOptions
 ExperimentConfig::allocOptions() const
 {
@@ -177,12 +187,7 @@ runSchemeWith(const Workload &w, const ExperimentConfig &cfg,
     int price = cfg.orfPriceEntries ? cfg.orfPriceEntries : cfg.entries;
     EnergyModel em(cfg.energy, price, backend.splitLrfEnergy(cfg));
 
-    // A lone runScheme call defaults to the value-verifying engine;
-    // the sweeps resolve AUTO to REPLAY before fanning out.
-    ExecEngine engine = cfg.engine == ExecEngine::AUTO
-                            ? ExecEngine::DIRECT
-                            : cfg.engine;
-    const RunPlan plan = planRun(caps, engine, cfg.perf);
+    const RunPlan plan = planRun(caps, cfg);
 
     Stopwatch watch;
 
@@ -234,8 +239,18 @@ runSchemeWith(const Workload &w, const ExperimentConfig &cfg,
         annotated = w.kernel;
         out.alloc = backend.allocate(annotated, cfg, analyses.get());
         kernel = &annotated;
+        // The compiler alone decides what each ORF/LRF entry holds, so
+        // a wrong binding is a property of the annotated kernel: check
+        // it here, before and whatever the engine. Annotations change
+        // neither the CFG nor liveness, so the pristine bundle serves.
+        std::vector<std::string> violations = checkAllocationInvariants(
+            annotated, backend.allocOptions(cfg), *analyses);
         out.phases.allocateSec = watch.lap();
         recordPhaseSpan("allocate", w.name, out.phases.allocateSec);
+        if (!violations.empty()) {
+            out.error = w.kernel.name + " " + violations.front();
+            return out;
+        }
         if (cancelled())
             return out;
     }
@@ -253,7 +268,7 @@ runSchemeWith(const Workload &w, const ExperimentConfig &cfg,
     ctx.baseline = &base;
     SchemeSimResult res;
     SchemePipelineResult timed;
-    if (plan.pipeline && engine == ExecEngine::REPLAY) {
+    if (plan.pipeline && plan.engine == ExecEngine::REPLAY) {
         // The pipeline accounts at issue exactly what replay counts,
         // so it is the execute pass. A failing pipeline defers to
         // simulate for the run's own error and partial counts.
@@ -289,7 +304,8 @@ runSchemeWith(const Workload &w, const ExperimentConfig &cfg,
     static EngineMetrics mm;
     mm.runs.add();
     if (caps.usesTrace)
-        (engine == ExecEngine::REPLAY ? mm.runsReplay : mm.runsDirect)
+        (plan.engine == ExecEngine::REPLAY ? mm.runsReplay
+                                           : mm.runsDirect)
             .add();
     mm.analyze.addSec(out.phases.analyzeSec);
     if (trace)
@@ -336,14 +352,9 @@ runAllWorkloads(const ExperimentConfig &cfg, ThreadPool *pool)
 {
     const std::vector<Workload> &ws = allWorkloads();
     ThreadPool &p = pool ? *pool : globalPool();
-    // Sweep-style bulk evaluation: AUTO resolves to the replay engine
-    // (the direct oracle remains selectable via cfg.engine).
-    ExperimentConfig run = cfg;
-    if (run.engine == ExecEngine::AUTO)
-        run.engine = ExecEngine::REPLAY;
     std::vector<RunOutcome> outs(ws.size());
     p.parallelFor(static_cast<int>(ws.size()),
-                  [&](int i) { outs[i] = runScheme(ws[i], run); });
+                  [&](int i) { outs[i] = runScheme(ws[i], cfg); });
     // Fold in registry order so aggregation (floating-point sums
     // included) is independent of completion order and thread count.
     RunOutcome agg;
@@ -365,14 +376,6 @@ replayBatch(const std::vector<BatchItem> &items, ThreadPool *pool)
     ThreadPool &p = pool ? *pool : globalPool();
     ExperimentCache &cache = globalExperimentCache();
 
-    // Resolve engines up front: every item's plan depends on them.
-    std::vector<ExperimentConfig> cfgs(items.size());
-    for (std::size_t i = 0; i < items.size(); i++) {
-        cfgs[i] = items[i].cfg;
-        if (cfgs[i].engine == ExecEngine::AUTO)
-            cfgs[i].engine = ExecEngine::REPLAY;
-    }
-
     // ---- Pre-warm: one slot per distinct (kernel, RunConfig) ----
     // Each distinct workload's kernel is hashed once, and its items'
     // runs read their inputs through that entry. Materialise each
@@ -391,7 +394,7 @@ replayBatch(const std::vector<BatchItem> &items, ThreadPool *pool)
     std::map<const void *, std::size_t> slot;
     for (std::size_t i = 0; i < items.size(); i++) {
         const Workload *w = items[i].workload;
-        const SchemeInfo *si = registry.find(cfgs[i].scheme);
+        const SchemeInfo *si = registry.find(items[i].cfg.scheme);
         if (!w || !si)
             continue;
         auto [r, resolve] = resolved.try_emplace(w);
@@ -402,8 +405,7 @@ replayBatch(const std::vector<BatchItem> &items, ThreadPool *pool)
         if (fresh)
             warm.push_back(Warm{in, {}});
         RunPlan &need = warm[it->second].need;
-        const RunPlan plan =
-            planRun(si->caps, cfgs[i].engine, cfgs[i].perf);
+        const RunPlan plan = planRun(si->caps, items[i].cfg);
         need.analyses |= plan.analyses;
         need.trace |= plan.trace;
         need.decode |= plan.decode;
@@ -427,8 +429,9 @@ replayBatch(const std::vector<BatchItem> &items, ThreadPool *pool)
             return;
         }
         outs[i] = itemInputs[i]
-            ? runSchemeWith(*items[i].workload, cfgs[i], *itemInputs[i])
-            : runScheme(*items[i].workload, cfgs[i]);
+            ? runSchemeWith(*items[i].workload, items[i].cfg,
+                            *itemInputs[i])
+            : runScheme(*items[i].workload, items[i].cfg);
     });
     return outs;
 }

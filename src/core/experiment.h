@@ -32,23 +32,36 @@ std::string_view schemeName(Scheme s);
 /**
  * How the execute phase simulates the hierarchy.
  *
- * DIRECT interprets the kernel instruction by instruction with real
- * 32-bit values, verifying every access bit-exactly — the oracle.
  * REPLAY walks a pre-decoded dynamic stream (recorded once per
  * (kernel, RunConfig) and memoized in the ExperimentCache) doing only
  * hierarchy state updates and access counting: no opcode dispatch, no
- * value computation, no branch evaluation. Both engines produce
- * byte-identical reports; REPLAY is the fast path for sweeps.
+ * value computation, no branch evaluation. It is the one production
+ * engine: every runScheme, sweep, corpus cell and served request
+ * runs on it.
+ *
+ * DIRECT interprets the kernel instruction by instruction with real
+ * 32-bit values, verifying every access bit-exactly. It is the oracle
+ * that verify/, `rfhc fuzz`, `rfhc loadgen --verify` and perfbench's
+ * serve check pair against REPLAY; both engines produce
+ * byte-identical reports.
+ *
+ * Neither engine decides whether a run is checked: before either
+ * executes, runScheme checks every allocation statically
+ * (checkAllocationInvariants), so a wrong ORF/LRF binding fails with
+ * the same error on both.
  */
 enum class ExecEngine
 {
-    AUTO,    ///< DIRECT for single runs, REPLAY inside sweeps.
-    DIRECT,  ///< Value-verifying interpretation.
+    AUTO,    ///< The production engine: resolves to REPLAY.
+    DIRECT,  ///< Value-verifying interpretation (the oracle).
     REPLAY,  ///< Pre-decoded stream replay (counting only).
 };
 
-/** @return "direct" or "replay" (AUTO resolves before display). */
+/** @return "auto", "direct" or "replay". */
 std::string_view engineName(ExecEngine e);
+
+/** @return @p e with AUTO resolved: REPLAY, or @p e itself. */
+ExecEngine resolveEngine(ExecEngine e);
 
 /** Full experiment configuration. */
 struct ExperimentConfig
@@ -79,9 +92,11 @@ struct ExperimentConfig
     /** Hardware variant: flush the RFC at backward branches. */
     bool hwFlushOnBackwardBranch = false;
     /**
-     * Execution engine for the simulate phase. AUTO picks DIRECT for
-     * a lone runScheme call and REPLAY inside sweepEntries /
-     * runAllWorkloads; the choice never changes any report byte.
+     * Execution engine for the simulate phase (see ExecEngine). AUTO
+     * resolves to REPLAY everywhere. The choice can change a report
+     * only where DIRECT's value check rejects a binding that the
+     * static allocation check passed; REPLAY carries no values and
+     * would count on. No such allocation is known.
      */
     ExecEngine engine = ExecEngine::AUTO;
     /**
@@ -159,6 +174,11 @@ struct RunOutcome
  * per (kernel, RunConfig), and the CFG/liveness/reaching-defs bundle
  * once per kernel, then shared read-only by the allocator and both
  * executors. Thread-safe; results are identical to an uncached run.
+ *
+ * For allocator-driven schemes the annotated kernel is checked
+ * against the paper's allocation invariants before it executes; a
+ * violation ends the run with error "<kernel name> <first violation>"
+ * and empty counts, whatever the engine.
  */
 RunOutcome runScheme(const Workload &w, const ExperimentConfig &cfg);
 
@@ -218,10 +238,9 @@ struct BatchItem
  * out, so no two items race to record the same trace and every item
  * starts with warm caches and a reusable per-thread replay arena.
  *
- * Each item's AUTO engine resolves to REPLAY (this is the batch fast
- * path; callers wanting the direct oracle say so explicitly).
- * Outcomes are byte-identical to running each item through a lone
- * runScheme call with the same resolved engine, in item order.
+ * Every item runs exactly as a lone runScheme call of the same
+ * configuration would (AUTO is REPLAY on both), so outcomes, errors
+ * included, do not depend on batch size or batch mates.
  */
 std::vector<RunOutcome> replayBatch(const std::vector<BatchItem> &items,
                                     ThreadPool *pool = nullptr);

@@ -124,9 +124,9 @@ struct SchemeCaps
     bool wantsDecode = false;
     /**
      * Runs the compile phase: allocate() annotates a private kernel
-     * copy, AllocStats are reported, and the fuzz oracle additionally
-     * checks the paper's static allocation invariants
-     * (checkAllocationInvariants) against the annotated kernel.
+     * copy, AllocStats are reported, and runScheme checks the paper's
+     * static allocation invariants (checkAllocationInvariants) against
+     * the annotated kernel before executing it, on every engine.
      */
     bool usesAllocator = false;
     /**
@@ -175,7 +175,7 @@ struct SchemeRunContext
      * caps.usesAllocator, else the workload's pristine kernel.
      */
     const Kernel *kernel = nullptr;
-    /** Analyses bundle (null unless caps.usesAnalyses). */
+    /** Analyses bundle (null unless caps.usesAnalyses or usesAllocator). */
     const AnalysisBundle *analyses = nullptr;
     /** Pre-decoded dynamic stream (null unless replaying with caps.usesTrace). */
     const DecodedTrace *trace = nullptr;
@@ -209,7 +209,7 @@ struct PipelineBuildContext
     const Kernel *kernel = nullptr;
     /** Full experiment configuration. */
     const ExperimentConfig *cfg = nullptr;
-    /** Analyses bundle (null unless caps.usesAnalyses). */
+    /** Analyses bundle (null unless caps.usesAnalyses or usesAllocator). */
     const AnalysisBundle *analyses = nullptr;
     /** Shared per-kernel decode of the pristine kernel; may be null. */
     const ReplayDecode *decode = nullptr;

@@ -27,11 +27,6 @@ sweepEntries(const std::vector<Scheme> &schemes,
             ExperimentConfig cfg = base;
             cfg.scheme = s;
             cfg.entries = e;
-            // Sweeps record the dynamic stream once per workload and
-            // replay it for every grid cell; the direct oracle stays
-            // selectable through base.engine.
-            if (cfg.engine == ExecEngine::AUTO)
-                cfg.engine = ExecEngine::REPLAY;
             cfgs.push_back(cfg);
         }
     }

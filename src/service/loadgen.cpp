@@ -87,8 +87,9 @@ requestLine(const LoadgenOptions &opts, int i, const RequestPlan &p)
 }
 
 /**
- * The result the service must return for @p p — computed through the
- * same runScheme() path the server uses, in this process.
+ * The result the service must return for @p p, computed in this
+ * process on the value-verifying DIRECT engine: the server runs
+ * REPLAY, so the comparison pairs the two engines end to end.
  */
 std::string
 expectedResult(const LoadgenOptions &opts, const RequestPlan &p,
@@ -109,6 +110,7 @@ expectedResult(const LoadgenOptions &opts, const RequestPlan &p,
     ExperimentConfig cfg;
     cfg.scheme = *s;
     cfg.entries = p.entries;
+    cfg.engine = ExecEngine::DIRECT;
     RunOutcome o = runScheme(w, cfg);
     if (!o.ok()) {
         *error = o.error;

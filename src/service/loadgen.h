@@ -11,10 +11,11 @@
  * percentiles over every request rather than an artifact of how the
  * stream was split across clients. With `--verify` every successful
  * response's result document is compared byte-for-byte against a
- * locally computed runScheme() of the same configuration — the
- * end-to-end check that the service path changes nothing about the
- * numbers. After the run, loadgen queries the server's `stats` op and
- * reports the memo-cache hit ratio.
+ * locally computed runScheme() of the same configuration on the
+ * DIRECT engine, the value-verifying oracle — the end-to-end check
+ * that the service path (which runs REPLAY) changes nothing about
+ * the numbers. After the run, loadgen queries the server's `stats` op
+ * and reports the memo-cache hit ratio.
  */
 
 #ifndef RFH_SERVICE_LOADGEN_H
@@ -45,7 +46,7 @@ struct LoadgenOptions
     double deadlineMs = 0.0;
     /** Max resubmissions of an `overloaded` request before giving up. */
     int maxRetries = 8;
-    /** Compare every result byte-for-byte against local runScheme(). */
+    /** Compare every result byte-for-byte against a local DIRECT run. */
     bool verify = false;
     /** Send `{"op":"shutdown"}` once all clients finish. */
     bool shutdownAfter = false;

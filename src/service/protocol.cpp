@@ -85,7 +85,6 @@ ServiceRequest::config() const
     cfg.splitLRF = splitLRF;
     cfg.partialRanges = partialRanges;
     cfg.readOperands = readOperands;
-    cfg.engine = engine;
     cfg.perf = perf;
     return cfg;
 }
@@ -105,18 +104,6 @@ schemeToken(Scheme s)
     if (const SchemeInfo *si = SchemeRegistry::instance().find(s))
         return si->token;
     return "?";
-}
-
-std::optional<ExecEngine>
-engineFromToken(const std::string &token)
-{
-    if (token == "auto")
-        return ExecEngine::AUTO;
-    if (token == "direct")
-        return ExecEngine::DIRECT;
-    if (token == "replay")
-        return ExecEngine::REPLAY;
-    return std::nullopt;
 }
 
 ParsedRequest
@@ -184,14 +171,6 @@ parseServiceRequest(const std::string &line)
                 return p;
             }
             req.scheme = *s;
-        } else if (key == "engine") {
-            if (!value.isString())
-                return bad("field 'engine' must be a string");
-            std::optional<ExecEngine> e = engineFromToken(value.string);
-            if (!e)
-                return bad("unknown engine '" + value.string +
-                           "' (valid: auto, direct, replay)");
-            req.engine = *e;
         } else if (key == "entries") {
             if (!value.isNumber() ||
                 value.number != std::floor(value.number) ||
@@ -268,11 +247,6 @@ serviceRequestToJson(const ServiceRequest &req)
     if (!req.workload.empty())
         w.key("workload").value(req.workload);
     w.key("scheme").value(std::string(schemeToken(req.scheme)));
-    switch (req.engine) {
-      case ExecEngine::AUTO: w.key("engine").value("auto"); break;
-      case ExecEngine::DIRECT: w.key("engine").value("direct"); break;
-      case ExecEngine::REPLAY: w.key("engine").value("replay"); break;
-    }
     w.key("entries").value(req.entries);
     w.key("warps").value(req.warps);
     w.key("split_lrf").value(req.splitLRF);

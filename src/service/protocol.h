@@ -81,7 +81,6 @@ struct ServiceRequest
     Scheme scheme = Scheme::SW_THREE_LEVEL;
     int entries = 3;
     int warps = 8;
-    ExecEngine engine = ExecEngine::AUTO;
     bool splitLRF = true;
     bool partialRanges = true;
     bool readOperands = true;
@@ -131,9 +130,6 @@ std::string serviceRequestToJson(const ServiceRequest &req);
  */
 std::optional<Scheme> schemeFromToken(const std::string &token);
 std::string_view schemeToken(Scheme s);
-
-/** Engine wire tokens: auto, direct, replay. */
-std::optional<ExecEngine> engineFromToken(const std::string &token);
 
 /** Success envelope: {"id":…,"ok":true,"result":<resultJson>}. */
 std::string makeResultLine(const std::string &idJson,

@@ -193,8 +193,7 @@ BatchService::workerLoop()
                 return;  // closed_ and drained
             // Drain the requests already waiting, up to the batch
             // cap: under load the whole slice shares one
-            // replayBatch() pre-warm; a slice of one keeps the
-            // historical single-run path.
+            // replayBatch() pre-warm.
             int take = std::min(opts_.batchMax,
                                 static_cast<int>(queue_.size()));
             for (int i = 0; i < take; i++) {
@@ -239,16 +238,6 @@ BatchService::handleBatch(std::vector<Job> &batch)
             }
             if (opts_.onBeforeHandle)
                 opts_.onBeforeHandle();
-            if (n == 1) {
-                // Lone request: the historical path (AUTO engine
-                // resolves to the direct oracle).
-                TraceSpan span("service.request", "service");
-                ScopedTimer timer(m.handle);
-                std::shared_lock<std::shared_mutex> cl(cacheMu_);
-                responses[j] =
-                    executeRun(job.request, job.deadlineNs);
-                continue;
-            }
             std::string errLine;
             if (!prepareRun(job.request, workloads[j], errLine)) {
                 responses[j] = errLine;
@@ -366,22 +355,6 @@ BatchService::finishRun(const ServiceRequest &req, const RunOutcome &o)
     if (!o.ok())
         return error(ServiceErrorCode::EXEC_ERROR, o.error);
     return makeResultLine(req.idJson, outcomeToJson(o));
-}
-
-std::string
-BatchService::executeRun(const ServiceRequest &req,
-                         std::uint64_t deadlineNs)
-{
-    Workload w;
-    std::string errorLine;
-    if (!prepareRun(req, w, errorLine))
-        return errorLine;
-
-    ExperimentConfig cfg = req.config();
-    if (deadlineNs)
-        cfg.cancel = [deadlineNs] { return nowNs() > deadlineNs; };
-
-    return finishRun(req, runScheme(w, cfg));
 }
 
 void

@@ -5,26 +5,16 @@
  * BatchService is the transport-independent core: it parses NDJSON
  * request lines (service/protocol.h), admits them into a bounded
  * queue, and dispatches them onto the shared core/parallel thread
- * pool, where each request runs through the ordinary runScheme() path
- * with the process-wide memo/trace caches — so a hot kernel's
- * analyses, baseline and decoded trace are computed once and shared
- * across every later request that needs them, and a lone request's
- * result document is byte-identical to a direct `rfhc run --json`
- * invocation.
- *
- * Under load a worker drains up to ServiceOptions::batchMax waiting
- * requests per wakeup and executes the slice through one
- * replayBatch() call, which pre-warms every distinct kernel's
- * analyses/trace/decode once before the items fan out; a worker that
- * wakes to a single queued request keeps the historical one-request
- * path (AUTO engine resolves to the direct oracle). The two paths
- * yield byte-identical result documents for every run both engines
- * complete. They differ on kernels that hit the overlapping wide-pair
- * allocator bug (ROADMAP.md item 1): the direct engine's value check
- * answers `exec_error`, while replay carries no values and answers
- * `ok:true` (corpus kernel wild_2_719, seed 2, sw3 at 3 entries).
- * Until that bug is fixed, the answer for such a kernel depends on
- * whether its worker drained it alone, that is, on load.
+ * pool. A worker drains up to ServiceOptions::batchMax waiting
+ * requests per wakeup and runs the slice, however small, through one
+ * replayBatch() call with the process-wide memo/trace caches: every
+ * distinct kernel's analyses, baseline and decoded trace are computed
+ * once before the items fan out and shared with every later request
+ * that needs them. Each item runs exactly as a lone runScheme() of
+ * the same configuration, whose allocation is checked statically
+ * before it executes, so a result document (or error) is
+ * byte-identical to `rfhc run --json` and never depends on load or
+ * batch mates.
  *
  * Robustness model (the inference-server trifecta):
  *  - **deadlines** — a request may carry `deadline_ms`; expiry before
@@ -78,12 +68,8 @@ struct ServiceOptions
     /**
      * Max run requests one worker drains per wakeup and executes as a
      * single replayBatch() call, amortising per-kernel setup across
-     * the slice. A worker that wakes to exactly one queued request
-     * keeps the historical single-run path (AUTO engine resolves to
-     * the direct oracle); 1 disables batching entirely. The paths
-     * agree byte for byte except on kernels that hit the allocator
-     * bug in ROADMAP.md item 1, which only the direct path reports
-     * (see the file comment).
+     * the slice; 1 runs every request in a slice of its own. Answers
+     * are the same at any value.
      */
     int batchMax = 8;
     /** Memo-cache entries tolerated before an idle-point clear. */
@@ -158,8 +144,6 @@ class BatchService
     void workerLoop();
     /** Answer every job of one drained queue slice. */
     void handleBatch(std::vector<Job> &batch);
-    std::string executeRun(const ServiceRequest &req,
-                           std::uint64_t deadlineNs);
     /**
      * Resolve the request's kernel source into @p w (registry lookup
      * or inline RPTX parse). @return false with the structured error

@@ -144,6 +144,9 @@ OracleReport runOracle(const Kernel &k, const OracleOptions &opts = {});
  *  - the end-of-strand bit marks exactly the last instruction of each
  *    strand.
  *
+ * runScheme runs this check after every allocation, before either
+ * engine executes, so production runs fail on a violation too.
+ *
  * @param sites_checked optional out-parameter: number of annotation
  *        sites examined.
  * @return one message per violation; empty when the allocation is

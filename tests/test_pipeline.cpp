@@ -10,11 +10,14 @@
  * campaign.
  *
  * SwFailingRun.* pins the failure contract of the software hierarchy:
- * for each structural annotation fault, replay, the REPLAY engine, and
- * the pipeline stop with the direct executor's exact error (and, for
- * the functional engines, its partial counts). A test-only "testfault"
- * backend injects the faults through runScheme; with no fault active
- * it is a clean sw3 clone. A second test-only clone, "testcount",
+ * for each structural annotation fault, replay and the pipeline stop
+ * with the direct executor's exact error (replay also with its partial
+ * counts), the static allocation check flags the fault, and runScheme
+ * answers with that check's verdict on every engine before executing.
+ * OneVerdict.* plants the pre-fix wide-pair binding and pins one error
+ * from every engine, batch size and service path. A test-only
+ * "testfault" backend injects the faults through runScheme; with no
+ * fault active it is a clean sw3 clone. A second test-only clone, "testcount",
  * counts allocate and simulate calls to pin how many passes one
  * runScheme makes. Registry-wide tests in this binary simply see two
  * more clean schemes.
@@ -23,14 +26,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
+#include <future>
+#include <memory>
+#include <sstream>
 #include <utility>
 
 #include "core/experiment.h"
 #include "core/json.h"
 #include "core/memo.h"
+#include "core/parallel.h"
 #include "core/scheme.h"
 #include "ir/analysis_bundle.h"
 #include "ir/parser.h"
+#include "service/protocol.h"
+#include "service/server.h"
 #include "sim/pipeline.h"
 #include "sim/pipeline_account.h"
 #include "sim/sw_exec.h"
@@ -608,7 +618,9 @@ TEST(Pipeline, PerfRunRejectsUnregisteredSchemes)
 struct SwFault
 {
     const char *name;
-    const char *expect;  ///< Substring of the reported error.
+    const char *expect;  ///< Substring of the executors' error.
+    /** First checkAllocationInvariants violation of the fault. */
+    const char *invariant;
     bool threeLevel = true;
     void (*tamper)(Kernel &k, const AllocOptions &ao) = nullptr;
 };
@@ -798,12 +810,14 @@ entry:
 TEST(SwFailingRun, ReplayAndPipelineMatchDirect)
 {
     const SwFault faults[] = {
-        {"shared-datapath LRF read", "shared-datapath LRF read", true,
+        {"shared-datapath LRF read", "shared-datapath LRF read",
+         "@lin 5: LRF read on the shared datapath", true,
          [](Kernel &k, const AllocOptions &) {
              k.instr(5).readAnno[0].level = Level::LRF;  // st.global
              k.instr(5).readAnno[0].lrfBank = 0;
          }},
-        {"ORF entry out of range", "ORF entry out of range", true,
+        {"ORF entry out of range", "ORF entry out of range",
+         "@lin 1: write to ORF entry 3 exceeds capacity 3", true,
          [](Kernel &k, const AllocOptions &ao) {
              WriteAnnotation &wa = k.instr(1).writeAnno;  // iadd R2
              wa.toLRF = false;
@@ -812,18 +826,20 @@ TEST(SwFailingRun, ReplayAndPipelineMatchDirect)
              wa.orfEntry = static_cast<std::uint8_t>(ao.orfEntries);
          }},
         {"long-latency result to an upper level",
-         "long-latency result annotated to an upper level", true,
+         "long-latency result annotated to an upper level",
+         "@lin 2: long-latency result annotated to an upper level", true,
          [](Kernel &k, const AllocOptions &) {
              WriteAnnotation &wa = k.instr(2).writeAnno;  // ld.global
              wa.toORF = true;
              wa.orfEntry = 0;
          }},
-        {"invalid LRF write", "invalid LRF write annotation", false,
+        {"invalid LRF write", "invalid LRF write annotation",
+         "@lin 1: value written to both ORF and LRF", false,
          [](Kernel &k, const AllocOptions &) {
              k.instr(1).writeAnno.toLRF = true;  // sw2: no LRF
          }},
         {"write to both LRF and ORF", "value written to both LRF and ORF",
-         true,
+         "@lin 3: value written to both ORF and LRF", true,
          [](Kernel &k, const AllocOptions &) {
              WriteAnnotation &wa = k.instr(3).writeAnno;  // iadd R4
              wa.toLRF = true;
@@ -834,7 +850,8 @@ TEST(SwFailingRun, ReplayAndPipelineMatchDirect)
         // No tamper: executed without long-latency strand cuts, the
         // load's consumer sits mid-strand behind it.
         {"mid-strand long-latency touch",
-         "touches an outstanding long-latency register", true, nullptr},
+         "touches an outstanding long-latency register",
+         "@lin 3: end-of-strand bit set mid-strand", true, nullptr},
     };
 
     Workload w;
@@ -865,13 +882,7 @@ TEST(SwFailingRun, ReplayAndPipelineMatchDirect)
         EXPECT_EQ(replay.error, direct.error);
         EXPECT_EQ(describeCountsDiff(replay.counts, direct.counts), "");
 
-        globalExperimentCache().clear();
-        cfg.engine = ExecEngine::REPLAY;
-        RunOutcome engine = runScheme(w, cfg);
-        EXPECT_EQ(engine.error, direct.error);
-        EXPECT_EQ(describeCountsDiff(engine.counts, direct.counts), "");
-
-        // The pipeline meets the same fault at issue...
+        // The pipeline meets the same fault at issue.
         AccessCounts issued;
         PipelineBuildContext build;
         build.kernel = &annotated;
@@ -885,13 +896,163 @@ TEST(SwFailingRun, ReplayAndPipelineMatchDirect)
         EXPECT_EQ(runPipeline(trace, dec, *acct, cfg.pipeline).error,
                   direct.error);
 
-        // ...so a perf run, whose execute pass is the pipeline, ends
-        // with the perf-off run's error and partial counts.
-        cfg.perf = true;
-        RunOutcome timed = runScheme(w, cfg);
-        EXPECT_EQ(timed.error, engine.error);
-        EXPECT_EQ(describeCountsDiff(timed.counts, engine.counts), "");
-        EXPECT_FALSE(timed.hasPerf);
+        // The static check flags the fault in the annotated kernel...
+        std::vector<std::string> violations =
+            checkAllocationInvariants(annotated, ao, bundle);
+        ASSERT_FALSE(violations.empty());
+        EXPECT_EQ(violations.front(), f.invariant);
+
+        // ...so runScheme stops before executing, with the check's
+        // verdict and no counts, on every engine, perf on or off.
+        const std::string verdict = w.kernel.name + " " + f.invariant;
+        for (ExecEngine e :
+             {ExecEngine::AUTO, ExecEngine::DIRECT, ExecEngine::REPLAY}) {
+            for (bool perf : {false, true}) {
+                SCOPED_TRACE(std::string(engineName(e)) +
+                             (perf ? "+perf" : ""));
+                globalExperimentCache().clear();
+                cfg.engine = e;
+                cfg.perf = perf;
+                RunOutcome out = runScheme(w, cfg);
+                EXPECT_EQ(out.error, verdict);
+                EXPECT_EQ(describeCountsDiff(out.counts, AccessCounts{}),
+                          "");
+                EXPECT_FALSE(out.hasPerf);
+            }
+        }
+    }
+    activeFault = nullptr;
+    globalExperimentCache().clear();
+}
+
+// ---- One verdict: a wrong binding fails alike everywhere ----
+
+/**
+ * The overlapping wide-pair binding the allocator produced before its
+ * fix, planted in tests/corpus/wide_pair/wide_pair_repro.rptx at sw3
+ * with 3 entries: lin 1's R9:R10 goes to ORF entries 0-1, and lin 2
+ * reads R10 from entry 0, which holds R9. As in that allocation, R63
+ * stays in the MRF, so entry 1 is free for R10.
+ */
+const SwFault kWidePairBinding = {
+    "pre-fix wide-pair binding", "ORF entry 0 does not hold R10",
+    "@lin 2: read of R10 from ORF entry 0 which holds R9", true,
+    [](Kernel &k, const AllocOptions &) {
+        for (int lin : {0, 8}) {  // ld.param / st.global [R63]
+            Instruction &in = k.instr(lin);
+            for (int slot = 0; slot < in.numSrcs; slot++)
+                if (in.srcs[slot].isReg && in.srcs[slot].reg == 63)
+                    in.readAnno[slot] = ReadAnnotation{};
+        }
+        WriteAnnotation &wa = k.instr(1).writeAnno;  // imul.wide R9
+        wa.toORF = true;
+        wa.orfEntry = 0;
+        ReadAnnotation &ra = k.instr(2).readAnno[0];  // setlt .., R10
+        ra.level = Level::ORF;
+        ra.entry = 0;
+    }};
+
+TEST(OneVerdict, WrongBindingFailsAloneAndInABatchOnEveryEngine)
+{
+    std::ifstream file(std::string(RFH_SOURCE_DIR) +
+                       "/tests/corpus/wide_pair/wide_pair_repro.rptx");
+    std::ostringstream text;
+    text << file.rdbuf();
+    ParseResult parsed = parseKernel(text.str());
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    Workload w;
+    w.name = parsed.kernel.name;
+    w.suite = "service";
+    w.kernel = parsed.kernel;
+    const std::string verdict =
+        "wide_pair_repro " + std::string(kWidePairBinding.invariant);
+
+    activeFault = &kWidePairBinding;
+    ExperimentConfig cfg;
+    cfg.scheme = SchemeRegistry::instance().findToken("testfault")->scheme;
+    cfg.entries = 3;
+
+    // Of the executors, only the value-verifying one sees the wrong
+    // binding; replay carries no values and counts on.
+    const AnalysisBundle bundle(w.kernel);
+    Kernel annotated = w.kernel;
+    const SchemeInfo &si = *SchemeRegistry::instance().find(cfg.scheme);
+    si.backend->allocate(annotated, cfg, &bundle);
+    const AllocOptions ao = cfg.allocOptions();
+    SwExecConfig sc;
+    sc.run = w.run;
+    EXPECT_NE(runSwHierarchy(annotated, ao, sc, &bundle)
+                  .error.find(kWidePairBinding.expect),
+              std::string::npos);
+    EXPECT_EQ(replaySwHierarchy(annotated, ao,
+                                recordDecodedTrace(w.kernel, w.run), sc,
+                                &bundle)
+                  .error,
+              "");
+
+    // runScheme checks the allocation before either executes, so one
+    // verdict comes back from every engine.
+    for (ExecEngine e : {ExecEngine::DIRECT, ExecEngine::REPLAY}) {
+        for (bool perf : {false, true}) {
+            SCOPED_TRACE(std::string(engineName(e)) +
+                         (perf ? "+perf" : ""));
+            globalExperimentCache().clear();
+            ExperimentConfig c = cfg;
+            c.engine = e;
+            c.perf = perf;
+            EXPECT_EQ(runScheme(w, c).error, verdict);
+        }
+    }
+
+    // replayBatch: alone, and between two clean batch mates.
+    globalExperimentCache().clear();
+    std::vector<BatchItem> lone(1);
+    lone[0].workload = &w;
+    lone[0].cfg = cfg;
+    EXPECT_EQ(replayBatch(lone).at(0).error, verdict);
+    std::vector<BatchItem> three(3, lone[0]);
+    three[0].cfg.scheme = Scheme::SW_THREE_LEVEL;
+    three[2].cfg.scheme = Scheme::HW_TWO_LEVEL;
+    std::vector<RunOutcome> outs = replayBatch(three);
+    EXPECT_TRUE(outs[0].ok()) << outs[0].error;
+    EXPECT_EQ(outs[1].error, verdict);
+    EXPECT_TRUE(outs[2].ok()) << outs[2].error;
+
+    // The service: a lone request (batchMax 1) and a batched slice
+    // (every line queued before start()) give the same error line.
+    std::vector<std::string> lines;
+    for (const char *token : {"sw3", "testfault", "hw2"}) {
+        ServiceRequest req;
+        req.idJson = std::to_string(lines.size());
+        req.kernelText = text.str();
+        req.scheme = *schemeFromToken(token);
+        lines.push_back(serviceRequestToJson(req));
+    }
+    ServiceError err;
+    err.code = ServiceErrorCode::EXEC_ERROR;
+    err.message = verdict;
+    const std::string expected = makeErrorLine("1", err);
+    for (int batchMax : {1, 8}) {
+        SCOPED_TRACE("batchMax " + std::to_string(batchMax));
+        globalExperimentCache().clear();
+        ThreadPool pool(1);
+        ServiceOptions so;
+        so.pool = &pool;
+        so.workers = 1;
+        so.batchMax = batchMax;
+        BatchService svc(so);
+        std::vector<std::future<std::string>> futs;
+        for (const std::string &line : lines) {
+            auto p = std::make_shared<std::promise<std::string>>();
+            futs.push_back(p->get_future());
+            svc.submit(line,
+                       [p](const std::string &r) { p->set_value(r); });
+        }
+        svc.start();
+        EXPECT_NE(futs[0].get().find("\"ok\":true"), std::string::npos);
+        EXPECT_EQ(futs[1].get(), expected);
+        EXPECT_NE(futs[2].get().find("\"ok\":true"), std::string::npos);
+        svc.drain();
     }
     activeFault = nullptr;
     globalExperimentCache().clear();

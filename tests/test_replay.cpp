@@ -85,7 +85,7 @@ TEST(Replay, SweepJsonIdenticalToDirect)
     ExperimentConfig direct;
     direct.engine = ExecEngine::DIRECT;
     auto dPts = sweepEntries(allSchemes(), direct);
-    // AUTO resolves to REPLAY inside sweepEntries.
+    // AUTO resolves to REPLAY.
     auto rPts = sweepEntries(allSchemes(), ExperimentConfig{});
     EXPECT_EQ(sweepToJson(dPts), sweepToJson(rPts));
     ASSERT_EQ(dPts.size(), rPts.size());

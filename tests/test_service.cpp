@@ -48,13 +48,12 @@ TEST(ServiceProtocol, RunRequestDefaultsAndFields)
     EXPECT_EQ(p.request.scheme, Scheme::SW_THREE_LEVEL);
     EXPECT_EQ(p.request.entries, 3);
     EXPECT_EQ(p.request.warps, 8);
-    EXPECT_EQ(p.request.engine, ExecEngine::AUTO);
     EXPECT_TRUE(p.request.splitLRF);
     EXPECT_FALSE(p.request.deadlineMs.has_value());
 
     p = parseServiceRequest(
         R"({"id":"abc","workload":"lu","scheme":"hw2","entries":4,)"
-        R"("warps":2,"engine":"replay","split_lrf":false,)"
+        R"("warps":2,"split_lrf":false,)"
         R"("partial_ranges":false,"read_operands":false,)"
         R"("deadline_ms":250})");
     ASSERT_TRUE(p.ok) << p.error.message;
@@ -62,7 +61,6 @@ TEST(ServiceProtocol, RunRequestDefaultsAndFields)
     EXPECT_EQ(p.request.scheme, Scheme::HW_TWO_LEVEL);
     EXPECT_EQ(p.request.entries, 4);
     EXPECT_EQ(p.request.warps, 2);
-    EXPECT_EQ(p.request.engine, ExecEngine::REPLAY);
     EXPECT_FALSE(p.request.splitLRF);
     EXPECT_FALSE(p.request.partialRanges);
     EXPECT_FALSE(p.request.readOperands);
@@ -88,6 +86,23 @@ TEST(ServiceProtocol, UnknownFieldIsNamed)
     EXPECT_NE(p.error.message.find("'schem'"), std::string::npos)
         << p.error.message;
     EXPECT_EQ(p.request.idJson, "1");  // id still echoed
+}
+
+TEST(ServiceProtocol, EngineIsAnUnknownField)
+{
+    // Every request runs on the one production engine, so a line
+    // naming an engine is rejected like any other unknown field,
+    // whatever the value.
+    for (const char *value : {"\"auto\"", "\"direct\"", "\"replay\"",
+                              "\"warp\"", "7"}) {
+        ParsedRequest p = parseServiceRequest(
+            std::string(R"({"id":1,"workload":"lu","engine":)") + value +
+            "}");
+        ASSERT_FALSE(p.ok) << value;
+        EXPECT_EQ(p.error.code, ServiceErrorCode::BAD_REQUEST) << value;
+        EXPECT_EQ(p.error.message, "unknown field 'engine'") << value;
+        EXPECT_EQ(p.request.idJson, "1");
+    }
 }
 
 TEST(ServiceProtocol, RunNeedsExactlyOneKernelSource)
@@ -187,7 +202,7 @@ TEST(ServiceProtocol, CanonicalSerializationRoundTrips)
     const char *lines[] = {
         R"({"id":7,"op":"run","workload":"vectoradd"})",
         R"({"scheme":"hw2","id":"abc","op":"run","entries":4,)"
-        R"("kernel":"k","warps":2,"engine":"replay",)"
+        R"("kernel":"k","warps":2,)"
         R"("split_lrf":false,"partial_ranges":false,)"
         R"("read_operands":false,"deadline_ms":250})",
         R"({"op":"ping"})",
@@ -205,7 +220,6 @@ TEST(ServiceProtocol, CanonicalSerializationRoundTrips)
         EXPECT_EQ(second.request.workload, first.request.workload);
         EXPECT_EQ(second.request.kernelText, first.request.kernelText);
         EXPECT_EQ(second.request.scheme, first.request.scheme);
-        EXPECT_EQ(second.request.engine, first.request.engine);
         EXPECT_EQ(second.request.entries, first.request.entries);
         EXPECT_EQ(second.request.warps, first.request.warps);
         EXPECT_EQ(second.request.deadlineMs, first.request.deadlineMs);
@@ -260,8 +274,7 @@ TEST(ServiceServer, StatsOpReportsServiceAndCacheCounters)
     so.pool = &pool;
     BatchService svc(so);
     svc.start();
-    runOne(svc, R"({"id":1,"workload":"vectoradd","scheme":"hw2",)"
-                R"("engine":"replay"})");
+    runOne(svc, R"({"id":1,"workload":"vectoradd","scheme":"hw2"})");
     std::string resp = runOne(svc, R"({"id":2,"op":"stats"})");
     svc.drain();
 
@@ -509,12 +522,7 @@ TEST(ServiceServer, BatchedSliceMatchesDirectRunByteForByte)
     gateCv.notify_all();
 
     EXPECT_NE(f0.get().find("\"ok\":true"), std::string::npos);
-    // The batched responses must be byte-identical to direct runs.
-    // The batch path resolves AUTO to the replay engine, whose result
-    // documents match the direct oracle byte for byte on every run
-    // both complete; they differ only on kernels that hit the
-    // allocator bug in ROADMAP.md item 1 (e.g. corpus kernel
-    // wild_2_719, sw3 at 3 entries: exec_error alone, ok:true here).
+    // The batched responses must be byte-identical to lone runs.
     for (int i = 1; i <= kBatched; i++) {
         std::string expected = makeResultLine(
             std::to_string(i),
