@@ -23,7 +23,6 @@
 #   scripts/check.sh --no-golden  # skip the golden figure-shape gate
 #   scripts/check.sh --no-pipeline # skip the cycle-level pipeline gate
 #   scripts/check.sh --no-serve   # skip the serve+loadgen smoke
-#   scripts/check.sh --no-vec     # skip the vectorize-report gate
 #   scripts/check.sh --no-compare # skip the leaderboard smoke
 #   scripts/check.sh --no-corpus  # skip the corpus population gate
 #
@@ -46,7 +45,6 @@ run_fuzz=1
 run_golden=1
 run_pipeline=1
 run_serve=1
-run_vec=1
 run_compare=1
 run_corpus=1
 for arg in "$@"; do
@@ -58,7 +56,6 @@ for arg in "$@"; do
     [[ "$arg" == "--no-golden" ]] && run_golden=0
     [[ "$arg" == "--no-pipeline" ]] && run_pipeline=0
     [[ "$arg" == "--no-serve" ]] && run_serve=0
-    [[ "$arg" == "--no-vec" ]] && run_vec=0
     [[ "$arg" == "--no-compare" ]] && run_compare=0
     [[ "$arg" == "--no-corpus" ]] && run_corpus=0
 done
@@ -70,32 +67,6 @@ cmake --build "$repo/build" -j "$jobs"
 # stages below; keep the main run on the unit/property/fuzz tiers.
 ctest --test-dir "$repo/build" --output-on-failure -j "$jobs" \
     -LE 'golden|pipeline|corpus'
-
-if [[ "$run_vec" == 1 ]]; then
-    echo "== vectorize report: replay classification loop =="
-    # The SoA flags-classification sweep in sim/replay_kernels.cpp is
-    # the replay engine's innermost loop; the build compiles that TU
-    # at -O3 (src/CMakeLists.txt) precisely so it autovectorizes.
-    # Recompile it standalone with the vectorizer report and fail the
-    # gate if the loop ever stops vectorizing.
-    veclog="$(mktemp)"
-    if ! c++ -std=c++20 -O3 -fopt-info-vec-optimized \
-        -I "$repo/src" -c "$repo/src/sim/replay_kernels.cpp" \
-        -o /dev/null 2>"$veclog"; then
-        cat "$veclog" >&2
-        echo "check.sh: replay_kernels.cpp failed to compile" >&2
-        rm -f "$veclog"
-        exit 1
-    fi
-    if ! grep -q "loop vectorized" "$veclog"; then
-        cat "$veclog" >&2
-        echo "check.sh: replay classification loop no longer" \
-             "vectorizes (see report above)" >&2
-        rm -f "$veclog"
-        exit 1
-    fi
-    rm -f "$veclog"
-fi
 
 if [[ "$run_pipeline" == 1 ]]; then
     echo "== cycle-level pipeline gate: scheduler/stall/digest suite =="
@@ -291,7 +262,7 @@ if command -v doxygen >/dev/null 2>&1; then
             >/dev/null)
     # New-in-this-layer headers must stay warning-free; the gate is
     # scoped so pre-existing debt elsewhere does not block CI.
-    gated='core/metrics\.|core/trace_events\.|core/manifest\.|core/benchdiff\.|sim/replay_kernels\.|sim/replay_arena\.|core/scheme\.|core/leaderboard\.|sim/cc_rfc\.|sim/hw_cache\.|sim/sw_exec|sim/regdem\.|sim/greener\.|sim/rfc_ring\.|sim/pipeline|core/stats\.|core/corpus\.|workloads/profiles\.|service/net\.'
+    gated='core/metrics\.|core/trace_events\.|core/manifest\.|core/benchdiff\.|core/scheme\.|core/leaderboard\.|sim/cc_rfc\.|sim/hw_cache\.|sim/sw_exec|sim/regdem\.|sim/greener\.|sim/rfc_ring\.|sim/pipeline|core/stats\.|core/corpus\.|workloads/profiles\.|service/net\.'
     if grep -E "$gated" "$doxlog"; then
         echo "check.sh: doxygen warnings in gated headers (above)" >&2
         exit 1

@@ -236,7 +236,7 @@ struct BatchItem
  * (kernel, RunConfig)'s baseline, analyses, decoded trace, and replay
  * pre-decode are materialised once (in parallel) before the items fan
  * out, so no two items race to record the same trace and every item
- * starts with warm caches and a reusable per-thread replay arena.
+ * starts with warm caches.
  *
  * Every item runs exactly as a lone runScheme call of the same
  * configuration would (AUTO is REPLAY on both), so outcomes, errors

@@ -81,9 +81,8 @@ class ExperimentCache
 
         /**
          * Replay pre-decode, built with shared-consumer info from the
-         * cached reaching definitions. Annotated copies share it, so
-         * consumers must not read annotations out of its instruction
-         * snapshots (see ReplayDecode).
+         * cached reaching definitions. It is purely structural, so
+         * annotated copies of the kernel share it (see ReplayDecode).
          */
         std::shared_ptr<const ReplayDecode> decode() const;
 

@@ -4,7 +4,6 @@
 
 #include "ir/liveness.h"
 #include "sim/pipeline_account.h"
-#include "sim/replay_arena.h"
 #include "sim/rfc_ring.h"
 
 namespace rfh {
@@ -25,9 +24,9 @@ class CcWarpSim final : public WarpAccountant
     CcWarpSim(const ReplayDecode &dec, const CcRfcConfig &cfg,
               const Liveness &liveness,
               const std::vector<std::uint8_t> &insertHint,
-              AccessCounts &counts, ReplayArena &arena)
+              AccessCounts &counts)
         : dec_(dec), liveness_(liveness), insertHint_(insertHint),
-          counts_(counts), rfc_(cfg.entries, arena)
+          counts_(counts), rfc_(cfg.entries)
     {
     }
 
@@ -154,7 +153,7 @@ class CcAccounting final : public AccountingOf<CcWarpSim>
     {
         return std::make_unique<CcWarpSim>(*dec_, cfg_,
                                            analyses_->liveness, hints_,
-                                           counts_, arena_);
+                                           counts_);
     }
 
   private:
@@ -164,9 +163,6 @@ class CcAccounting final : public AccountingOf<CcWarpSim>
     std::optional<ReplayDecode> localDec_;
     const AnalysisBundle *analyses_;
     const ReplayDecode *dec_;
-    // Private arena: warp accountants outlive any tick of the
-    // thread-local replay arena, which other code resets freely.
-    ReplayArena arena_;
 };
 
 } // namespace

@@ -4,7 +4,6 @@
 
 #include "ir/liveness.h"
 #include "sim/pipeline_account.h"
-#include "sim/replay_arena.h"
 #include "sim/rfc_ring.h"
 
 namespace rfh {
@@ -21,19 +20,17 @@ using Rfc = RfcRing;
  * the @c enabled and @c taken inputs. RFC/LRF hits become collector
  * bypass operands.
  *
- * The inner loop reads only the compact ReplayOp records and the
- * derived register sets of the decode — never the Instruction
- * snapshots — so a decode shared across annotated copies is safe.
- * The decode must carry shared-consumer info (kOpLrfAble).
+ * The inner loop reads only the decode, so one shared across
+ * annotated copies is safe. The decode must carry shared-consumer
+ * info (kOpLrfAble).
  */
 class HwWarpSim final : public WarpAccountant
 {
   public:
     HwWarpSim(const ReplayDecode &dec, const HwCacheConfig &cfg,
-              const Liveness &liveness, AccessCounts &counts,
-              ReplayArena &arena)
+              const Liveness &liveness, AccessCounts &counts)
         : dec_(dec), cfg_(cfg), liveness_(liveness), counts_(counts),
-          rfc_(cfg.rfcEntries, arena)
+          rfc_(cfg.rfcEntries)
     {
     }
 
@@ -202,8 +199,7 @@ class HwAccounting final : public AccountingOf<HwWarpSim>
     newWarp(int /*warp*/) override
     {
         return std::make_unique<HwWarpSim>(*dec_, cfg_,
-                                           analyses_->liveness, counts_,
-                                           arena_);
+                                           analyses_->liveness, counts_);
     }
 
   private:
@@ -212,9 +208,6 @@ class HwAccounting final : public AccountingOf<HwWarpSim>
     std::optional<ReplayDecode> localDec_;
     const AnalysisBundle *analyses_;
     const ReplayDecode *dec_;
-    // Private arena: warp accountants outlive any tick of the
-    // thread-local replay arena, which other code resets freely.
-    ReplayArena arena_;
 };
 
 } // namespace

@@ -43,11 +43,11 @@ constexpr std::uint64_t kNoEvent =
 // Register sets are 64-bit masks in the loop (bit r = register r).
 static_assert(kMaxRegs <= 64, "register masks must fit in 64 bits");
 
-/** Issue latency of one static instruction (old perf-model table). */
+/** Issue latency of one opcode (old perf-model table). */
 int
-latencyOf(const Instruction &in, const PipelineConfig &cfg)
+latencyOf(Opcode op, const PipelineConfig &cfg)
 {
-    switch (in.op) {
+    switch (op) {
       case Opcode::LD_GLOBAL: return cfg.dramLatency;
       case Opcode::TEX: return cfg.texLatency;
       case Opcode::LD_SHARED: return cfg.sharedMemLatency;
@@ -58,8 +58,8 @@ latencyOf(const Instruction &in, const PipelineConfig &cfg)
       case Opcode::EXIT: return 1;
       case Opcode::BAR: return 1;
       default:
-        return isSharedUnit(in.unit()) ? cfg.sfuLatency
-                                       : cfg.aluLatency;
+        return isSharedUnit(unitClass(op)) ? cfg.sfuLatency
+                                           : cfg.aluLatency;
     }
 }
 
@@ -164,11 +164,11 @@ struct Sm
                         std::max(1, cfg.banks.numBanks)),
                     0)
     {
-        ops.resize(dec.instr.size());
+        ops.resize(dec.op.size());
         for (std::size_t i = 0; i < ops.size(); i++) {
             ops[i].touched = dec.touched[i].to_ullong();
             ops[i].dst = dec.defined[i].to_ullong();
-            ops[i].pipe = pipeFor(latencyOf(dec.instr[i], cfg));
+            ops[i].pipe = pipeFor(latencyOf(dec.op[i].opcode, cfg));
             ops[i].flags = dec.op[i].flags;
         }
 

@@ -24,7 +24,7 @@
  * invariant the verify oracle enforces per scheme and warp count.
  *
  * A PipelineAccounting is the per-run factory that owns everything the
- * warps share (decode tables, hints, liveness, its own arena).
+ * warps share (decode tables, hints, liveness).
  * Backends expose one through SchemeBackend::makePipelineAccounting;
  * the default SchemeBackend::simulate drives it through the two
  * functional drivers.

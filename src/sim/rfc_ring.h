@@ -5,16 +5,16 @@
  * (sim/cc_rfc.cpp): a register bitset for O(1) membership tests on the
  * read path plus a ring buffer preserving FIFO insertion order for
  * eviction. Both executors probe this on every operand, so the
- * membership test must not scan. The ring lives in the per-run replay
- * arena — one contiguous block shared with the rest of the executor
- * state, reused across grid cells.
+ * membership test must not scan. Each ring owns its FIFO storage,
+ * sized to the entry count at construction (at most 8 registers).
  */
 
 #ifndef RFH_SIM_RFC_RING_H
 #define RFH_SIM_RFC_RING_H
 
+#include <vector>
+
 #include "ir/liveness.h"
-#include "sim/replay_arena.h"
 
 namespace rfh {
 
@@ -22,10 +22,9 @@ namespace rfh {
 class RfcRing
 {
   public:
-    RfcRing(int entries, ReplayArena &arena)
+    explicit RfcRing(int entries)
         : entries_(entries),
-          fifo_(arena.alloc<Reg>(
-              static_cast<std::size_t>(entries > 0 ? entries : 1)))
+          fifo_(static_cast<std::size_t>(entries > 0 ? entries : 0))
     {
     }
 
@@ -103,7 +102,7 @@ class RfcRing
 
     int entries_;
     RegSet present_;
-    Reg *fifo_;
+    std::vector<Reg> fifo_;
     int head_ = 0;
     int size_ = 0;
 };

@@ -214,7 +214,8 @@ class SwHierarchyScheme : public SchemeBackend
         sc.idealNoFlush = ctx.cfg->idealNoFlush;
         return makeSwHierarchyAccounting(*ctx.kernel,
                                          allocOptions(*ctx.cfg), sc,
-                                         ctx.analyses, *ctx.counts);
+                                         ctx.analyses, ctx.decode,
+                                         *ctx.counts);
     }
 
   private:

@@ -9,7 +9,6 @@
 #include "ir/liveness.h"
 #include "sim/machine.h"
 #include "sim/pipeline_account.h"
-#include "sim/replay_arena.h"
 #include "sim/trace.h"
 
 namespace rfh {
@@ -283,8 +282,9 @@ struct SwLinCost
  */
 bool
 scanSwAnnotations(const Kernel &k, const AllocOptions &opts,
-                  const SwExecConfig &cfg, SwLinCost *cost,
-                  RegSet *touched, RegSet *defined)
+                  const SwExecConfig &cfg, std::vector<SwLinCost> &cost,
+                  std::vector<RegSet> &touched,
+                  std::vector<RegSet> &defined)
 {
     const int lrf_banks = opts.useLRF ? (opts.splitLRF ? 3 : 1) : 0;
     const int n = k.numInstrs();
@@ -384,11 +384,12 @@ class SwWarpAccountant final : public WarpAccountant
     {
         if (!error_.empty())
             return;
-        const Instruction &in = dec_.instr[static_cast<std::size_t>(lin)];
-        const Datapath dp = static_cast<Datapath>(
-            dec_.datapath[static_cast<std::size_t>(lin)]);
-        const bool shared =
-            dec_.shared[static_cast<std::size_t>(lin)] != 0;
+        // Annotations come from the annotated kernel, structure from
+        // the (possibly shared) decode.
+        const Instruction &in = k_.instr(lin);
+        const ReplayOp &o = dec_.op[static_cast<std::size_t>(lin)];
+        const Datapath dp = static_cast<Datapath>(o.dp);
+        const bool shared = (o.flags & kOpShared) != 0;
 
         if ((dec_.touched[static_cast<std::size_t>(lin)] & pending_)
                 .any()) {
@@ -441,16 +442,17 @@ class SwWarpAccountant final : public WarpAccountant
         counts_.instructions++;
 
         // ---- Result writes (suppressed when predicated off) ----
-        if (in.dst && enabled) {
+        if (o.dst >= 0 && enabled) {
             const WriteAnnotation &wa = in.writeAnno;
-            const int halves = in.wide ? 2 : 1;
-            if (in.longLatency() && wa.anyUpper() && !cfg_.idealNoFlush) {
+            const int halves = o.halves;
+            const bool longLat = (o.flags & kOpLongLat) != 0;
+            if (longLat && wa.anyUpper() && !cfg_.idealNoFlush) {
                 fail(lin,
                      "long-latency result annotated to an upper level");
                 return;
             }
             if (wa.toLRF) {
-                if (in.wide || lrfBanks_ == 0) {
+                if (halves > 1 || lrfBanks_ == 0) {
                     fail(lin, "invalid LRF write annotation");
                     return;
                 }
@@ -473,7 +475,7 @@ class SwWarpAccountant final : public WarpAccountant
             }
             if (wa.toMRF)
                 counts_.write(Level::MRF, dp, halves);
-            if (in.longLatency())
+            if (longLat)
                 pending_ |= dec_.defined[static_cast<std::size_t>(lin)];
         }
 
@@ -522,15 +524,12 @@ class SwAccounting final : public AccountingOf<SwWarpAccountant>
   public:
     SwAccounting(const Kernel &k, const AllocOptions &opts,
                  const SwExecConfig &cfg, const AnalysisBundle *analyses,
-                 AccessCounts &counts)
+                 const ReplayDecode *dec, AccessCounts &counts)
         : AccountingOf(counts), k_(k), opts_(opts), cfg_(cfg),
           cfgGraph_(analyses ? nullptr : &localCfg_.emplace(k)),
           strands_(k, analyses ? analyses->cfg : *cfgGraph_,
                    opts.strandOptions),
-          // The decode must come from the *annotated* kernel: the
-          // accounting reads annotations out of the instr snapshots,
-          // which a shared cached decode does not carry.
-          dec_(k)
+          dec_(dec ? dec : &localDec_.emplace(k))
     {
     }
 
@@ -538,7 +537,7 @@ class SwAccounting final : public AccountingOf<SwWarpAccountant>
     std::unique_ptr<SwWarpAccountant>
     newWarp(int /*warp*/) override
     {
-        return std::make_unique<SwWarpAccountant>(k_, dec_, opts_, cfg_,
+        return std::make_unique<SwWarpAccountant>(k_, *dec_, opts_, cfg_,
                                                   strands_, counts_);
     }
 
@@ -549,7 +548,8 @@ class SwAccounting final : public AccountingOf<SwWarpAccountant>
     std::optional<Cfg> localCfg_;
     const Cfg *cfgGraph_;
     StrandAnalysis strands_;
-    ReplayDecode dec_;
+    std::optional<ReplayDecode> localDec_;
+    const ReplayDecode *dec_;
 };
 
 /**
@@ -562,7 +562,7 @@ replayPerRecord(const Kernel &k, const AllocOptions &opts,
                 const AnalysisBundle *analyses)
 {
     SwExecResult result;
-    SwAccounting acct(k, opts, cfg, analyses, result.counts);
+    SwAccounting acct(k, opts, cfg, analyses, nullptr, result.counts);
     result.error = acct.replay(trace);
     noteSwRun(result, /*replay=*/true);
     return result;
@@ -585,10 +585,9 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
     // distinct warp stream, by bit-scanning directly between the rare
     // records that can make a long-latency register outstanding.
     const int n = k.numInstrs();
-    ReplayArena &arena = acquireThreadReplayArena();
-    SwLinCost *cost = arena.allocZeroed<SwLinCost>(n);
-    RegSet *touched = arena.alloc<RegSet>(n);
-    RegSet *defined = arena.alloc<RegSet>(n);
+    std::vector<SwLinCost> cost(static_cast<std::size_t>(n));
+    std::vector<RegSet> touched(static_cast<std::size_t>(n));
+    std::vector<RegSet> defined(static_cast<std::size_t>(n));
     if (!scanSwAnnotations(k, opts, cfg, cost, touched, defined))
         return replayPerRecord(k, opts, trace, cfg, analyses);
 
@@ -669,9 +668,10 @@ std::unique_ptr<PipelineAccounting>
 makeSwHierarchyAccounting(const Kernel &k, const AllocOptions &opts,
                           const SwExecConfig &cfg,
                           const AnalysisBundle *analyses,
-                          AccessCounts &counts)
+                          const ReplayDecode *dec, AccessCounts &counts)
 {
-    return std::make_unique<SwAccounting>(k, opts, cfg, analyses, counts);
+    return std::make_unique<SwAccounting>(k, opts, cfg, analyses, dec,
+                                          counts);
 }
 
 } // namespace rfh

@@ -88,6 +88,7 @@ SwExecResult replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
                                const AnalysisBundle *analyses = nullptr);
 
 class PipelineAccounting;
+struct ReplayDecode;
 
 /**
  * The software hierarchy's per-warp accountant
@@ -96,11 +97,18 @@ class PipelineAccounting;
  * and the cycle-level pipeline drives at issue. Annotated ORF/LRF
  * operands bypass the collector banks. Structural annotation
  * violations stop the run with runSwHierarchy's exact error message.
- * @p k, @p analyses, and @p counts must outlive the returned object.
+ *
+ * @param dec optional pre-decode of a kernel with @p k's structure
+ *        (ExperimentCache::decode of the pristine kernel is fine);
+ *        built locally when null. Annotations are read from @p k.
+ *
+ * @p k, @p analyses, @p dec, and @p counts must outlive the returned
+ * object.
  */
 std::unique_ptr<PipelineAccounting> makeSwHierarchyAccounting(
     const Kernel &k, const AllocOptions &opts, const SwExecConfig &cfg,
-    const AnalysisBundle *analyses, AccessCounts &counts);
+    const AnalysisBundle *analyses, const ReplayDecode *dec,
+    AccessCounts &counts);
 
 } // namespace rfh
 

@@ -6,7 +6,6 @@
 #include "core/trace_events.h"
 #include "ir/reaching_defs.h"
 #include "sim/machine.h"
-#include "sim/replay_kernels.h"
 
 namespace rfh {
 
@@ -62,8 +61,8 @@ hashStep(std::uint64_t h, std::uint64_t v)
 
 /**
  * Derive the fields that follow from @p trace's interned streams —
- * the weighted per-instruction counts, the long-latency plane and the
- * totals — for the kernel @p k they were recorded from.
+ * the weighted per-instruction counts and the long-latency plane —
+ * for the kernel @p k they were recorded from.
  */
 void
 finishTrace(const Kernel &k, DecodedTrace &trace)
@@ -73,8 +72,6 @@ finishTrace(const Kernel &k, DecodedTrace &trace)
     trace.linRecords.assign(nInstrs, 0);
     trace.linExecuted.assign(nInstrs, 0);
     trace.llWords.assign((n + 63) / 64, 0);
-    trace.executedInstrs = 0;
-    trace.takenBranches = 0;
     // Long-latency-with-destination instructions: their executed
     // records are the only ones that can set the replay pending set.
     std::vector<std::uint8_t> ll(nInstrs, 0);
@@ -86,10 +83,6 @@ finishTrace(const Kernel &k, DecodedTrace &trace)
         const std::uint32_t b = trace.streamBegin[s];
         const std::uint32_t e = trace.streamBegin[s + 1];
         const std::uint64_t m = trace.multiplicity[s];
-        FlagsClassCounts cls =
-            classifyReplayFlags(trace.flags.data() + b, e - b);
-        trace.executedInstrs += cls.executed * m;
-        trace.takenBranches += cls.taken * m;
         for (std::uint32_t t = b; t < e; t++) {
             const int lin = trace.lin[t];
             const std::uint64_t ex = trace.flags[t] & kReplayExecuted;
@@ -204,14 +197,10 @@ sharedConsumers(const Kernel &k, const ReachingDefs &rdefs)
 ReplayDecode::ReplayDecode(const Kernel &k, const ReachingDefs *rdefs)
 {
     int n = k.numInstrs();
-    instr.reserve(n);
     op.reserve(n);
     touched.reserve(n);
     used.reserve(n);
     defined.reserve(n);
-    datapath.reserve(n);
-    shared.reserve(n);
-    backwardBranch.reserve(n);
     regReads.reserve(n);
     regWrites.reserve(n);
     std::vector<std::uint8_t> shared_consumer;
@@ -221,19 +210,11 @@ ReplayDecode::ReplayDecode(const Kernel &k, const ReachingDefs *rdefs)
     }
     for (int lin = 0; lin < n; lin++) {
         const Instruction &in = k.instr(lin);
-        instr.push_back(in);
         RegSet def = definedRegs(in);
         RegSet use = usedRegs(in);
         defined.push_back(def);
         used.push_back(use);
         touched.push_back(use | def);
-        bool is_shared = isSharedUnit(in.unit());
-        bool backward = in.op == Opcode::BRA && in.branchTarget >= 0 &&
-            in.branchTarget <= k.ref(lin).block;
-        datapath.push_back(
-            static_cast<std::uint8_t>(datapathOf(in.unit())));
-        shared.push_back(is_shared ? 1 : 0);
-        backwardBranch.push_back(backward ? 1 : 0);
         regReads.push_back(static_cast<std::uint8_t>(in.numRegReads()));
         regWrites.push_back(
             static_cast<std::uint8_t>(in.numRegWrites()));
@@ -246,14 +227,14 @@ ReplayDecode::ReplayDecode(const Kernel &k, const ReachingDefs *rdefs)
         o.dst = in.dst ? static_cast<std::int16_t>(*in.dst) : -1;
         o.halves = in.wide ? 2 : 1;
         o.dp = static_cast<std::uint8_t>(datapathOf(in.unit()));
+        o.opcode = in.op;
         if (in.longLatency())
             o.flags |= kOpLongLat;
-        if (is_shared)
+        if (isSharedUnit(in.unit()))
             o.flags |= kOpShared;
-        if (backward)
+        if (in.op == Opcode::BRA && in.branchTarget >= 0 &&
+            in.branchTarget <= k.ref(lin).block)
             o.flags |= kOpBackward;
-        if (in.wide)
-            o.flags |= kOpWide;
         if (rdefs && !in.wide && in.unit() == UnitClass::ALU &&
             !shared_consumer[lin])
             o.flags |= kOpLrfAble;

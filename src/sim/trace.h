@@ -120,10 +120,6 @@ struct DecodedTrace
      * word are zero.
      */
     std::vector<std::uint64_t> llWords;
-    /** Records with kReplayExecuted over all warps. */
-    std::uint64_t executedInstrs = 0;
-    /** Records with kReplayBranchTaken over all warps. */
-    std::uint64_t takenBranches = 0;
 
     int
     numWarps() const
@@ -174,19 +170,18 @@ enum ReplayOpFlags : std::uint8_t
     kOpLongLat = 1u << 0,   ///< isLongLatency(op).
     kOpShared = 1u << 1,    ///< isSharedUnit(unit()).
     kOpBackward = 1u << 2,  ///< BRA with target block <= own block.
-    kOpWide = 1u << 3,      ///< 64-bit destination (two halves).
     /**
      * Hardware-LRF eligible result: private non-wide ALU value with no
      * shared-datapath consumer. Only meaningful when the decode was
      * built with reaching definitions (hasSharedConsumerInfo()).
      */
-    kOpLrfAble = 1u << 4,
+    kOpLrfAble = 1u << 3,
 };
 
 /**
  * Compact structure-of-arrays record of one static instruction: the
- * 10 bytes the replay inner loops actually touch, instead of the
- * ~200-byte Instruction. One cache line holds six of them.
+ * 12 bytes the replay inner loops actually touch, instead of the
+ * 72-byte Instruction. One cache line holds five of them.
  */
 struct ReplayOp
 {
@@ -197,26 +192,26 @@ struct ReplayOp
     std::uint8_t halves = 1;          ///< Registers written (1 or 2).
     std::uint8_t dp = 0;              ///< Datapath index.
     std::uint8_t flags = 0;           ///< ReplayOpFlags.
+    Opcode opcode = Opcode::EXIT;     ///< Operation (issue latency).
+
+    bool operator==(const ReplayOp &) const = default;
 };
 
 /**
  * Flat static pre-decode of a kernel for replay, indexed by linear
- * instruction id: the instructions themselves in one contiguous
- * array, compact ReplayOp records for the hot loops, plus the derived
- * sets and classifications the loops would otherwise recompute per
- * dynamic instruction.
+ * instruction id: compact ReplayOp records for the hot loops, plus
+ * the derived sets the loops would otherwise recompute per dynamic
+ * instruction.
  *
- * A decode built from a pristine kernel is structurally identical to
- * one built from any allocator-annotated copy except for the @c instr
- * snapshots, which carry whatever annotations the source kernel had.
- * Cached decodes (ExperimentCache::decode) are therefore shared
- * across annotated copies, and consumers of a shared decode must not
- * read annotations out of @c instr.
+ * The decode holds only structural facts, which the allocator's
+ * annotations never change: a decode built from a pristine kernel
+ * equals one built from any annotated copy. Cached decodes
+ * (ExperimentCache::decode) are therefore shared across annotated
+ * copies; an accountant that needs annotations reads them from its
+ * own annotated kernel.
  */
 struct ReplayDecode
 {
-    /** Contiguous instruction copies in layout (linear) order. */
-    std::vector<Instruction> instr;
     /** Compact per-instruction records for the replay inner loops. */
     std::vector<ReplayOp> op;
     /** usedRegs | definedRegs per instruction. */
@@ -225,12 +220,6 @@ struct ReplayDecode
     std::vector<RegSet> used;
     /** definedRegs per instruction. */
     std::vector<RegSet> defined;
-    /** Datapath index (static_cast<int>(datapathOf(unit))). */
-    std::vector<std::uint8_t> datapath;
-    /** isSharedUnit(unit()) per instruction. */
-    std::vector<std::uint8_t> shared;
-    /** BRA with a valid target block <= its own block. */
-    std::vector<std::uint8_t> backwardBranch;
     /** numRegReads() per instruction (baseline accounting). */
     std::vector<std::uint8_t> regReads;
     /** numRegWrites() per instruction (baseline accounting). */

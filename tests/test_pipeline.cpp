@@ -882,19 +882,30 @@ TEST(SwFailingRun, ReplayAndPipelineMatchDirect)
         EXPECT_EQ(replay.error, direct.error);
         EXPECT_EQ(describeCountsDiff(replay.counts, direct.counts), "");
 
-        // The pipeline meets the same fault at issue.
-        AccessCounts issued;
-        PipelineBuildContext build;
-        build.kernel = &annotated;
-        build.cfg = &cfg;
-        build.analyses = &bundle;
-        build.decode = &dec;
-        build.counts = &issued;
-        std::unique_ptr<PipelineAccounting> acct =
-            si.backend->makePipelineAccounting(build);
-        ASSERT_TRUE(acct);
-        EXPECT_EQ(runPipeline(trace, dec, *acct, cfg.pipeline).error,
-                  direct.error);
+        // The pipeline meets the same fault at issue, with the same
+        // partial counts whether the accountant is handed the
+        // memoized pristine decode or builds its own from the
+        // annotated kernel (a null decode).
+        const std::shared_ptr<const ReplayDecode> memoDec =
+            globalExperimentCache().decode(w.kernel);
+        AccessCounts issued[2];
+        std::string issueError[2];
+        for (int i = 0; i < 2; i++) {
+            PipelineBuildContext build;
+            build.kernel = &annotated;
+            build.cfg = &cfg;
+            build.analyses = &bundle;
+            build.decode = i == 0 ? memoDec.get() : nullptr;
+            build.counts = &issued[i];
+            std::unique_ptr<PipelineAccounting> acct =
+                si.backend->makePipelineAccounting(build);
+            ASSERT_TRUE(acct);
+            issueError[i] =
+                runPipeline(trace, dec, *acct, cfg.pipeline).error;
+        }
+        EXPECT_EQ(issueError[0], direct.error);
+        EXPECT_EQ(issueError[1], issueError[0]);
+        EXPECT_EQ(describeCountsDiff(issued[1], issued[0]), "");
 
         // The static check flags the fault in the annotated kernel...
         std::vector<std::string> violations =

@@ -22,7 +22,6 @@
 #include "core/experiment.h"
 #include "core/json.h"
 #include "core/memo.h"
-#include "core/metrics.h"
 #include "core/scheme.h"
 #include "core/sweep.h"
 #include "ir/parser.h"
@@ -34,6 +33,7 @@
 #include "sim/sw_exec.h"
 #include "sim/sw_exec_simt.h"
 #include "sim/trace.h"
+#include "workloads/profiles.h"
 #include "workloads/registry.h"
 #include "workloads/synthetic.h"
 
@@ -219,26 +219,67 @@ TEST(Replay, BatchSizesOneThreeEightMixedWorkloads)
     }
 }
 
-// ---- Arena reuse: no state bleed between consecutive runs ----
+// ---- No state bleed between consecutive runs ----
 
 TEST(Replay, ArenaReuseKeepsConsecutiveRunsByteIdentical)
 {
-    Counter &reuse = globalMetrics().counter("replay.arena_reuse");
-    const std::uint64_t before = reuse.value();
-    // Alternating kernels through this thread's arena: stale state
-    // surviving a reset would change the second round's counts.
+    // Alternating kernels on one thread: state surviving from one run
+    // into the next (the sw fast path's tables, the hardware and
+    // compiler-assisted caches' RFC rings) would change the second
+    // round's bytes.
     const Workload &a = workloadByName("nbody");
     const Workload &b = workloadByName("reduction");
-    ExperimentConfig cfg;
-    cfg.engine = ExecEngine::REPLAY;
-    RunOutcome a1 = runScheme(a, cfg);
-    RunOutcome b1 = runScheme(b, cfg);
-    RunOutcome a2 = runScheme(a, cfg);
-    RunOutcome b2 = runScheme(b, cfg);
-    EXPECT_EQ(outcomeToJson(a1), outcomeToJson(a2));
-    EXPECT_EQ(outcomeToJson(b1), outcomeToJson(b2));
-    // The arena block was handed out again, not reallocated.
-    EXPECT_GT(reuse.value(), before);
+    for (const char *token : {"sw3", "hw2", "hw3", "ccrfc"}) {
+        SCOPED_TRACE(token);
+        ExperimentConfig cfg;
+        cfg.scheme = SchemeRegistry::instance().findToken(token)->scheme;
+        cfg.engine = ExecEngine::REPLAY;
+        RunOutcome a1 = runScheme(a, cfg);
+        RunOutcome b1 = runScheme(b, cfg);
+        RunOutcome a2 = runScheme(a, cfg);
+        RunOutcome b2 = runScheme(b, cfg);
+        EXPECT_EQ(outcomeToJson(a1), outcomeToJson(a2));
+        EXPECT_EQ(outcomeToJson(b1), outcomeToJson(b2));
+    }
+}
+
+// ---- The decode is structural: annotations never change it ----
+
+TEST(Replay, PristineDecodeEqualsEveryAnnotatedCopysDecode)
+{
+    const std::vector<Workload> kernels = {
+        workloadByName("nbody"),
+        workloadByName("reduction"),
+        corpusWorkload(*findProfile("wild"), 1, 0),
+        corpusWorkload(*findProfile("high-pressure"), 1, 0),
+    };
+    for (const Workload &w : kernels) {
+        const AnalysisBundle bundle(w.kernel);
+        const ReplayDecode pristine(w.kernel, &bundle.reachingDefs);
+        for (const char *token : {"sw2", "sw3", "hw2", "ccrfc"}) {
+            const SchemeInfo &si =
+                *SchemeRegistry::instance().findToken(token);
+            for (int entries : {1, 3, 8}) {
+                SCOPED_TRACE(w.name + " " + token + "@" +
+                             std::to_string(entries));
+                ExperimentConfig cfg;
+                cfg.scheme = si.scheme;
+                cfg.entries = entries;
+                Kernel annotated = w.kernel;
+                si.backend->allocate(annotated, cfg, &bundle);
+                const AnalysisBundle own(annotated);
+                const ReplayDecode dec(annotated, &own.reachingDefs);
+                EXPECT_TRUE(dec.op == pristine.op);
+                EXPECT_EQ(dec.touched, pristine.touched);
+                EXPECT_EQ(dec.used, pristine.used);
+                EXPECT_EQ(dec.defined, pristine.defined);
+                EXPECT_EQ(dec.regReads, pristine.regReads);
+                EXPECT_EQ(dec.regWrites, pristine.regWrites);
+                EXPECT_EQ(dec.hasSharedConsumerInfo(),
+                          pristine.hasSharedConsumerInfo());
+            }
+        }
+    }
 }
 
 // ---- Interned streams: one stream, all distinct, failing runs ----
@@ -384,10 +425,10 @@ out:
     // The accountant under both functional drivers agrees too.
     AccessCounts machine, traced;
     const std::string machineError =
-        makeSwHierarchyAccounting(k, opts, sc, nullptr, machine)
+        makeSwHierarchyAccounting(k, opts, sc, nullptr, nullptr, machine)
             ->execute(k, sc.run);
     const std::string tracedError =
-        makeSwHierarchyAccounting(k, opts, sc, nullptr, traced)
+        makeSwHierarchyAccounting(k, opts, sc, nullptr, nullptr, traced)
             ->replay(trace);
     EXPECT_EQ(machineError, direct.error);
     EXPECT_EQ(tracedError, direct.error);
