@@ -164,12 +164,14 @@ if [[ "$run_corpus" == 1 ]]; then
     # with the cycle-level pipeline (`--perf`). The fuzz-grammar
     # profiles (wild, high-pressure) have the most distinct warp
     # streams, so every accountant runs through the interned trace
-    # driver on mixed shared and distinct streams.
+    # driver on mixed shared and distinct streams. Three entries
+    # sizes and both sw schemes give each kernel six sw cells that
+    # share one memoized allocation plan across the worker threads.
     c1="$(mktemp)"; c4="$(mktemp)"
     for perf in "" --perf; do
         corpus_args=(corpus --profiles balanced,divergent,wild,high-pressure
-                     --n 64 --schemes sw3,hw2,hw3,ccrfc,regdem
-                     --entries 3 --json $perf)
+                     --n 64 --schemes sw2,sw3,hw2,hw3,ccrfc,regdem
+                     --entries 1,3,8 --json $perf)
         RFH_THREADS=1 "$repo/build/examples/rfhc" "${corpus_args[@]}" \
             >"$c1"
         RFH_THREADS=4 "$repo/build/examples/rfhc" "${corpus_args[@]}" \

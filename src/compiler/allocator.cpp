@@ -12,8 +12,9 @@ namespace rfh {
 namespace {
 
 /**
- * Per-pass observability of the allocation pipeline (strand cuts,
- * instance dataflow, LRF pass, ORF pass). Registered once; updates
+ * Per-pass observability of the allocation pipeline: strand cuts and
+ * instance dataflow once per AllocationPlan built, the LRF and ORF
+ * passes once per allocation. Registered once; updates
  * are relaxed atomics, so the parallel sweep's concurrent allocator
  * runs never contend. Metrics never influence allocation decisions.
  */
@@ -131,7 +132,31 @@ annotateReadOrf(Kernel &k, const ReadInstance &ri, int entry, int num_uses)
     }
 }
 
+/** @return @p make(), its duration added to @p timer. */
+template <class Make>
+auto
+timed(Timer &timer, Make make)
+{
+    Stopwatch watch;
+    auto value = make();
+    timer.addSec(watch.lap());
+    return value;
+}
+
 } // namespace
+
+AllocationPlan::AllocationPlan(const Kernel &k, const Cfg &cfg,
+                               const ReachingDefs &rd,
+                               const StrandOptions &opts)
+    : options(opts),
+      strands(timed(allocMetrics().strands,
+                    [&] { return StrandAnalysis(k, cfg, opts); })),
+      instances(timed(allocMetrics().instances, [&] {
+          return InstanceAnalysis(k, cfg, strands, rd,
+                                  !opts.cutAtLongLatency);
+      }))
+{
+}
 
 HierarchyAllocator::HierarchyAllocator(const EnergyParams &params,
                                        const AllocOptions &opts)
@@ -141,26 +166,30 @@ HierarchyAllocator::HierarchyAllocator(const EnergyParams &params,
 }
 
 AllocStats
-HierarchyAllocator::run(Kernel &k, const AnalysisBundle *analyses) const
+HierarchyAllocator::run(Kernel &k, const AnalysisBundle *analyses,
+                        const AllocationPlan *plan) const
 {
     AllocMetrics &am = allocMetrics();
     am.runs.add();
-    Stopwatch phaseWatch;
+
+    // The plan depends only on the kernel's structure, so a shared
+    // precomputed one is equivalent to a local one.
+    std::optional<AllocationPlan> localPlan;
+    if (!plan) {
+        std::optional<Cfg> localCfg;
+        std::optional<ReachingDefs> localRd;
+        const Cfg &cfg = analyses ? analyses->cfg : localCfg.emplace(k);
+        const ReachingDefs &rd = analyses ? analyses->reachingDefs
+                                          : localRd.emplace(k, cfg);
+        plan = &localPlan.emplace(k, cfg, rd, opts_.strandOptions);
+    }
+    assert(plan->options == opts_.strandOptions);
+    const StrandAnalysis &sa = plan->strands;
+    const InstanceAnalysis &ia = plan->instances;
 
     k.clearAnnotations();
-    // CFG and reaching defs depend only on the kernel's structure, so
-    // a shared precomputed bundle is equivalent to a local one.
-    std::optional<Cfg> localCfg;
-    std::optional<ReachingDefs> localRd;
-    const Cfg &cfg = analyses ? analyses->cfg : localCfg.emplace(k);
-    StrandAnalysis sa(k, cfg, opts_.strandOptions);
     sa.markEndOfStrand(k);
-    am.strands.addSec(phaseWatch.lap());
-    const ReachingDefs &rd = analyses ? analyses->reachingDefs
-                                      : localRd.emplace(k, cfg);
-    InstanceAnalysis ia(k, cfg, sa, rd,
-                        !opts_.strandOptions.cutAtLongLatency);
-    am.instances.addSec(phaseWatch.lap());
+    Stopwatch phaseWatch;
     int price = opts_.orfPriceEntries ? opts_.orfPriceEntries
                                       : opts_.orfEntries;
     EnergyModel em(params_, price, opts_.splitLRF);

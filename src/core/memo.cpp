@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
+#include "compiler/allocator.h"
 #include "core/metrics.h"
 
 namespace rfh {
@@ -11,17 +13,18 @@ namespace {
 
 /** Input kinds by Kind: metric names. */
 const char *const kKindNames[] = {"baseline", "analysis", "trace",
-                                  "decode"};
+                                  "decode", "plan"};
+constexpr int kNumKinds = std::size(kKindNames);
 
 /** Registry mirror of the cache counters, indexed like Kind. */
 struct MemoMetrics
 {
-    Counter *hits[4];
-    Counter *misses[4];
+    Counter *hits[kNumKinds];
+    Counter *misses[kNumKinds];
 
     MemoMetrics()
     {
-        for (int k = 0; k < 4; k++) {
+        for (int k = 0; k < kNumKinds; k++) {
             const std::string name = std::string("memo.") + kKindNames[k];
             hits[k] = &globalMetrics().counter(name + ".hits");
             misses[k] = &globalMetrics().counter(name + ".misses");
@@ -55,6 +58,9 @@ struct ExperimentCache::KernelEntry
     bool dropped = false;
     Slot<std::shared_ptr<const AnalysisBundle>> analyses;
     Slot<std::shared_ptr<const ReplayDecode>> decode;
+    /** By StrandOptions; guarded by the cache's mutex. */
+    std::map<StrandOptions, Slot<std::shared_ptr<const AllocationPlan>>>
+        plans;
     /** By (numWarps, maxInstrsPerWarp); guarded by the cache's mutex. */
     std::map<std::pair<int, std::uint64_t>, RunEntry> runs;
 };
@@ -186,6 +192,21 @@ ExperimentCache::Inputs::decode() const
     });
 }
 
+std::shared_ptr<const AllocationPlan>
+ExperimentCache::Inputs::allocationPlan(const StrandOptions &opts) const
+{
+    Slot<std::shared_ptr<const AllocationPlan>> *slot = nullptr;
+    {
+        std::lock_guard<std::mutex> lk(cache_->mu_);
+        slot = &entry_->plans.try_emplace(opts).first->second;
+    }
+    return cache_->fill(*slot, PLAN, *entry_, [&] {
+        std::shared_ptr<const AnalysisBundle> bundle = analyses();
+        return std::make_shared<const AllocationPlan>(
+            *kernel_, bundle->cfg, bundle->reachingDefs, opts);
+    });
+}
+
 void
 ExperimentCache::clear()
 {
@@ -215,6 +236,8 @@ ExperimentCache::stats() const
     s.traceMisses = misses_[TRACE].load();
     s.decodeHits = hits_[DECODE].load();
     s.decodeMisses = misses_[DECODE].load();
+    s.planHits = hits_[PLAN].load();
+    s.planMisses = misses_[PLAN].load();
     return s;
 }
 

@@ -3,12 +3,16 @@
  * Memoization cache for the experiment engine.
  *
  * A design-space sweep evaluates schemes x ORF sizes x workloads, but
- * four expensive inputs of every grid point do not depend on the
+ * five expensive inputs of every grid point do not depend on the
  * scheme or its configuration:
  *
  *  - the CFG / liveness / reaching-defs analyses and the replay
  *    pre-decode depend only on the kernel's architectural structure
- *    (see ir/analysis_bundle.h and sim/trace.h), and
+ *    (see ir/analysis_bundle.h and sim/trace.h);
+ *  - the allocation plan (strands and value/read instances, see
+ *    compiler/allocator.h) depends only on that structure and the
+ *    StrandOptions, not on the ORF size, the LRF split or the energy
+ *    prices; and
  *  - the baseline functional execution (flat-MRF AccessCounts) and the
  *    recorded dynamic stream depend only on the kernel and its
  *    RunConfig.
@@ -17,15 +21,15 @@
  * fingerprint of the kernel (not its address) plus its instruction
  * count, so distinct kernels that happen to reuse storage can never
  * alias, and annotated copies of a cached kernel hit the same entry.
- * The entry holds the analyses and the decode, and per RunConfig the
- * baseline and the trace; each is computed exactly once per process
- * and then served to every later request, including concurrent ones
- * from the parallel sweep. A run hashes its kernel once: it fetches
- * the entry through inputs() and reads every input from the returned
- * handle. Cached results are bitwise identical to a fresh
- * computation, so memoization never changes any report. The cache
- * lives only in process memory: nothing outside the process can
- * supply an input.
+ * The entry holds the analyses and the decode, per StrandOptions the
+ * allocation plan, and per RunConfig the baseline and the trace; each
+ * is computed exactly once per process and then served to every later
+ * request, including concurrent ones from the parallel sweep. A run
+ * hashes its kernel once: it fetches the entry through inputs() and
+ * reads every input from the returned handle. Cached results are
+ * bitwise identical to a fresh computation, so memoization never
+ * changes any report. The cache lives only in process memory: nothing
+ * outside the process can supply an input.
  */
 
 #ifndef RFH_CORE_MEMO_H
@@ -42,6 +46,9 @@
 #include "sim/trace.h"
 
 namespace rfh {
+
+struct AllocationPlan;
+struct StrandOptions;
 
 /**
  * Structural fingerprint of a kernel: name, block layout, opcodes and
@@ -85,6 +92,15 @@ class ExperimentCache
          * annotated copies of the kernel share it (see ReplayDecode).
          */
         std::shared_ptr<const ReplayDecode> decode() const;
+
+        /**
+         * Strands and value/read instances under @p opts, built from
+         * the cached analyses; one slot per distinct StrandOptions.
+         * Purely structural, so annotated copies of the kernel share
+         * it (see AllocationPlan).
+         */
+        std::shared_ptr<const AllocationPlan>
+        allocationPlan(const StrandOptions &opts) const;
 
         /**
          * Identity of the (kernel, RunConfig) entry: two handles with
@@ -158,10 +174,10 @@ class ExperimentCache
     void clear();
 
     /**
-     * Total cached inputs (each analyses, decode, baseline and trace
-     * counts one). Long-lived callers (the batch service) poll this
-     * to bound memory: when it exceeds their budget they quiesce
-     * lookups and clear(). Thread-safe.
+     * Total cached inputs (each analyses, decode, allocation plan,
+     * baseline and trace counts one). Long-lived callers (the batch
+     * service) poll this to bound memory: when it exceeds their budget
+     * they quiesce lookups and clear(). Thread-safe.
      */
     std::size_t entryCount() const;
 
@@ -176,13 +192,15 @@ class ExperimentCache
         std::uint64_t traceMisses = 0;
         std::uint64_t decodeHits = 0;
         std::uint64_t decodeMisses = 0;
+        std::uint64_t planHits = 0;
+        std::uint64_t planMisses = 0;
     };
 
     Stats stats() const;
 
   private:
-    /** The four kinds of input, indexing the counters. */
-    enum Kind { BASELINE, ANALYSIS, TRACE, DECODE, NUM_KINDS };
+    /** The five kinds of input, indexing the counters. */
+    enum Kind { BASELINE, ANALYSIS, TRACE, DECODE, PLAN, NUM_KINDS };
 
     /** One input, filled once. */
     template <class T>
@@ -199,7 +217,10 @@ class ExperimentCache
     /** Fingerprint + instruction count. */
     using KernelKey = std::pair<std::uint64_t, int>;
 
-    /** Guards entries_, filled_, and each entry's runs and dropped. */
+    /**
+     * Guards entries_, filled_, and each entry's runs, plans and
+     * dropped.
+     */
     mutable std::mutex mu_;
     std::map<KernelKey, std::shared_ptr<KernelEntry>> entries_;
     /** Inputs filled into the entries of entries_. */

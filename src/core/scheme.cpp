@@ -25,7 +25,8 @@ SchemeBackend::allocOptions(const ExperimentConfig &cfg) const
 
 AllocStats
 SchemeBackend::allocate(Kernel &, const ExperimentConfig &,
-                        const AnalysisBundle *) const
+                        const AnalysisBundle *,
+                        const AllocationPlan *) const
 {
     return AllocStats{};
 }
@@ -39,6 +40,7 @@ SchemeBackend::simulate(const SchemeRunContext &ctx) const
     build.cfg = ctx.cfg;
     build.analyses = ctx.analyses;
     build.decode = ctx.decode;
+    build.plan = ctx.plan;
     build.counts = &r.counts;
     std::unique_ptr<PipelineAccounting> acct =
         makePipelineAccounting(build);

@@ -41,6 +41,7 @@ struct Kernel;
 struct AnalysisBundle;
 struct DecodedTrace;
 struct ReplayDecode;
+struct AllocationPlan;
 class EnergyModel;
 
 /**
@@ -181,6 +182,12 @@ struct SchemeRunContext
     const DecodedTrace *trace = nullptr;
     /** Shared per-kernel decode (null unless caps.wantsDecode applies). */
     const ReplayDecode *decode = nullptr;
+    /**
+     * Shared allocation plan the kernel was compiled from (strands
+     * and instances of the pristine kernel under the run's
+     * StrandOptions); may be null (consumers then build their own).
+     */
+    const AllocationPlan *plan = nullptr;
     /** Memoized flat-MRF counts of this workload; never null. */
     const AccessCounts *baseline = nullptr;
 };
@@ -213,6 +220,8 @@ struct PipelineBuildContext
     const AnalysisBundle *analyses = nullptr;
     /** Shared per-kernel decode of the pristine kernel; may be null. */
     const ReplayDecode *decode = nullptr;
+    /** Shared allocation plan (see SchemeRunContext::plan); may be null. */
+    const AllocationPlan *plan = nullptr;
     /** Accumulator every warp accountant adds into; never null. */
     AccessCounts *counts = nullptr;
 };
@@ -245,10 +254,14 @@ class SchemeBackend
     /**
      * Compile phase: annotate @p k in place and return allocation
      * statistics. Only called when caps().usesAllocator; the default
-     * is a no-op.
+     * is a no-op. @p plan is the shared allocation plan of @p k's
+     * pristine kernel under allocOptions(cfg).strandOptions, or null
+     * to build one locally.
      */
     virtual AllocStats allocate(Kernel &k, const ExperimentConfig &cfg,
-                                const AnalysisBundle *analyses) const;
+                                const AnalysisBundle *analyses,
+                                const AllocationPlan *plan = nullptr)
+        const;
 
     /**
      * Execute phase: produce the access counts of one run. The default

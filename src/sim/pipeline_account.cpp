@@ -21,9 +21,9 @@ class FlatWarpAccountant final : public WarpAccountant
     {
         const ReplayOp &o = dec_.op[lin];
         const Datapath dp = static_cast<Datapath>(o.dp);
-        counts_.read(Level::MRF, dp, dec_.regReads[lin]);
-        if (enabled)
-            counts_.write(Level::MRF, dp, dec_.regWrites[lin]);
+        counts_.read(Level::MRF, dp, o.nsrc + (o.pred >= 0));
+        if (enabled && o.dst >= 0)
+            counts_.write(Level::MRF, dp, o.halves);
         counts_.instructions++;
         for (int s = 0; s < o.nsrc; s++)
             plan.mrfReg[plan.numMrf++] = o.src[s];

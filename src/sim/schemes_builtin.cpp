@@ -139,10 +139,11 @@ class SwHierarchyScheme : public SchemeBackend
 
     AllocStats
     allocate(Kernel &k, const ExperimentConfig &cfg,
-             const AnalysisBundle *analyses) const override
+             const AnalysisBundle *analyses,
+             const AllocationPlan *plan) const override
     {
         HierarchyAllocator alloc(cfg.energy, allocOptions(cfg));
-        return alloc.run(k, analyses);
+        return alloc.run(k, analyses, plan);
     }
 
     SchemeSimResult
@@ -152,13 +153,16 @@ class SwHierarchyScheme : public SchemeBackend
         sc.run = ctx.workload->run;
         sc.idealNoFlush = ctx.cfg->idealNoFlush;
         const AllocOptions ao = allocOptions(*ctx.cfg);
+        const StrandAnalysis *strands =
+            ctx.plan ? &ctx.plan->strands : nullptr;
         // Annotations never change the dynamic path, so the pristine
         // kernel's trace replays the annotated copy exactly.
         SwExecResult res =
             ctx.trace ? replaySwHierarchy(*ctx.kernel, ao, *ctx.trace,
-                                          sc, ctx.analyses)
+                                          sc, ctx.analyses, ctx.decode,
+                                          strands)
                       : runSwHierarchy(*ctx.kernel, ao, sc,
-                                       ctx.analyses);
+                                       ctx.analyses, strands);
         SchemeSimResult r;
         r.counts = res.counts;
         r.error = res.error;
@@ -212,10 +216,10 @@ class SwHierarchyScheme : public SchemeBackend
     {
         SwExecConfig sc;
         sc.idealNoFlush = ctx.cfg->idealNoFlush;
-        return makeSwHierarchyAccounting(*ctx.kernel,
-                                         allocOptions(*ctx.cfg), sc,
-                                         ctx.analyses, ctx.decode,
-                                         *ctx.counts);
+        return makeSwHierarchyAccounting(
+            *ctx.kernel, allocOptions(*ctx.cfg), sc, ctx.analyses,
+            ctx.decode, *ctx.counts,
+            ctx.plan ? &ctx.plan->strands : nullptr);
     }
 
   private:
@@ -368,6 +372,7 @@ swCaps()
 {
     SchemeCaps c;
     c.usesAllocator = true;
+    c.wantsDecode = true;
     c.pipelined = true;
     return c;
 }

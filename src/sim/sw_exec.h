@@ -60,12 +60,17 @@ struct SwExecResult
  * @param analyses optional precomputed analyses of a kernel with
  *        @p k's structure (the pristine, un-annotated kernel is
  *        fine); computed locally when null.
+ * @param strands optional strand partition of a kernel with @p k's
+ *        structure under opts.strandOptions (the memoized
+ *        AllocationPlan's is fine); computed locally when null.
  */
 SwExecResult runSwHierarchy(const Kernel &k, const AllocOptions &opts,
                             const SwExecConfig &cfg = {},
-                            const AnalysisBundle *analyses = nullptr);
+                            const AnalysisBundle *analyses = nullptr,
+                            const StrandAnalysis *strands = nullptr);
 
 struct DecodedTrace;
+struct ReplayDecode;
 
 /**
  * Replay-mode counterpart of runSwHierarchy: walk the pre-decoded
@@ -81,14 +86,20 @@ struct DecodedTrace;
  * instruction with the same message and partial counts.
  * Bit-exactness of values is the direct executor's job, which remains
  * the verification oracle.
+ *
+ * @param dec optional pre-decode of a kernel with @p k's structure
+ *        (ExperimentCache::decode of the pristine kernel is fine);
+ *        built locally when null.
+ * @param strands as for runSwHierarchy.
  */
 SwExecResult replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
                                const DecodedTrace &trace,
                                const SwExecConfig &cfg = {},
-                               const AnalysisBundle *analyses = nullptr);
+                               const AnalysisBundle *analyses = nullptr,
+                               const ReplayDecode *dec = nullptr,
+                               const StrandAnalysis *strands = nullptr);
 
 class PipelineAccounting;
-struct ReplayDecode;
 
 /**
  * The software hierarchy's per-warp accountant
@@ -101,14 +112,15 @@ struct ReplayDecode;
  * @param dec optional pre-decode of a kernel with @p k's structure
  *        (ExperimentCache::decode of the pristine kernel is fine);
  *        built locally when null. Annotations are read from @p k.
+ * @param strands as for runSwHierarchy.
  *
- * @p k, @p analyses, @p dec, and @p counts must outlive the returned
- * object.
+ * @p k, @p analyses, @p dec, @p counts and @p strands must outlive
+ * the returned object.
  */
 std::unique_ptr<PipelineAccounting> makeSwHierarchyAccounting(
     const Kernel &k, const AllocOptions &opts, const SwExecConfig &cfg,
     const AnalysisBundle *analyses, const ReplayDecode *dec,
-    AccessCounts &counts);
+    AccessCounts &counts, const StrandAnalysis *strands = nullptr);
 
 } // namespace rfh
 

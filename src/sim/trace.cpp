@@ -201,8 +201,6 @@ ReplayDecode::ReplayDecode(const Kernel &k, const ReachingDefs *rdefs)
     touched.reserve(n);
     used.reserve(n);
     defined.reserve(n);
-    regReads.reserve(n);
-    regWrites.reserve(n);
     std::vector<std::uint8_t> shared_consumer;
     if (rdefs) {
         shared_consumer = sharedConsumers(k, *rdefs);
@@ -215,9 +213,6 @@ ReplayDecode::ReplayDecode(const Kernel &k, const ReachingDefs *rdefs)
         defined.push_back(def);
         used.push_back(use);
         touched.push_back(use | def);
-        regReads.push_back(static_cast<std::uint8_t>(in.numRegReads()));
-        regWrites.push_back(
-            static_cast<std::uint8_t>(in.numRegWrites()));
 
         ReplayOp o;
         for (int s = 0; s < in.numSrcs; s++)

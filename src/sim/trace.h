@@ -220,10 +220,6 @@ struct ReplayDecode
     std::vector<RegSet> used;
     /** definedRegs per instruction. */
     std::vector<RegSet> defined;
-    /** numRegReads() per instruction (baseline accounting). */
-    std::vector<std::uint8_t> regReads;
-    /** numRegWrites() per instruction (baseline accounting). */
-    std::vector<std::uint8_t> regWrites;
 
     /**
      * @param rdefs when given, kOpLrfAble is resolved from the

@@ -145,8 +145,13 @@ OracleReport runOracle(const Kernel &k, const OracleOptions &opts = {});
  *    strand.
  *
  * runScheme runs this check after every allocation, before either
- * engine executes, so production runs fail on a violation too.
+ * engine executes, so production runs fail on a violation too; it
+ * passes the strands of the memoized AllocationPlan the allocation
+ * was made from, so the check builds no strand partition of its own.
  *
+ * @param strands optional strand partition of a kernel with @p k's
+ *        structure under opts.strandOptions (the allocation plan's);
+ *        computed locally when null.
  * @param sites_checked optional out-parameter: number of annotation
  *        sites examined.
  * @return one message per violation; empty when the allocation is
@@ -154,7 +159,9 @@ OracleReport runOracle(const Kernel &k, const OracleOptions &opts = {});
  */
 std::vector<std::string> checkAllocationInvariants(
     const Kernel &k, const AllocOptions &opts,
-    const AnalysisBundle &analyses, int *sites_checked = nullptr);
+    const AnalysisBundle &analyses,
+    const StrandAnalysis *strands = nullptr,
+    int *sites_checked = nullptr);
 
 /**
  * Describe the first difference between two access-count sets, e.g.

@@ -646,8 +646,11 @@ class FaultScheme : public SchemeBackend
 
     AllocStats
     allocate(Kernel &k, const ExperimentConfig &cfg,
-             const AnalysisBundle *analyses) const override
+             const AnalysisBundle *analyses,
+             const AllocationPlan * /*plan*/) const override
     {
+        // The shared plan is cut under cfg's strand options; this
+        // allocation plans its own under the default cuts.
         ExperimentConfig cut = cfg;
         cut.strandOptions = StrandOptions{};
         AllocStats st = sw().allocate(k, cut, analyses);
@@ -728,10 +731,11 @@ class CountingScheme : public SchemeBackend
 
     AllocStats
     allocate(Kernel &k, const ExperimentConfig &cfg,
-             const AnalysisBundle *analyses) const override
+             const AnalysisBundle *analyses,
+             const AllocationPlan *plan) const override
     {
         allocations++;
-        return sw3().allocate(k, cfg, analyses);
+        return sw3().allocate(k, cfg, analyses, plan);
     }
 
     SchemeSimResult

@@ -273,8 +273,6 @@ TEST(Replay, PristineDecodeEqualsEveryAnnotatedCopysDecode)
                 EXPECT_EQ(dec.touched, pristine.touched);
                 EXPECT_EQ(dec.used, pristine.used);
                 EXPECT_EQ(dec.defined, pristine.defined);
-                EXPECT_EQ(dec.regReads, pristine.regReads);
-                EXPECT_EQ(dec.regWrites, pristine.regWrites);
                 EXPECT_EQ(dec.hasSharedConsumerInfo(),
                           pristine.hasSharedConsumerInfo());
             }

@@ -8,16 +8,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
+#include "compiler/allocator.h"
 #include "core/experiment.h"
 #include "core/json.h"
 #include "core/memo.h"
+#include "core/metrics.h"
 #include "core/parallel.h"
+#include "core/scheme.h"
 #include "core/sweep.h"
 #include "ir/parser.h"
+#include "ir/printer.h"
 #include "sim/baseline_exec.h"
+#include "workloads/profiles.h"
 
 namespace rfh {
 namespace {
@@ -180,7 +189,7 @@ TEST(Memo, ConcurrentFirstLookupsComputeOnce)
     {
         const AccessCounts *baseline = nullptr;
         const void *analyses = nullptr, *trace = nullptr,
-                   *decode = nullptr;
+                   *decode = nullptr, *plan = nullptr;
     };
     std::vector<Seen> seen(kThreads);
     std::atomic<int> ready{0};
@@ -192,12 +201,15 @@ TEST(Memo, ConcurrentFirstLookupsComputeOnce)
             }
             ExperimentCache::Inputs in = cache.inputs(w.kernel, &w.run);
             // Each thread asks in a different order.
-            for (int q = 0; q < 4; q++) {
-                switch ((q + t) % 4) {
+            for (int q = 0; q < 5; q++) {
+                switch ((q + t) % 5) {
                   case 0: seen[t].baseline = &in.baseline(); break;
                   case 1: seen[t].analyses = in.analyses().get(); break;
                   case 2: seen[t].trace = in.trace().get(); break;
                   case 3: seen[t].decode = in.decode().get(); break;
+                  case 4:
+                    seen[t].plan = in.allocationPlan({}).get();
+                    break;
                 }
             }
         });
@@ -209,18 +221,22 @@ TEST(Memo, ConcurrentFirstLookupsComputeOnce)
         EXPECT_EQ(seen[t].analyses, seen[0].analyses) << t;
         EXPECT_EQ(seen[t].trace, seen[0].trace) << t;
         EXPECT_EQ(seen[t].decode, seen[0].decode) << t;
+        EXPECT_EQ(seen[t].plan, seen[0].plan) << t;
     }
     ExperimentCache::Stats s = cache.stats();
     EXPECT_EQ(s.baselineMisses, 1u);
     EXPECT_EQ(s.baselineHits, kThreads - 1u);
-    // The decode's fill reads the analyses once more.
+    // The decode's and the plan's fills each read the analyses once
+    // more.
     EXPECT_EQ(s.analysisMisses, 1u);
-    EXPECT_EQ(s.analysisHits, kThreads * 1u);
+    EXPECT_EQ(s.analysisHits, kThreads + 1u);
     EXPECT_EQ(s.traceMisses, 1u);
     EXPECT_EQ(s.traceHits, kThreads - 1u);
     EXPECT_EQ(s.decodeMisses, 1u);
     EXPECT_EQ(s.decodeHits, kThreads - 1u);
-    EXPECT_EQ(cache.entryCount(), 4u);
+    EXPECT_EQ(s.planMisses, 1u);
+    EXPECT_EQ(s.planHits, kThreads - 1u);
+    EXPECT_EQ(cache.entryCount(), 5u);
     cache.clear();
     EXPECT_EQ(cache.entryCount(), 0u);
 }
@@ -231,10 +247,18 @@ TEST(Memo, HeldHandleOutlivesClear)
     ExperimentCache cache;
     ExperimentCache::Inputs in = cache.inputs(w.kernel, &w.run);
     std::shared_ptr<const AnalysisBundle> a = in.analyses();
+    std::shared_ptr<const AllocationPlan> p = in.allocationPlan({});
     cache.clear();
     // The handle still owns its entry: filled inputs are served, and
     // cold ones fill into the detached entry.
     EXPECT_EQ(in.analyses().get(), a.get());
+    EXPECT_EQ(in.allocationPlan({}).get(), p.get());
+    StrandOptions uncut;
+    uncut.cutAtUncertainMerge = false;
+    std::shared_ptr<const AllocationPlan> cold = in.allocationPlan(uncut);
+    EXPECT_NE(cold.get(), p.get());
+    EXPECT_EQ(cold->strands.numStrands(),
+              StrandAnalysis(w.kernel, a->cfg, uncut).numStrands());
     EXPECT_EQ(in.trace()->instructions(), in.baseline().instructions);
     EXPECT_NE(cache.inputs(w.kernel, &w.run).key(), in.key());
     // Inputs filled into the dropped entry are not counted.
@@ -244,8 +268,12 @@ TEST(Memo, HeldHandleOutlivesClear)
 TEST(Memo, ReplayBatchStatsDeltasArePinned)
 {
     // One hit or miss per input a run uses, plus the pre-warm's own
-    // lookups, as (hits, misses) of baseline, analysis, trace and
-    // decode. Pinned so the cache's layout cannot change what it counts.
+    // lookups, as (hits, misses) of baseline, analysis, trace, decode
+    // and allocation plan. Pinned so the cache's layout cannot change
+    // what it counts. Per kernel: the decode's and the plan's fills
+    // each read the analyses once; sw3 replays read the decode (its
+    // fast path takes the touched/defined sets from it); both sw3
+    // cells share one plan (same StrandOptions).
     const char *names[] = {"vectoradd", "reduction", "lu"};
     const std::pair<Scheme, int> cells[] = {
         {Scheme::SW_THREE_LEVEL, 1}, {Scheme::SW_THREE_LEVEL, 3},
@@ -253,11 +281,11 @@ TEST(Memo, ReplayBatchStatsDeltasArePinned)
     struct Want
     {
         bool perf;
-        std::uint64_t v[8];
+        std::uint64_t v[10];
     };
     const Want wants[] = {
-        {false, {12, 3, 12, 3, 9, 3, 3, 3}},
-        {true, {12, 3, 12, 3, 12, 3, 12, 3}},
+        {false, {12, 3, 15, 3, 9, 3, 9, 3, 6, 3}},
+        {true, {12, 3, 15, 3, 12, 3, 12, 3, 6, 3}},
     };
     ExperimentCache &cache = globalExperimentCache();
     for (const Want &want : wants) {
@@ -276,7 +304,7 @@ TEST(Memo, ReplayBatchStatsDeltasArePinned)
         const ExperimentCache::Stats a = cache.stats();
         replayBatch(items);
         const ExperimentCache::Stats b = cache.stats();
-        const std::uint64_t got[8] = {
+        const std::uint64_t got[10] = {
             b.baselineHits - a.baselineHits,
             b.baselineMisses - a.baselineMisses,
             b.analysisHits - a.analysisHits,
@@ -284,12 +312,152 @@ TEST(Memo, ReplayBatchStatsDeltasArePinned)
             b.traceHits - a.traceHits,
             b.traceMisses - a.traceMisses,
             b.decodeHits - a.decodeHits,
-            b.decodeMisses - a.decodeMisses};
-        for (int i = 0; i < 8; i++)
+            b.decodeMisses - a.decodeMisses,
+            b.planHits - a.planHits,
+            b.planMisses - a.planMisses};
+        for (int i = 0; i < 10; i++)
             EXPECT_EQ(got[i], want.v[i]) << "perf=" << want.perf
                                          << " counter " << i;
     }
     cache.clear();
+}
+
+TEST(Memo, AllocationPlanComputedOncePerKernelAndStrandOptions)
+{
+    const Workload &w = workloadByName("reduction");
+    ExperimentCache &cache = globalExperimentCache();
+    const Timer &instances =
+        globalMetrics().timer("alloc.phase.instances");
+    auto cell = [&](Scheme scheme, int entries) {
+        BatchItem it;
+        it.workload = &w;
+        it.cfg.scheme = scheme;
+        it.cfg.entries = entries;
+        return it;
+    };
+
+    // One kernel's 12 sw cells share one plan: the pre-warm computes
+    // it, and every run reads it.
+    std::vector<BatchItem> items;
+    for (Scheme scheme : {Scheme::SW_TWO_LEVEL, Scheme::SW_THREE_LEVEL})
+        for (int entries : {1, 2, 3, 4, 6, 8})
+            items.push_back(cell(scheme, entries));
+    cache.clear();
+    const ExperimentCache::Stats a = cache.stats();
+    const std::uint64_t built = instances.count();
+    for (const RunOutcome &out : replayBatch(items))
+        EXPECT_TRUE(out.ok()) << out.error;
+    const ExperimentCache::Stats b = cache.stats();
+    EXPECT_EQ(b.planMisses - a.planMisses, 1u);
+    EXPECT_EQ(b.planHits - a.planHits, 12u);
+    EXPECT_EQ(instances.count() - built, 1u);
+
+    // Other strand options get their own slots.
+    BatchItem ideal = cell(Scheme::SW_THREE_LEVEL, 3);
+    ideal.cfg.idealNoFlush = true;
+    ideal.cfg.strandOptions.cutAtBackwardBranch = false;
+    ideal.cfg.strandOptions.cutAtLongLatency = false;
+    ideal.cfg.strandOptions.cutAtUncertainMerge = false;
+    BatchItem uncut = cell(Scheme::SW_TWO_LEVEL, 3);
+    uncut.cfg.strandOptions.cutAtUncertainMerge = false;
+    for (const RunOutcome &out :
+         replayBatch({ideal, uncut, cell(Scheme::SW_THREE_LEVEL, 3)}))
+        EXPECT_TRUE(out.ok()) << out.error;
+    const ExperimentCache::Stats c = cache.stats();
+    EXPECT_EQ(c.planMisses - a.planMisses, 3u);
+    EXPECT_EQ(instances.count() - built, 3u);
+
+    ExperimentCache::Inputs in = cache.inputs(w.kernel);
+    const AllocationPlan *cut = in.allocationPlan({}).get();
+    const AllocationPlan *idealPlan =
+        in.allocationPlan(ideal.cfg.strandOptions).get();
+    const AllocationPlan *uncutPlan =
+        in.allocationPlan(uncut.cfg.strandOptions).get();
+    EXPECT_NE(cut, idealPlan);
+    EXPECT_NE(cut, uncutPlan);
+    EXPECT_NE(idealPlan, uncutPlan);
+    EXPECT_TRUE(idealPlan->options == ideal.cfg.strandOptions);
+    EXPECT_TRUE(uncutPlan->options == uncut.cfg.strandOptions);
+    cache.clear();
+}
+
+/** Every AllocStats field of @p a and @p b is equal. */
+void
+expectSameStats(const AllocStats &a, const AllocStats &b,
+                const std::string &where)
+{
+    EXPECT_EQ(a.strands, b.strands) << where;
+    EXPECT_EQ(a.valueInstances, b.valueInstances) << where;
+    EXPECT_EQ(a.readInstances, b.readInstances) << where;
+    EXPECT_EQ(a.lrfValues, b.lrfValues) << where;
+    EXPECT_EQ(a.orfValuesFull, b.orfValuesFull) << where;
+    EXPECT_EQ(a.orfValuesPartial, b.orfValuesPartial) << where;
+    EXPECT_EQ(a.orfReadsFull, b.orfReadsFull) << where;
+    EXPECT_EQ(a.orfReadsPartial, b.orfReadsPartial) << where;
+    EXPECT_EQ(a.mrfWritesElided, b.mrfWritesElided) << where;
+    EXPECT_EQ(a.predictedSavingsPJ, b.predictedSavingsPJ) << where;
+    EXPECT_EQ(a.strandSavings, b.strandSavings) << where;
+}
+
+TEST(Memo, SharedPlanAllocatesLikeALocalPlan)
+{
+    std::vector<Kernel> kernels;
+    for (const ScenarioProfile &p : allProfiles())
+        for (int i = 0; i < 8; i++)
+            kernels.push_back(corpusWorkload(p, 1, i).kernel);
+    std::vector<std::filesystem::path> files;
+    for (const auto &e : std::filesystem::directory_iterator(
+             std::string(RFH_SOURCE_DIR) + "/tests/corpus/wide_pair"))
+        files.push_back(e.path());
+    std::sort(files.begin(), files.end());
+    ASSERT_FALSE(files.empty());
+    for (const auto &path : files) {
+        std::ifstream f(path);
+        std::stringstream text;
+        text << f.rdbuf();
+        kernels.push_back(parseKernelOrDie(text.str()));
+    }
+
+    PrintOptions annotated;
+    annotated.annotations = true;
+    annotated.strands = true;
+    ExperimentCache cache;
+    for (const Kernel &k : kernels) {
+        ExperimentCache::Inputs in = cache.inputs(k);
+        for (int mask = 0; mask < 8; mask++) {
+            StrandOptions so;
+            so.cutAtUncertainMerge = (mask & 1) != 0;
+            so.cutAtBackwardBranch = (mask & 2) != 0;
+            so.cutAtLongLatency = (mask & 4) != 0;
+            std::shared_ptr<const AllocationPlan> plan =
+                in.allocationPlan(so);
+            for (Scheme scheme :
+                 {Scheme::SW_TWO_LEVEL, Scheme::SW_THREE_LEVEL}) {
+                const SchemeBackend &backend =
+                    *SchemeRegistry::instance().find(scheme)->backend;
+                for (int entries : {1, 3, 8}) {
+                    ExperimentConfig cfg;
+                    cfg.scheme = scheme;
+                    cfg.entries = entries;
+                    cfg.strandOptions = so;
+                    Kernel shared = k;
+                    Kernel local = k;
+                    const AllocStats s = backend.allocate(
+                        shared, cfg, in.analyses().get(), plan.get());
+                    const AllocStats l =
+                        backend.allocate(local, cfg, nullptr, nullptr);
+                    const std::string where = k.name + " " +
+                        std::string(schemeName(scheme)) + "@" +
+                        std::to_string(entries) + " mask " +
+                        std::to_string(mask);
+                    EXPECT_EQ(printKernel(shared, annotated),
+                              printKernel(local, annotated))
+                        << where;
+                    expectSameStats(s, l, where);
+                }
+            }
+        }
+    }
 }
 
 TEST(Experiment, ErrorAggregationCollectsEveryFailure)
