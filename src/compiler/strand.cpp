@@ -121,4 +121,14 @@ StrandAnalysis::markEndOfStrand(Kernel &k) const
         k.instr(s.lastLin).endOfStrand = true;
 }
 
+const StrandAnalysis &
+strandsOf(const Kernel &k, const StrandOptions &opts, const Cfg *cfg,
+          const StrandAnalysis *shared, std::optional<StrandAnalysis> &local)
+{
+    if (shared)
+        return *shared;
+    std::optional<Cfg> localCfg;
+    return local.emplace(k, cfg ? *cfg : localCfg.emplace(k), opts);
+}
+
 } // namespace rfh
