@@ -176,14 +176,12 @@ BM_ExecReplay(benchmark::State &state)
     opts.splitLRF = true;
     HierarchyAllocator alloc(EnergyParams{}, opts);
     alloc.run(k);
-    SwExecConfig sc;
-    sc.run = w.run;
     DecodedTrace trace = recordDecodedTrace(w.kernel, w.run);
     for (auto _ : state) {
-        SwExecResult r = replaySwHierarchy(k, opts, trace, sc);
-        benchmark::DoNotOptimize(r.counts.instructions);
+        AccessCounts c = replaySwHierarchy(k, opts, trace);
+        benchmark::DoNotOptimize(c.instructions);
         state.SetItemsProcessed(state.items_processed() +
-                                r.counts.instructions);
+                                c.instructions);
     }
 }
 BENCHMARK(BM_ExecReplay);

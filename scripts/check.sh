@@ -215,13 +215,15 @@ if [[ "$run_asan" == 1 ]]; then
     "$repo/build-asan/tests/rfh_tests" \
         --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:Memo.*:Sweep.*'
     # The scheme accountants: the hw2/hw3/ccrfc/regdem replay engine,
-    # the software hierarchy's per-record fallback, and the pipeline
-    # driving them at issue (SwFailingRun.* walks every structural
-    # fault through replay, the REPLAY engine, and the pipeline).
+    # the software hierarchy's accountant, and the pipeline driving
+    # them at issue. SwFailingRun.* and OneVerdict.* walk structural
+    # faults to the allocation check's verdict on every engine;
+    # SingleVerdict.* runs the check, DIRECT, REPLAY and the pipeline
+    # over a grid of kernels and strand options.
     cmake --build "$repo/build-asan" -j "$jobs" \
         --target rfh_pipeline_tests
     "$repo/build-asan/tests/rfh_pipeline_tests" \
-        --gtest_filter='Pipeline.*:PerfSim.*:SwFailingRun.*'
+        --gtest_filter='Pipeline.*:PerfSim.*:SwFailingRun.*:OneVerdict.*:SingleVerdict.*'
     if [[ "$run_fuzz" == 1 ]]; then
         # The differential oracle over the checked-in corpus: every
         # scheme x engine pair runs under ASan, so an out-of-bounds
@@ -240,10 +242,11 @@ if [[ "$run_ubsan" == 1 ]]; then
     cmake --build "$repo/build-ubsan" -j "$jobs" \
         --target rfh_pipeline_tests rfh_tests rfh_verify_tests rfhc
     # The pipeline loop's scoreboard, served-operand and bank masks,
-    # the golden digest matrix over every scheduler, and the failing
-    # runs; any undefined shift or overflow aborts the stage.
+    # the golden digest matrix over every scheduler, the failing runs
+    # and the single-verdict grid; any undefined shift or overflow
+    # aborts the stage.
     "$repo/build-ubsan/tests/rfh_pipeline_tests" \
-        --gtest_filter='Pipeline.*:PerfSim.*:SwFailingRun.*'
+        --gtest_filter='Pipeline.*:PerfSim.*:SwFailingRun.*:OneVerdict.*:SingleVerdict.*'
     # The trace/replay engine and its bit-planes, the memo, the
     # allocator passes, the scheme executors, and the JSON parser and
     # service protocol over hostile input.

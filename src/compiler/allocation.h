@@ -44,6 +44,14 @@ struct AllocOptions
     /** Strand-formation rules. */
     StrandOptions strandOptions;
     /**
+     * Section 7 "never flush" idealisation: upper-level contents
+     * survive deschedules and strand boundaries, and touching an
+     * outstanding long-latency value deschedules the warp instead of
+     * being a structural error. The allocation check and every
+     * executor read this one field.
+     */
+    bool idealNoFlush = false;
+    /**
      * Variable allocation (Section 7): per-strand ORF entry budgets.
      * Empty = every strand may use all orfEntries. When set, strand s
      * may only allocate entries [0, perStrandEntries[s]); extra

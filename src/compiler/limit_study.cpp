@@ -78,8 +78,13 @@ runLimitStudy(const EnergyParams &params)
             static_cast<int>(ws.size()), [&](int i) {
             const Workload &w = ws[i];
             ExperimentCache &cache = globalExperimentCache();
+            // Every allocation below uses the default strand options,
+            // so all of them read the kernel's one memoized plan.
+            const ExperimentCache::Inputs in = cache.inputs(w.kernel);
             std::shared_ptr<const AnalysisBundle> analyses =
-                cache.analyses(w.kernel);
+                in.analyses();
+            std::shared_ptr<const AllocationPlan> plan =
+                in.allocationPlan({});
             // Per-strand savings at every size, priced at the fixed
             // physical structure.
             std::vector<std::vector<double>> savings_by_size;
@@ -92,7 +97,8 @@ runLimitStudy(const EnergyParams &params)
                 ao.useLRF = true;
                 ao.splitLRF = true;
                 HierarchyAllocator alloc(params, ao);
-                AllocStats st = alloc.run(kk, analyses.get());
+                AllocStats st =
+                    alloc.run(kk, analyses.get(), plan.get());
                 savings_by_size.push_back(st.strandSavings);
                 strands = st.strands;
             }
@@ -126,11 +132,11 @@ runLimitStudy(const EnergyParams &params)
             ao.splitLRF = true;
             ao.perStrandEntries = budget;
             HierarchyAllocator alloc(params, ao);
-            alloc.run(kk, analyses.get());
+            alloc.run(kk, analyses.get(), plan.get());
             SwExecConfig sc;
             sc.run = w.run;
-            SwExecResult res = runSwHierarchy(kk, ao, sc,
-                                              analyses.get());
+            SwExecResult res = runSwHierarchy(kk, ao, sc, analyses.get(),
+                                              &plan->strands);
             EnergyModel em(params, 3, true);
             e[i] = res.counts.totalEnergyPJ(em);
             base[i] = cache.baseline(w.kernel, w.run)

@@ -280,8 +280,9 @@ runSchemeWith(const Workload &w, const ExperimentConfig &cfg,
     SchemePipelineResult timed;
     if (plan.pipeline && plan.engine == ExecEngine::REPLAY) {
         // The pipeline accounts at issue exactly what replay counts,
-        // so it is the execute pass. A failing pipeline defers to
-        // simulate for the run's own error and partial counts.
+        // so it is the execute pass. A pipeline stopped by its cycle
+        // cap (or a deadlock) has counted only what it issued; simulate
+        // then counts the run, and the pipeline's error is reported.
         timed = pipelinePass(*si, ctx, *trace, *dec);
         if (timed.ok())
             res.counts = timed.counts;

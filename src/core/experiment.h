@@ -48,7 +48,8 @@ std::string_view schemeName(Scheme s);
  * Neither engine decides whether a run is checked: before either
  * executes, runScheme checks every allocation statically
  * (checkAllocationInvariants), so a wrong ORF/LRF binding fails with
- * the same error on both.
+ * the same error on both. That check owns every structural verdict:
+ * REPLAY and the pipeline only count an allocation that passed it.
  */
 enum class ExecEngine
 {
@@ -76,7 +77,10 @@ struct ExperimentConfig
     int orfPriceEntries = 0;
     /**
      * Section 7 "never flush" idealisation: ORF/LRF contents survive
-     * deschedules and strand boundaries.
+     * deschedules and strand boundaries, and a touch of an outstanding
+     * long-latency value deschedules. Copied into
+     * AllocOptions::idealNoFlush, which the allocation check and the
+     * executors read.
      */
     bool idealNoFlush = false;
     /** Split the LRF per operand slot (SW three-level only). */
@@ -93,10 +97,11 @@ struct ExperimentConfig
     bool hwFlushOnBackwardBranch = false;
     /**
      * Execution engine for the simulate phase (see ExecEngine). AUTO
-     * resolves to REPLAY everywhere. The choice can change a report
-     * only where DIRECT's value check rejects a binding that the
-     * static allocation check passed; REPLAY carries no values and
-     * would count on. No such allocation is known.
+     * resolves to REPLAY everywhere. The static allocation check owns
+     * every structural verdict, so the choice can change a report only
+     * where DIRECT's value check rejects a binding that the check
+     * passed; REPLAY carries no values and would count on. No such
+     * allocation is known.
      */
     ExecEngine engine = ExecEngine::AUTO;
     /**

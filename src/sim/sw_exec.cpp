@@ -23,9 +23,12 @@ struct Slot
     std::uint32_t value = 0;
 };
 
-/** Software-scheme observability, fed by both execution drivers. */
+/**
+ * Software-scheme observability, fed by both execution drivers. Only
+ * the direct executor checks values, so only it can fail.
+ */
 void
-noteSwRun(const SwExecResult &result, bool replay)
+noteSwRun(const AccessCounts &counts, bool replay, bool failed)
 {
     static Counter &runs = globalMetrics().counter("sim.sw.runs");
     static Counter &replays =
@@ -38,9 +41,9 @@ noteSwRun(const SwExecResult &result, bool replay)
     runs.add();
     if (replay)
         replays.add();
-    instrs.add(result.counts.instructions);
-    deschedules.add(result.counts.deschedules);
-    if (!result.ok())
+    instrs.add(counts.instructions);
+    deschedules.add(counts.deschedules);
+    if (failed)
         failures.add();
 }
 
@@ -95,7 +98,7 @@ runSwHierarchy(const Kernel &k, const AllocOptions &opts,
             // end-of-strand marker.
             RegSet touched = usedRegs(in) | definedRegs(in);
             if ((touched & pending).any()) {
-                if (cfg.idealNoFlush) {
+                if (opts.idealNoFlush) {
                     // Warp deschedules; entries persist (Section 7).
                     counts.deschedules++;
                     pending.reset();
@@ -182,7 +185,7 @@ runSwHierarchy(const Kernel &k, const AllocOptions &opts,
                 const WriteAnnotation &wa = in.writeAnno;
                 int halves = in.wide ? 2 : 1;
                 if (in.longLatency() && wa.anyUpper() &&
-                    !cfg.idealNoFlush) {
+                    !opts.idealNoFlush) {
                     fail(lin, "long-latency result annotated to an "
                          "upper level");
                     break;
@@ -232,7 +235,7 @@ runSwHierarchy(const Kernel &k, const AllocOptions &opts,
             // the upper levels and deschedules the warp if a
             // long-latency operation is outstanding.
             bool crossing = false;
-            if (!warp.done && !cfg.idealNoFlush) {
+            if (!warp.done && !opts.idealNoFlush) {
                 int next = warp.pc(k);
                 crossing = strands.strandOf(next) != strands.strandOf(lin)
                     || (next <= lin &&
@@ -251,7 +254,7 @@ runSwHierarchy(const Kernel &k, const AllocOptions &opts,
         }
 
     }
-    noteSwRun(result, /*replay=*/false);
+    noteSwRun(counts, /*replay=*/false, !result.ok());
     return result;
 }
 
@@ -271,60 +274,33 @@ struct SwLinCost
     std::uint8_t wLRF = 0, wORF = 0, wMRF = 0;  ///< Executed-only.
 };
 
-/**
- * Scan the annotated kernel once, filling @p cost per instruction.
- * @return false when any instruction could trigger a replay
- * verification failure — the caller must take the per-record
- * accountant, which reproduces the failing run (message, stop point,
- * partial counts) byte-exactly.
- */
-bool
-scanSwAnnotations(const Kernel &k, const AllocOptions &opts,
-                  const SwExecConfig &cfg, std::vector<SwLinCost> &cost)
+/** Scan the annotated kernel once: the cost of each instruction. */
+std::vector<SwLinCost>
+scanSwAnnotations(const Kernel &k)
 {
-    const int lrf_banks = opts.useLRF ? (opts.splitLRF ? 3 : 1) : 0;
-    const int n = k.numInstrs();
-    for (int lin = 0; lin < n; lin++) {
+    std::vector<SwLinCost> cost(static_cast<std::size_t>(k.numInstrs()));
+    for (int lin = 0; lin < k.numInstrs(); lin++) {
         const Instruction &in = k.instr(lin);
-        const bool shared = isSharedUnit(in.unit());
-        SwLinCost &c = cost[lin];
-
+        SwLinCost &c = cost[static_cast<std::size_t>(lin)];
         auto scan_read = [&](const ReadAnnotation &ra) {
             c.reads[static_cast<int>(ra.level)]++;
             if (ra.level == Level::MRF && ra.depositToORF)
                 c.depositWrites++;
-            if (ra.level == Level::LRF &&
-                (shared ||
-                 ra.lrfBank >= static_cast<std::uint8_t>(lrf_banks)))
-                return false;
-            return true;
         };
         for (int s = 0; s < in.numSrcs; s++)
-            if (in.srcs[s].isReg && !scan_read(in.readAnno[s]))
-                return false;
-        if (in.pred && !scan_read(in.predAnno))
-            return false;
-
+            if (in.srcs[s].isReg)
+                scan_read(in.readAnno[s]);
+        if (in.pred)
+            scan_read(in.predAnno);
         if (in.dst) {
             const WriteAnnotation &wa = in.writeAnno;
-            const int halves = in.wide ? 2 : 1;
-            if (in.longLatency() && wa.anyUpper() && !cfg.idealNoFlush)
-                return false;
-            if (wa.toLRF) {
-                if (in.wide || lrf_banks == 0 || wa.toORF)
-                    return false;
-                c.wLRF = 1;
-            }
-            if (wa.toORF) {
-                if (wa.orfEntry + halves > opts.orfEntries)
-                    return false;
-                c.wORF = static_cast<std::uint8_t>(halves);
-            }
-            if (wa.toMRF)
-                c.wMRF = static_cast<std::uint8_t>(halves);
+            const auto halves = static_cast<std::uint8_t>(in.wide ? 2 : 1);
+            c.wLRF = wa.toLRF;
+            c.wORF = wa.toORF ? halves : 0;
+            c.wMRF = wa.toMRF ? halves : 0;
         }
     }
-    return true;
+    return cost;
 }
 
 /** First set bit of @p words in [@p from, @p end), or @p end. */
@@ -349,25 +325,23 @@ nextSetBit(const std::vector<std::uint64_t> &words, std::uint32_t from,
 }
 
 /**
- * Per-record accounting of the software hierarchy: annotated-level
- * counting with the structural (value-independent) checks of
- * runSwHierarchy, one warp per accountant. It drives REPLAY whenever
- * the fast path cannot (a run that may fail), and the
- * cycle-level pipeline at issue. A failing run stops at the same
- * record with the same message and the same partial counts as
- * runSwHierarchy; bit-exact values are that executor's job.
- * Annotated-MRF operands enter the collector; ORF/LRF operands bypass
- * the banks (the single-cycle upper levels of Section 4).
+ * Per-record accounting of the software hierarchy over an allocation
+ * that passed checkAllocationInvariants: annotated-level counting,
+ * one warp per accountant, for the cycle-level pipeline at issue. The
+ * check has ruled out every structural fault, so a touch of an
+ * outstanding long-latency value can only be the ideal model's
+ * deschedule. Annotated-MRF operands enter the collector; ORF/LRF
+ * operands bypass the banks (the single-cycle upper levels of
+ * Section 4).
  */
 class SwWarpAccountant final : public WarpAccountant
 {
   public:
     SwWarpAccountant(const Kernel &k, const ReplayDecode &dec,
-                     const AllocOptions &opts, const SwExecConfig &cfg,
+                     const AllocOptions &opts,
                      const StrandAnalysis &strands, AccessCounts &counts)
-        : k_(k), dec_(dec), opts_(opts), cfg_(cfg), strands_(strands),
-          counts_(counts),
-          lrfBanks_(opts.useLRF ? (opts.splitLRF ? 3 : 1) : 0)
+        : k_(k), dec_(dec), opts_(opts), strands_(strands),
+          counts_(counts)
     {
     }
 
@@ -375,106 +349,53 @@ class SwWarpAccountant final : public WarpAccountant
     onIssue(int lin, bool enabled, bool /*taken*/, std::int32_t nextLin,
             OperandPlan &plan) override
     {
-        if (!error_.empty())
-            return;
         // Annotations come from the annotated kernel, structure from
         // the (possibly shared) decode.
         const Instruction &in = k_.instr(lin);
         const ReplayOp &o = dec_.op[static_cast<std::size_t>(lin)];
         const Datapath dp = static_cast<Datapath>(o.dp);
-        const bool shared = (o.flags & kOpShared) != 0;
 
         if ((dec_.touched[static_cast<std::size_t>(lin)] & pending_)
                 .any()) {
-            if (cfg_.idealNoFlush) {
-                counts_.deschedules++;
-                pending_.reset();
-            } else {
-                fail(lin, "instruction touches an outstanding "
-                     "long-latency register inside a strand");
-                return;
-            }
+            counts_.deschedules++;
+            pending_.reset();
         }
 
         // ---- Operand reads: annotated level accounting ----
         auto read_one = [&](Reg r, const ReadAnnotation &ra) {
-            switch (ra.level) {
-              case Level::MRF:
-                counts_.read(Level::MRF, dp);
+            counts_.read(ra.level, dp);
+            if (ra.level == Level::MRF) {
                 plan.mrfReg[plan.numMrf++] = r;
                 if (ra.depositToORF)
                     counts_.write(Level::ORF, dp);
-                break;
-              case Level::ORF:
-                counts_.read(Level::ORF, dp);
+            } else {
                 plan.numBypass++;
-                break;
-              case Level::LRF:
-                if (shared) {
-                    fail(lin, "shared-datapath LRF read");
-                    return;
-                }
-                if (ra.lrfBank >=
-                    static_cast<std::uint8_t>(lrfBanks_)) {
-                    fail(lin, "LRF bank out of range");
-                    return;
-                }
-                counts_.read(Level::LRF, dp);
-                plan.numBypass++;
-                break;
             }
         };
-        for (int s = 0; s < in.numSrcs && error_.empty(); s++)
+        for (int s = 0; s < in.numSrcs; s++)
             if (in.srcs[s].isReg)
                 read_one(in.srcs[s].reg, in.readAnno[s]);
-        if (in.pred && error_.empty())
+        if (in.pred)
             read_one(*in.pred, in.predAnno);
-        if (!error_.empty())
-            return;
 
         counts_.instructions++;
 
         // ---- Result writes (suppressed when predicated off) ----
         if (o.dst >= 0 && enabled) {
             const WriteAnnotation &wa = in.writeAnno;
-            const int halves = o.halves;
-            const bool longLat = (o.flags & kOpLongLat) != 0;
-            if (longLat && wa.anyUpper() && !cfg_.idealNoFlush) {
-                fail(lin,
-                     "long-latency result annotated to an upper level");
-                return;
-            }
-            if (wa.toLRF) {
-                if (halves > 1 || lrfBanks_ == 0) {
-                    fail(lin, "invalid LRF write annotation");
-                    return;
-                }
+            if (wa.toLRF)
                 counts_.write(Level::LRF, dp);
-            }
-            if (wa.toORF) {
-                // Like runSwHierarchy, an out-of-range entry still
-                // falls through to the remaining writes of the record.
-                for (int h = 0; h < halves; h++) {
-                    if (wa.orfEntry + h >= opts_.orfEntries) {
-                        fail(lin, "ORF entry out of range");
-                        break;
-                    }
-                    counts_.write(Level::ORF, dp);
-                }
-            }
-            if (wa.toLRF && wa.toORF) {
-                fail(lin, "value written to both LRF and ORF");
-                return;
-            }
+            if (wa.toORF)
+                counts_.write(Level::ORF, dp, o.halves);
             if (wa.toMRF)
-                counts_.write(Level::MRF, dp, halves);
-            if (longLat)
+                counts_.write(Level::MRF, dp, o.halves);
+            if (o.flags & kOpLongLat)
                 pending_ |= dec_.defined[static_cast<std::size_t>(lin)];
         }
 
         // ---- Strand boundary ----
         bool crossing = false;
-        if (nextLin >= 0 && !cfg_.idealNoFlush)
+        if (nextLin >= 0 && !opts_.idealNoFlush)
             crossing =
                 strands_.strandOf(nextLin) != strands_.strandOf(lin) ||
                 (nextLin <= lin &&
@@ -485,30 +406,13 @@ class SwWarpAccountant final : public WarpAccountant
         }
     }
 
-    std::string_view
-    error() const override
-    {
-        return error_;
-    }
-
   private:
-    void
-    fail(int lin, const std::string &msg)
-    {
-        std::ostringstream os;
-        os << k_.name << " @lin " << lin << ": " << msg;
-        error_ = os.str();
-    }
-
     const Kernel &k_;
     const ReplayDecode &dec_;
     const AllocOptions &opts_;
-    const SwExecConfig &cfg_;
     const StrandAnalysis &strands_;
     AccessCounts &counts_;
-    const int lrfBanks_;
     RegSet pending_;
-    std::string error_;
 };
 
 /** Accounting factory for the software hierarchy. */
@@ -516,10 +420,9 @@ class SwAccounting final : public AccountingOf<SwWarpAccountant>
 {
   public:
     SwAccounting(const Kernel &k, const AllocOptions &opts,
-                 const SwExecConfig &cfg, const AnalysisBundle *analyses,
-                 const ReplayDecode *dec, const StrandAnalysis *strands,
-                 AccessCounts &counts)
-        : AccountingOf(counts), k_(k), opts_(opts), cfg_(cfg),
+                 const AnalysisBundle *analyses, const ReplayDecode *dec,
+                 const StrandAnalysis *strands, AccessCounts &counts)
+        : AccountingOf(counts), k_(k), opts_(opts),
           strands_(strandsOf(k, opts.strandOptions,
                              analyses ? &analyses->cfg : nullptr, strands,
                              localStrands_)),
@@ -531,47 +434,28 @@ class SwAccounting final : public AccountingOf<SwWarpAccountant>
     std::unique_ptr<SwWarpAccountant>
     newWarp(int /*warp*/) override
     {
-        return std::make_unique<SwWarpAccountant>(k_, *dec_, opts_, cfg_,
+        return std::make_unique<SwWarpAccountant>(k_, *dec_, opts_,
                                                   strands_, counts_);
     }
 
   private:
     const Kernel &k_;
     AllocOptions opts_;
-    SwExecConfig cfg_;
     std::optional<StrandAnalysis> localStrands_;
     const StrandAnalysis &strands_;
     std::optional<ReplayDecode> localDec_;
     const ReplayDecode *dec_;
 };
 
-/**
- * REPLAY of a run that may fail verification: the trace driver over
- * the per-record accountant, which stops where runSwHierarchy would.
- */
-SwExecResult
-replayPerRecord(const Kernel &k, const AllocOptions &opts,
-                const DecodedTrace &trace, const SwExecConfig &cfg,
-                const ReplayDecode &dec, const StrandAnalysis &strands)
-{
-    SwExecResult result;
-    SwAccounting acct(k, opts, cfg, nullptr, &dec, &strands,
-                      result.counts);
-    result.error = acct.replay(trace);
-    noteSwRun(result, /*replay=*/true);
-    return result;
-}
-
 } // namespace
 
-SwExecResult
+AccessCounts
 replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
-                  const DecodedTrace &trace, const SwExecConfig &cfg,
+                  const DecodedTrace &trace,
                   const AnalysisBundle *analyses,
                   const ReplayDecode *sharedDec,
                   const StrandAnalysis *sharedStrands)
 {
-    // ---- Fast path: per-instruction deltas + bit-scan sweeps ----
     // Every count is a sum over dynamic records of a per-instruction
     // delta, so instead of walking the stream doing per-record
     // annotation dispatch, apply each instruction's delta once, scaled
@@ -587,20 +471,15 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
     const StrandAnalysis &strands =
         strandsOf(k, opts.strandOptions, analyses ? &analyses->cfg : nullptr,
                   sharedStrands, localStrands);
-    std::vector<SwLinCost> cost(static_cast<std::size_t>(n));
-    if (!scanSwAnnotations(k, opts, cfg, cost))
-        return replayPerRecord(k, opts, trace, cfg, dec, strands);
-
-    SwExecResult result;
-    AccessCounts &counts = result.counts;
+    const std::vector<SwLinCost> cost = scanSwAnnotations(k);
+    AccessCounts counts;
 
     // ---- Deschedule pass, once per stream ----
     // pending can only become non-empty at an executed long-latency
     // record with a destination (llWords); while it is empty every
     // other record is a no-op for this pass, so skip between set bits.
-    // A mid-strand touch of an outstanding register is a verification
-    // failure outside the ideal model — delegate the whole run to the
-    // per-record accountant so the failure is reproduced byte-exactly.
+    // The allocation check leaves a mid-strand touch of an outstanding
+    // register to the ideal model, where it deschedules.
     const bool cut_backward = opts.strandOptions.cutAtBackwardBranch;
     for (int s = 0; s < trace.numStreams(); s++) {
         const std::uint32_t end = trace.streamBegin[s + 1];
@@ -616,15 +495,12 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
             }
             const int lin = trace.lin[t];
             if (!first_ll && (dec.touched[lin] & pending).any()) {
-                if (!cfg.idealNoFlush)
-                    return replayPerRecord(k, opts, trace, cfg, dec,
-                                           strands);
                 deschedules++;
                 pending.reset();
             }
             if ((trace.llWords[t / 64] >> (t % 64)) & 1u)
                 pending |= dec.defined[lin];
-            if (!cfg.idealNoFlush && pending.any()) {
+            if (!opts.idealNoFlush && pending.any()) {
                 const std::int32_t next = trace.nextLin(s, t);
                 if (next >= 0 &&
                     (strands.strandOf(next) != strands.strandOf(lin) ||
@@ -656,19 +532,18 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
             counts.write(Level::MRF, dp, c.wMRF * ex);
     }
     counts.instructions = trace.instructions();
-    noteSwRun(result, /*replay=*/true);
-    return result;
+    noteSwRun(counts, /*replay=*/true, /*failed=*/false);
+    return counts;
 }
 
 std::unique_ptr<PipelineAccounting>
 makeSwHierarchyAccounting(const Kernel &k, const AllocOptions &opts,
-                          const SwExecConfig &cfg,
                           const AnalysisBundle *analyses,
                           const ReplayDecode *dec, AccessCounts &counts,
                           const StrandAnalysis *strands)
 {
-    return std::make_unique<SwAccounting>(k, opts, cfg, analyses, dec,
-                                          strands, counts);
+    return std::make_unique<SwAccounting>(k, opts, analyses, dec, strands,
+                                          counts);
 }
 
 } // namespace rfh

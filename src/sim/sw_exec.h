@@ -1,14 +1,17 @@
 /**
  * @file
- * Software-managed hierarchy executor.
+ * Software-managed hierarchy executors.
  *
- * Executes a kernel that has been annotated by the HierarchyAllocator,
- * counting accesses at the levels the compiler selected. The executor
- * doubles as a checker for the allocator: every upper-level read is
- * verified to return the bit-exact architectural value, every
- * annotation is checked against the physical state (entry validity,
- * register identity, level restrictions, strand invalidation), and any
- * violation is reported instead of silently miscounting.
+ * Execute a kernel that has been annotated by the HierarchyAllocator,
+ * counting accesses at the levels the compiler selected. The direct
+ * executor doubles as the value oracle for the allocator: every
+ * upper-level read is verified to return the bit-exact architectural
+ * value, every annotation is checked against the physical state
+ * (entry validity, register identity, level restrictions, strand
+ * invalidation), and any violation is reported instead of silently
+ * miscounting. Replay and the pipeline accountant only count: they
+ * require an allocation that passed checkAllocationInvariants, which
+ * owns every structural verdict.
  */
 
 #ifndef RFH_SIM_SW_EXEC_H
@@ -25,16 +28,14 @@
 
 namespace rfh {
 
-/** Software-executor configuration. */
+/**
+ * Software-executor configuration. The Section 7 "never flush"
+ * idealisation is AllocOptions::idealNoFlush, the one field the
+ * allocation check and every executor read.
+ */
 struct SwExecConfig
 {
     RunConfig run;
-    /**
-     * Section 7 "never flush" idealisation: upper-level contents
-     * survive deschedules and strand boundaries; stalls on outstanding
-     * long-latency values deschedule instead of being errors.
-     */
-    bool idealNoFlush = false;
 };
 
 /** Result of a software-hierarchy execution. */
@@ -54,9 +55,10 @@ struct SwExecResult
 /**
  * Execute annotated kernel @p k under the software-managed hierarchy.
  *
- * @param k kernel previously processed by HierarchyAllocator.
+ * @param k kernel previously processed by HierarchyAllocator; any
+ *        annotations, checked or not.
  * @param opts the allocation options the kernel was compiled with
- *        (defines the physical ORF/LRF sizes).
+ *        (the physical ORF/LRF sizes and idealNoFlush).
  * @param analyses optional precomputed analyses of a kernel with
  *        @p k's structure (the pristine, un-annotated kernel is
  *        fine); computed locally when null.
@@ -73,28 +75,25 @@ struct DecodedTrace;
 struct ReplayDecode;
 
 /**
- * Replay-mode counterpart of runSwHierarchy: walk the pre-decoded
- * dynamic stream @p trace (recorded once from the pristine kernel
- * under @p cfg.run; annotations do not change the dynamic path) doing
- * only access accounting at the annotated levels — no functional
- * execution and no value verification. A clean run takes the fast
- * path (per-instruction deltas scaled by the trace's weighted
- * per-instruction counts, deschedules once per distinct stream); a run
- * that may fail a structural annotation check (level restrictions,
- * entry ranges, a mid-strand long-latency touch) is driven record by
- * record through the scheme's accountant, so it stops at the same
- * instruction with the same message and partial counts.
- * Bit-exactness of values is the direct executor's job, which remains
- * the verification oracle.
+ * Replay-mode counterpart of runSwHierarchy: count the pre-decoded
+ * dynamic stream @p trace (recorded once from the pristine kernel;
+ * annotations do not change the dynamic path) at the annotated levels
+ * — no functional execution and no checks. Per-instruction deltas are
+ * scaled by the trace's weighted per-instruction counts, and
+ * deschedules are counted once per distinct stream.
+ *
+ * @p k must carry an allocation that passed checkAllocationInvariants
+ * under @p opts (runScheme checks every allocation before it
+ * executes). Structural and value checks are the direct executor's
+ * job, which remains the verification oracle.
  *
  * @param dec optional pre-decode of a kernel with @p k's structure
  *        (ExperimentCache::decode of the pristine kernel is fine);
  *        built locally when null.
  * @param strands as for runSwHierarchy.
  */
-SwExecResult replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
+AccessCounts replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
                                const DecodedTrace &trace,
-                               const SwExecConfig &cfg = {},
                                const AnalysisBundle *analyses = nullptr,
                                const ReplayDecode *dec = nullptr,
                                const StrandAnalysis *strands = nullptr);
@@ -104,10 +103,10 @@ class PipelineAccounting;
 /**
  * The software hierarchy's per-warp accountant
  * (sim/pipeline_account.h) over the *annotated* kernel @p k: the
- * record-by-record counting model that replaySwHierarchy falls back to
- * and the cycle-level pipeline drives at issue. Annotated ORF/LRF
- * operands bypass the collector banks. Structural annotation
- * violations stop the run with runSwHierarchy's exact error message.
+ * record-by-record counting model the cycle-level pipeline drives at
+ * issue. Annotated ORF/LRF operands bypass the collector banks. Like
+ * replaySwHierarchy it only counts, and requires an allocation that
+ * passed checkAllocationInvariants.
  *
  * @param dec optional pre-decode of a kernel with @p k's structure
  *        (ExperimentCache::decode of the pristine kernel is fine);
@@ -118,7 +117,7 @@ class PipelineAccounting;
  * the returned object.
  */
 std::unique_ptr<PipelineAccounting> makeSwHierarchyAccounting(
-    const Kernel &k, const AllocOptions &opts, const SwExecConfig &cfg,
+    const Kernel &k, const AllocOptions &opts,
     const AnalysisBundle *analyses, const ReplayDecode *dec,
     AccessCounts &counts, const StrandAnalysis *strands = nullptr);
 

@@ -83,6 +83,69 @@ struct Bind
     bool mustConsume = false;
 };
 
+/**
+ * The instructions that may touch an outstanding long-latency register
+ * inside a strand, on any CFG path. Like StrandAnalysis, the pending
+ * set of a block is the union over its predecessor edges that stay
+ * inside a strand; unlike its layout walk, this one also follows the
+ * in-strand back edges (a backward branch that is no crossing when
+ * cutAtBackwardBranch is off), iterating to a fixpoint. An edge stays
+ * inside a strand exactly when the executors do not synchronise on
+ * it; a strand change inside a block synchronises too.
+ */
+std::vector<bool>
+pendingTouches(const Kernel &k, const Cfg &cfg,
+               const StrandAnalysis &strands, const StrandOptions &so)
+{
+    const int nblocks = cfg.numBlocks();
+    auto last_lin = [&](int b) {
+        return k.blockStart(b) +
+            static_cast<int>(k.blocks[b].instrs.size()) - 1;
+    };
+    auto in_strand = [&](int p, int b) {
+        const int from = last_lin(p);
+        const int to = k.blockStart(b);
+        return strands.strandOf(to) == strands.strandOf(from) &&
+            !(to <= from && so.cutAtBackwardBranch);
+    };
+    std::vector<RegSet> pending_out(nblocks);
+    std::vector<bool> touches(k.numInstrs(), false);
+    // pending_out only grows, so a touch seen before the fixpoint is
+    // also one at the fixpoint. Without an in-strand back edge every
+    // in-strand predecessor comes first in layout, and one pass is
+    // the fixpoint.
+    bool back_edge = false;
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (int b = 0; b < nblocks; b++) {
+            RegSet pending;
+            for (int p : cfg.preds(b)) {
+                if (in_strand(p, b)) {
+                    pending |= pending_out[p];
+                    back_edge |= p >= b;
+                }
+            }
+            for (int lin = k.blockStart(b); lin <= last_lin(b); lin++) {
+                if (lin > k.blockStart(b) &&
+                    strands.strandOf(lin) != strands.strandOf(lin - 1))
+                    pending.reset();
+                const Instruction &in = k.instr(lin);
+                if (pending.any() &&
+                    ((usedRegs(in) | definedRegs(in)) & pending).any())
+                    touches[lin] = true;
+                if (in.longLatency() && in.dst)
+                    pending |= definedRegs(in);
+            }
+            if (pending != pending_out[b]) {
+                pending_out[b] = pending;
+                changed = true;
+            }
+        }
+        changed &= back_edge;
+    }
+    return touches;
+}
+
 } // namespace
 
 std::string_view
@@ -167,6 +230,11 @@ checkAllocationInvariants(const Kernel &k, const AllocOptions &opts,
     auto violate = [&](int lin, const std::string &msg) {
         violations.push_back("@lin " + std::to_string(lin) + ": " + msg);
     };
+    // Outside the ideal model a touch of an outstanding long-latency
+    // value must sit behind a strand crossing.
+    const std::vector<bool> touches = opts.idealNoFlush
+        ? std::vector<bool>(k.numInstrs(), false)
+        : pendingTouches(k, analyses.cfg, strands, opts.strandOptions);
 
     for (int s = 0; s < strands.numStrands(); s++) {
         const Strand &st = strands.strand(s);
@@ -184,6 +252,9 @@ checkAllocationInvariants(const Kernel &k, const AllocOptions &opts,
                         ? "strand " + std::to_string(s) +
                           " ends without the end-of-strand bit"
                         : "end-of-strand bit set mid-strand");
+            if (touches[lin])
+                violate(lin, "instruction touches an outstanding "
+                        "long-latency register inside a strand");
 
             // ---- Reads ----
             std::vector<std::pair<int, Reg>> deposits;
@@ -291,8 +362,7 @@ checkAllocationInvariants(const Kernel &k, const AllocOptions &opts,
             }
             if (wa.toORF && wa.toLRF)
                 violate(lin, "value written to both ORF and LRF");
-            if (in.longLatency() && wa.anyUpper() &&
-                opts.strandOptions.cutAtLongLatency)
+            if (in.longLatency() && wa.anyUpper() && !opts.idealNoFlush)
                 violate(lin,
                         "long-latency result annotated to an upper "
                         "level");

@@ -142,12 +142,19 @@ OracleReport runOracle(const Kernel &k, const OracleOptions &opts = {});
  *  - a definition may skip the MRF only when its value cannot be live
  *    out of its strand (checked against the global liveness);
  *  - the end-of-strand bit marks exactly the last instruction of each
- *    strand.
+ *    strand;
+ *  - unless opts.idealNoFlush, no long-latency result is annotated to
+ *    an upper level, and no instruction touches a long-latency
+ *    destination that may be outstanding inside its strand (pending
+ *    sets joined over every in-strand CFG edge, back edges included,
+ *    to a fixpoint).
  *
  * runScheme runs this check after every allocation, before either
- * engine executes, so production runs fail on a violation too; it
- * passes the strands of the memoized AllocationPlan the allocation
- * was made from, so the check builds no strand partition of its own.
+ * engine executes, so production runs fail on a violation too. It is
+ * the one structural verdict: replay and the pipeline only count an
+ * allocation that passed it. runScheme passes the strands of the
+ * memoized AllocationPlan the allocation was made from, so the check
+ * builds no strand partition of its own.
  *
  * @param strands optional strand partition of a kernel with @p k's
  *        structure under opts.strandOptions (the allocation plan's);

@@ -112,9 +112,7 @@ TEST_P(HierarchyProperty, HwCacheAccountingConsistent)
     RunConfig rc;
     rc.numWarps = 2;
     AccessCounts hw;
-    ASSERT_EQ(makeHwCacheAccounting(k, cfg, nullptr, nullptr, hw)
-                  ->execute(k, rc),
-              "");
+    makeHwCacheAccounting(k, cfg, nullptr, nullptr, hw)->execute(k, rc);
     AccessCounts base = runBaseline(k, rc);
     // Demand reads equal baseline; writebacks only add traffic.
     EXPECT_EQ(hw.allReads() - hw.wbReads, base.allReads());

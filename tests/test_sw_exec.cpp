@@ -262,6 +262,7 @@ TEST(SwExec, IdealNoFlushKeepsValuesAcrossDeschedule)
     opts.strandOptions.cutAtBackwardBranch = false;
     opts.strandOptions.cutAtLongLatency = false;
     opts.strandOptions.cutAtUncertainMerge = false;
+    opts.idealNoFlush = true;
     Compiled c(R"(.kernel ideal
 entry:
     iadd R1, R0, #1
@@ -272,7 +273,6 @@ entry:
 )", opts);
     SwExecConfig cfg;
     cfg.run.numWarps = 1;
-    cfg.idealNoFlush = true;
     SwExecResult r = runSwHierarchy(c.kernel, opts, cfg);
     ASSERT_TRUE(r.ok()) << r.error;
     // R1's cross-"strand" read can now come from the ORF.
