@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "core/json.h"
+#include "core/metrics.h"
 
 namespace rfh {
 
@@ -82,9 +83,36 @@ StreamStat::add(double x)
     sum_ += q;
     sumSq_ += static_cast<unsigned __int128>(
         static_cast<__int128>(q) * static_cast<__int128>(q));
-    if (hist_.empty())
-        hist_.assign(kBuckets, 0);
-    hist_[static_cast<std::size_t>(bucketOf(x))]++;
+    countInBucket(bucketOf(x), 1);
+}
+
+std::uint64_t
+StreamStat::bucketCount(int b) const
+{
+    if (b == 0)
+        return pooled_;
+    const std::size_t i = static_cast<std::size_t>(b - histLo_);
+    return b >= histLo_ && i < hist_.size() ? hist_[i] : 0;
+}
+
+void
+StreamStat::countInBucket(int b, std::uint64_t c)
+{
+    if (b == 0) {
+        pooled_ += c;
+        return;
+    }
+    if (hist_.empty()) {
+        histLo_ = b;
+        hist_.push_back(0);
+    } else if (b < histLo_) {
+        hist_.insert(hist_.begin(), static_cast<std::size_t>(histLo_ - b),
+                     0);
+        histLo_ = b;
+    } else if (static_cast<std::size_t>(b - histLo_) >= hist_.size()) {
+        hist_.resize(static_cast<std::size_t>(b - histLo_) + 1, 0);
+    }
+    hist_[static_cast<std::size_t>(b - histLo_)] += c;
 }
 
 void
@@ -102,11 +130,10 @@ StreamStat::merge(const StreamStat &o)
     n_ += o.n_;
     sum_ += o.sum_;
     sumSq_ += o.sumSq_;
-    if (hist_.empty())
-        hist_.assign(kBuckets, 0);
-    for (int b = 0; b < kBuckets; b++)
-        hist_[static_cast<std::size_t>(b)] +=
-            o.hist_[static_cast<std::size_t>(b)];
+    pooled_ += o.pooled_;
+    for (std::size_t i = 0; i < o.hist_.size(); i++)
+        if (o.hist_[i])
+            countInBucket(o.histLo_ + static_cast<int>(i), o.hist_[i]);
 }
 
 double
@@ -162,7 +189,7 @@ StreamStat::quantile(double q) const
     double rank = q * static_cast<double>(n_ - 1) + 1.0;
     std::uint64_t before = 0;
     for (int b = 0; b < kBuckets; b++) {
-        std::uint64_t c = hist_[static_cast<std::size_t>(b)];
+        std::uint64_t c = bucketCount(b);
         if (c == 0)
             continue;
         if (rank <= static_cast<double>(before + c)) {
@@ -191,23 +218,21 @@ StreamStat::bootstrapMeanBand(double confidence, int resamples,
     StatBand band{mean(), mean()};
     if (n_ < 2 || resamples < 2)
         return band;
+    static Timer &timer = globalMetrics().timer("corpus.bootstrap");
+    ScopedTimer scoped(timer);
 
-    // Cumulative bucket counts once; draws binary-search into them.
-    std::vector<std::uint64_t> cum;
-    std::vector<double> mid;
-    cum.reserve(64);
-    mid.reserve(64);
-    std::uint64_t running = 0;
+    // The bucket midpoint of every pick in [0, n), once: the samples
+    // in bucket order, each stood in for by its bucket's midpoint.
+    std::vector<double> midOf;
+    midOf.reserve(static_cast<std::size_t>(n_));
     double histSum = 0.0;
     for (int b = 0; b < kBuckets; b++) {
-        std::uint64_t c = hist_[static_cast<std::size_t>(b)];
+        std::uint64_t c = bucketCount(b);
         if (c == 0)
             continue;
-        running += c;
-        cum.push_back(running);
         double v = b == 0 ? std::min(0.0, min_)
                           : 0.5 * (bucketLo(b) + bucketHi(b));
-        mid.push_back(v);
+        midOf.insert(midOf.end(), static_cast<std::size_t>(c), v);
         histSum += v * static_cast<double>(c);
     }
     // Recentre: resample means carry the bucket-midpoint bias, so
@@ -227,11 +252,7 @@ StreamStat::bootstrapMeanBand(double confidence, int resamples,
         double sum = 0.0;
         for (std::uint64_t i = 0; i < n_; i++) {
             stream = mix64(stream);
-            std::uint64_t pick = stream % n_;
-            std::size_t idx = static_cast<std::size_t>(
-                std::upper_bound(cum.begin(), cum.end(), pick) -
-                cum.begin());
-            sum += mid[idx];
+            sum += midOf[static_cast<std::size_t>(stream % n_)];
         }
         means.push_back(sum / static_cast<double>(n_) + shift);
     }
@@ -265,10 +286,11 @@ StreamStat::fingerprint() const
         fold(&min_, sizeof min_);
         fold(&max_, sizeof max_);
     }
-    for (std::size_t b = 0; b < hist_.size(); b++) {
-        if (hist_[b]) {
+    for (std::size_t b = 0; b < static_cast<std::size_t>(kBuckets); b++) {
+        const std::uint64_t c = bucketCount(static_cast<int>(b));
+        if (c) {
             fold(&b, sizeof b);
-            fold(&hist_[b], sizeof hist_[b]);
+            fold(&c, sizeof c);
         }
     }
     return h;

@@ -143,6 +143,10 @@ class StreamStat
     /** Lower / upper value bounds of bucket @p b. */
     static double bucketLo(int b);
     static double bucketHi(int b);
+    /** Samples in bucket @p b. */
+    std::uint64_t bucketCount(int b) const;
+    /** Add @p c samples to bucket @p b, widening hist_ to cover it. */
+    void countInBucket(int b, std::uint64_t c);
 
     std::uint64_t n_ = 0;
     /** Sum of quantized samples, in 2^-kFracBits units. */
@@ -151,7 +155,15 @@ class StreamStat
     unsigned __int128 sumSq_ = 0;
     double min_ = 0.0;
     double max_ = 0.0;
-    /** Lazily sized to kBuckets on first add (empty stats stay tiny). */
+    /** Samples in the nonpositive pool, bucket 0. */
+    std::uint64_t pooled_ = 0;
+    /** The positive bucket hist_[0] counts (hist_[i]: histLo_ + i). */
+    int histLo_ = 0;
+    /**
+     * Counts of the positive buckets from the lowest to the highest
+     * one sampled: a corpus metric spans a few octaves of the 72, so
+     * this stays far smaller than kBuckets counts.
+     */
     std::vector<std::uint64_t> hist_;
 };
 

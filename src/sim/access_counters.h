@@ -78,19 +78,20 @@ struct AccessCounts
             totalWrites(Level::LRF);
     }
 
+    /** Add @p o, @p times over (exact: every field is a u64). */
     void
-    add(const AccessCounts &o)
+    add(const AccessCounts &o, std::uint64_t times = 1)
     {
         for (int l = 0; l < 3; l++) {
             for (int d = 0; d < 2; d++) {
-                reads[l][d] += o.reads[l][d];
-                writes[l][d] += o.writes[l][d];
+                reads[l][d] += o.reads[l][d] * times;
+                writes[l][d] += o.writes[l][d] * times;
             }
         }
-        wbReads += o.wbReads;
-        wbWrites += o.wbWrites;
-        instructions += o.instructions;
-        deschedules += o.deschedules;
+        wbReads += o.wbReads * times;
+        wbWrites += o.wbWrites * times;
+        instructions += o.instructions * times;
+        deschedules += o.deschedules * times;
     }
 
     /** Undo add(@p o): every field must be at least @p o's. */

@@ -21,6 +21,9 @@ namespace {
 class CcWarpSim final : public WarpAccountant
 {
   public:
+    /** A deschedule flushes the RFC and clears the pending set. */
+    static constexpr bool kResetsAtDeschedule = true;
+
     CcWarpSim(const ReplayDecode &dec, const CcRfcConfig &cfg,
               const Liveness &liveness,
               const std::vector<std::uint8_t> &insertHint,
@@ -39,14 +42,8 @@ class CcWarpSim final : public WarpAccountant
 
         // Two-level scheduler: deschedule on a dependence on an
         // outstanding long-latency operation.
-        if ((dec_.touched[lin] & pending_).any()) {
-            RegSet live_before =
-                (liveness_.liveAfter(lin) & ~dec_.defined[lin]) |
-                dec_.used[lin];
-            flushAll(live_before);
-            pending_.reset();
-            counts_.deschedules++;
-        }
+        if ((dec_.touched[lin] & pending_).any())
+            deschedule(lin);
 
         // Operand reads: RFC -> MRF. Last-read erasure is applied
         // after every operand of the instruction has been fetched, so
@@ -107,6 +104,19 @@ class CcWarpSim final : public WarpAccountant
         counts_.instructions++;
     }
 
+    /**
+     * Deschedule before the instruction at @p lin: flush what is live
+     * immediately before it and start over from an empty warp state.
+     */
+    void
+    deschedule(int lin)
+    {
+        flushAll((liveness_.liveAfter(lin) & ~dec_.defined[lin]) |
+                 dec_.used[lin]);
+        pending_.reset();
+        counts_.deschedules++;
+    }
+
   private:
     /** Flush everything live back to the MRF (deschedule). */
     void
@@ -149,7 +159,7 @@ class CcAccounting final : public AccountingOf<CcWarpSim>
 
   protected:
     std::unique_ptr<CcWarpSim>
-    newWarp(int /*warp*/) override
+    newWarp() override
     {
         return std::make_unique<CcWarpSim>(*dec_, cfg_,
                                            analyses_->liveness, hints_,

@@ -27,6 +27,13 @@ using Rfc = RfcRing;
 class HwWarpSim final : public WarpAccountant
 {
   public:
+    /**
+     * A deschedule flushes both levels and clears the pending set;
+     * the backward-branch flush variant keeps the pending set, so its
+     * cut points are the same.
+     */
+    static constexpr bool kResetsAtDeschedule = true;
+
     HwWarpSim(const ReplayDecode &dec, const HwCacheConfig &cfg,
               const Liveness &liveness, AccessCounts &counts)
         : dec_(dec), cfg_(cfg), liveness_(liveness), counts_(counts),
@@ -45,15 +52,8 @@ class HwWarpSim final : public WarpAccountant
         // Two-level scheduler: deschedule on a dependence on an
         // outstanding long-latency operation (reads, writes, or
         // overwrites of its destination).
-        if ((dec_.touched[lin] & pending_).any()) {
-            // Liveness immediately before this instruction.
-            RegSet live_before =
-                (liveness_.liveAfter(lin) & ~dec_.defined[lin]) |
-                dec_.used[lin];
-            flushAll(live_before);
-            pending_.reset();
-            counts_.deschedules++;
-        }
+        if ((dec_.touched[lin] & pending_).any())
+            deschedule(lin);
 
         // Operand reads: LRF (private only) -> RFC -> MRF.
         auto read_one = [&](Reg r) {
@@ -121,6 +121,19 @@ class HwWarpSim final : public WarpAccountant
         if (cfg_.flushOnBackwardBranch && taken &&
             (o.flags & kOpBackward))
             flushAll(liveness_.liveAfter(lin));
+    }
+
+    /**
+     * Deschedule before the instruction at @p lin: flush what is live
+     * immediately before it and start over from an empty warp state.
+     */
+    void
+    deschedule(int lin)
+    {
+        flushAll((liveness_.liveAfter(lin) & ~dec_.defined[lin]) |
+                 dec_.used[lin]);
+        pending_.reset();
+        counts_.deschedules++;
     }
 
   private:
@@ -196,7 +209,7 @@ class HwAccounting final : public AccountingOf<HwWarpSim>
 
   protected:
     std::unique_ptr<HwWarpSim>
-    newWarp(int /*warp*/) override
+    newWarp() override
     {
         return std::make_unique<HwWarpSim>(*dec_, cfg_,
                                            analyses_->liveness, counts_);

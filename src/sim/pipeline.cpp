@@ -188,7 +188,7 @@ struct Sm
             s.end = trace.streamBegin[stream + 1];
             s.endLin = trace.streamEndLin[stream];
             refresh(s);
-            acct.push_back(acctFactory.makeWarp(w));
+            acct.push_back(acctFactory.makeWarp());
             if (s.doneIssuing())
                 continue;
             if (static_cast<int>(active.size()) < nactive)

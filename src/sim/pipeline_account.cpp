@@ -49,7 +49,7 @@ class FlatAccounting final : public AccountingOf<FlatWarpAccountant>
 
   protected:
     std::unique_ptr<FlatWarpAccountant>
-    newWarp(int /*warp*/) override
+    newWarp() override
     {
         return std::make_unique<FlatWarpAccountant>(*dec_, counts_);
     }

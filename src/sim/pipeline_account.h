@@ -7,10 +7,12 @@
  * drivers feed it the same per-warp record stream (lin, enabled,
  * branch taken, next lin):
  *
- *  - the trace driver (PipelineAccounting::replay) walks a recorded
- *    DecodedTrace warp by warp, accounting each distinct warp stream
- *    once and adding its memoized counts for the warps that repeat
- *    it — the REPLAY engine;
+ *  - the trace driver (PipelineAccounting::replay) walks the replay
+ *    units of a recorded DecodedTrace, each from a fresh warp, and
+ *    adds each unit's counts once per occurrence — the REPLAY engine.
+ *    A scheme whose per-warp state all resets at a two-level
+ *    deschedule is replayed per distinct deschedule segment; any
+ *    other per distinct warp stream;
  *  - the functional-machine driver (PipelineAccounting::execute)
  *    interprets the kernel warp by warp and accounts each instruction
  *    as it steps — the DIRECT engine of schemes without a
@@ -79,6 +81,18 @@ struct OperandPlan
 class WarpAccountant
 {
   public:
+    /**
+     * Set by a `final` accountant whose whole per-warp state resets
+     * at every two-level deschedule (DecodedTrace::segments' cut
+     * points), so a fresh warp fed a segment counts it exactly. Such
+     * an accountant provides `void deschedule(int lin)`: the
+     * deschedule block its onIssue runs before the record at @p lin,
+     * which the trace driver calls to close a segment. It must not
+     * read onIssue's @c nextLin: at a stream's end the driver passes
+     * the segment's -1 rather than the stream's end lin.
+     */
+    static constexpr bool kResetsAtDeschedule = false;
+
     virtual ~WarpAccountant() = default;
 
     /**
@@ -99,51 +113,52 @@ class WarpAccountant
 };
 
 /**
- * Trace driver: walk the warps of @p trace in order, feeding each
- * distinct stream's records to the warp machine @p makeWarp(w) returns
- * for its first warp only. A warp's counts are a pure function of its
- * stream (no accountant reads the warp id, and @p counts is additive),
- * so the driver memoizes the first warp's delta to @p counts and adds
- * it for every later warp on the same stream. Called with a pointer to
- * a `final` accountant type, the per-record onIssue is a direct call.
+ * Trace driver: replay each unit of @p trace — its deschedule segments
+ * when @p Warp::kResetsAtDeschedule, else its distinct warp streams —
+ * from a fresh warp machine @p makeWarp() returns, closing a segment
+ * with the warp's deschedule at its closing lin. A unit's counts are a
+ * pure function of its records (no accountant reads the warp id, and
+ * @p counts is additive), so the driver adds the unit's delta to
+ * @p counts once per further occurrence. Called with a `final`
+ * accountant type, the per-record onIssue is a direct call.
  */
-template <typename MakeWarp>
+template <typename Warp, typename MakeWarp>
 void
 driveTrace(const DecodedTrace &trace, AccessCounts &counts,
            MakeWarp &&makeWarp)
 {
     OperandPlan plan;
-    // Streams are numbered in order of first appearance: a warp starts
-    // a new stream exactly when its index equals the streams driven.
-    std::vector<AccessCounts> delta;
-    delta.reserve(static_cast<std::size_t>(trace.numStreams()));
-    for (int w = 0; w < trace.numWarps(); w++) {
-        const std::uint32_t s = trace.warpStream[w];
-        if (s < delta.size()) {
-            counts.add(delta[s]);
-            continue;
-        }
+    auto drive = [&](const ReplayUnit &u) {
         const AccessCounts before = counts;
-        auto acct = makeWarp(w);
-        const std::uint32_t end = trace.streamBegin[s + 1];
-        for (std::uint32_t t = trace.streamBegin[s]; t < end; t++) {
+        std::unique_ptr<Warp> acct = makeWarp();
+        for (std::uint32_t t = u.begin; t < u.end; t++) {
             const std::uint8_t flags = trace.flags[t];
             plan.numMrf = plan.numBypass = 0;
             acct->onIssue(trace.lin[t], (flags & kReplayExecuted) != 0,
                           (flags & kReplayBranchTaken) != 0,
-                          t + 1 < end ? trace.lin[t + 1]
-                                      : trace.streamEndLin[s],
+                          t + 1 < u.end ? trace.lin[t + 1] : u.closeLin,
                           plan);
         }
-        delta.push_back(counts);
-        delta.back().sub(before);
-    }
+        if constexpr (Warp::kResetsAtDeschedule)
+            if (u.closeLin >= 0)
+                acct->deschedule(u.closeLin);
+        AccessCounts delta = counts;
+        delta.sub(before);
+        counts.add(delta, u.weight - 1);
+    };
+    if constexpr (Warp::kResetsAtDeschedule)
+        for (const ReplayUnit &u : trace.segments)
+            drive(u);
+    else
+        for (int s = 0; s < trace.numStreams(); s++)
+            drive(trace.streamUnit(s));
 }
 
 /**
  * Functional-machine driver: execute @p k for @p run's warps, feeding
- * each instruction to the warp machine @p makeWarp(w) returns as it
- * steps — the same records recordDecodedTrace would have captured.
+ * each instruction to a fresh warp machine @p makeWarp() returns per
+ * warp as it steps — the same records recordDecodedTrace would have
+ * captured.
  */
 template <typename MakeWarp>
 void
@@ -151,7 +166,7 @@ driveMachine(const Kernel &k, const RunConfig &run, MakeWarp &&makeWarp)
 {
     OperandPlan plan;
     for (int w = 0; w < run.numWarps; w++) {
-        auto acct = makeWarp(w);
+        auto acct = makeWarp();
         WarpContext warp;
         warp.reset(static_cast<std::uint32_t>(w));
         std::uint64_t executed = 0;
@@ -179,8 +194,8 @@ class PipelineAccounting
   public:
     virtual ~PipelineAccounting() = default;
 
-    /** Create the state machine of warp @p warp, reset for a fresh run. */
-    virtual std::unique_ptr<WarpAccountant> makeWarp(int warp) = 0;
+    /** Create a warp state machine, reset for a fresh run. */
+    virtual std::unique_ptr<WarpAccountant> makeWarp() = 0;
 
     /** REPLAY engine: driveTrace over @p trace. */
     virtual void replay(const DecodedTrace &trace) = 0;
@@ -195,7 +210,7 @@ class PipelineAccounting
  * gets makeWarp() plus both functional drivers, instantiated on
  * @p Warp so no record pays a virtual call. It holds the run's shared
  * AccessCounts, which the scheme's warp machines count into and the
- * trace driver adds memoized stream deltas to.
+ * trace driver adds repeated unit deltas to.
  */
 template <typename Warp>
 class AccountingOf : public PipelineAccounting
@@ -204,26 +219,26 @@ class AccountingOf : public PipelineAccounting
     explicit AccountingOf(AccessCounts &counts) : counts_(counts) {}
 
     std::unique_ptr<WarpAccountant>
-    makeWarp(int warp) final
+    makeWarp() final
     {
-        return newWarp(warp);
+        return newWarp();
     }
 
     void
     replay(const DecodedTrace &trace) final
     {
-        driveTrace(trace, counts_, [this](int w) { return newWarp(w); });
+        driveTrace<Warp>(trace, counts_, [this] { return newWarp(); });
     }
 
     void
     execute(const Kernel &k, const RunConfig &run) final
     {
-        driveMachine(k, run, [this](int w) { return newWarp(w); });
+        driveMachine(k, run, [this] { return newWarp(); });
     }
 
   protected:
-    /** The state machine of warp @p warp, reset for a fresh run. */
-    virtual std::unique_ptr<Warp> newWarp(int warp) = 0;
+    /** A warp state machine, reset for a fresh run. */
+    virtual std::unique_ptr<Warp> newWarp() = 0;
 
     /** The run's shared accumulator. */
     AccessCounts &counts_;

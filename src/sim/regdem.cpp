@@ -19,6 +19,9 @@ namespace {
 class RegDemWarpSim final : public WarpAccountant
 {
   public:
+    /** Stateless per record, so trivially reset at a deschedule. */
+    static constexpr bool kResetsAtDeschedule = true;
+
     RegDemWarpSim(const ReplayDecode &dec, const RegSet &demoted,
                   AccessCounts &counts)
         : dec_(dec), demoted_(demoted), counts_(counts)
@@ -59,6 +62,12 @@ class RegDemWarpSim final : public WarpAccountant
         counts_.instructions++;
     }
 
+    /** Register demotion keeps no warp state and counts no deschedule. */
+    void
+    deschedule(int /*lin*/)
+    {
+    }
+
   private:
     const ReplayDecode &dec_;
     const RegSet &demoted_;
@@ -79,7 +88,7 @@ class RegDemAccounting final : public AccountingOf<RegDemWarpSim>
 
   protected:
     std::unique_ptr<RegDemWarpSim>
-    newWarp(int /*warp*/) override
+    newWarp() override
     {
         return std::make_unique<RegDemWarpSim>(*dec_, demoted_, counts_);
     }

@@ -432,7 +432,7 @@ class SwAccounting final : public AccountingOf<SwWarpAccountant>
 
   protected:
     std::unique_ptr<SwWarpAccountant>
-    newWarp(int /*warp*/) override
+    newWarp() override
     {
         return std::make_unique<SwWarpAccountant>(k_, *dec_, opts_,
                                                   strands_, counts_);

@@ -1,6 +1,7 @@
 #include "sim/trace.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "core/metrics.h"
 #include "core/trace_events.h"
@@ -22,6 +23,11 @@ struct RecorderMetrics
     /** Records stored: those of the distinct streams only. */
     Counter &distinctInstrs =
         globalMetrics().counter("trace.record.distinctInstrs");
+    /** Distinct deschedule segments stored. */
+    Counter &segments = globalMetrics().counter("trace.segments");
+    /** Records of the distinct segments. */
+    Counter &segmentRecords =
+        globalMetrics().counter("trace.segmentRecords");
     Timer &record = globalMetrics().timer("trace.record");
 };
 
@@ -41,6 +47,11 @@ noteRecording(const Kernel &k, const DecodedTrace &trace, double sec)
     rm.instrs.add(instrs);
     rm.streams.add(static_cast<std::uint64_t>(trace.numStreams()));
     rm.distinctInstrs.add(trace.lin.size());
+    rm.segments.add(trace.segments.size());
+    std::uint64_t segmentRecords = 0;
+    for (const ReplayUnit &u : trace.segments)
+        segmentRecords += u.end - u.begin;
+    rm.segmentRecords.add(segmentRecords);
     rm.record.addSec(sec);
     TraceEventLog &log = TraceEventLog::global();
     if (log.enabled()) {
@@ -60,9 +71,77 @@ hashStep(std::uint64_t h, std::uint64_t v)
 }
 
 /**
+ * Cut every distinct stream of @p trace into deschedule segments and
+ * intern them into DecodedTrace::segments (see there). Needs the
+ * long-latency plane.
+ */
+void
+segmentTrace(const Kernel &k, DecodedTrace &trace)
+{
+    const std::size_t nInstrs = static_cast<std::size_t>(k.numInstrs());
+    std::vector<RegSet> touched(nInstrs);
+    std::vector<RegSet> defined(nInstrs);
+    for (std::size_t l = 0; l < nInstrs; l++) {
+        const Instruction &in = k.instr(static_cast<int>(l));
+        defined[l] = definedRegs(in);
+        touched[l] = usedRegs(in) | defined[l];
+    }
+    // Interning key: a hash over (lin, flags) and the closing lin,
+    // confirmed by a record compare. Segments sharing a hash chain
+    // through sameHash from the newest one byHash names.
+    constexpr std::uint32_t kNone = ~0u;
+    std::unordered_map<std::uint64_t, std::uint32_t> byHash;
+    std::vector<std::uint32_t> sameHash;
+    auto intern = [&](std::uint32_t b, std::uint32_t e,
+                      std::int32_t closeLin, std::uint64_t h,
+                      std::uint64_t weight) {
+        h = hashStep(h, static_cast<std::uint32_t>(closeLin));
+        auto it = byHash.try_emplace(h, kNone).first;
+        for (std::uint32_t i = it->second; i != kNone; i = sameHash[i]) {
+            ReplayUnit &u = trace.segments[i];
+            if (u.closeLin == closeLin && u.end - u.begin == e - b &&
+                std::equal(trace.lin.begin() + b, trace.lin.begin() + e,
+                           trace.lin.begin() + u.begin) &&
+                std::equal(trace.flags.begin() + b,
+                           trace.flags.begin() + e,
+                           trace.flags.begin() + u.begin)) {
+                u.weight += weight;
+                return;
+            }
+        }
+        sameHash.push_back(it->second);
+        it->second = static_cast<std::uint32_t>(trace.segments.size());
+        trace.segments.push_back({b, e, closeLin, weight});
+    };
+    for (int s = 0; s < trace.numStreams(); s++) {
+        const std::uint32_t e = trace.streamBegin[s + 1];
+        const std::uint64_t m = trace.multiplicity[s];
+        std::uint32_t begin = trace.streamBegin[s];
+        std::uint64_t h = 0;
+        RegSet pending;
+        for (std::uint32_t t = begin; t < e; t++) {
+            const int lin = trace.lin[t];
+            if ((touched[lin] & pending).any()) {
+                intern(begin, t, lin, h, m);
+                begin = t;
+                h = 0;
+                pending.reset();
+            }
+            if ((trace.llWords[t / 64] >> (t % 64)) & 1u)
+                pending |= defined[lin];
+            h = hashStep(h, static_cast<std::uint64_t>(lin) << 8 |
+                                trace.flags[t]);
+        }
+        intern(begin, e, -1, h, m);
+    }
+    trace.segments.shrink_to_fit();
+}
+
+/**
  * Derive the fields that follow from @p trace's interned streams —
- * the weighted per-instruction counts and the long-latency plane —
- * for the kernel @p k they were recorded from.
+ * the weighted per-instruction counts, the long-latency plane and
+ * the deschedule segments — for the kernel @p k they were recorded
+ * from.
  */
 void
 finishTrace(const Kernel &k, DecodedTrace &trace)
@@ -91,6 +170,7 @@ finishTrace(const Kernel &k, DecodedTrace &trace)
             trace.llWords[t / 64] |= (ll[lin] & ex) << (t % 64);
         }
     }
+    segmentTrace(k, trace);
 }
 
 } // namespace

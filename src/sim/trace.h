@@ -31,6 +31,16 @@
  * by its multiplicity. Per-static-instruction record and executed
  * counts, weighted by multiplicity, are kept for the counting passes
  * that need no order at all.
+ *
+ * The distinct streams are further cut into deschedule segments: a
+ * two-level scheduler deschedules a warp at the first record that
+ * touches a register an executed long-latency record defined since
+ * the last deschedule, and a scheme that empties all its per-warp
+ * state there counts each segment from a fresh warp. Identical
+ * segments (same lin, flags and closing lin), within and across
+ * streams, are interned into ReplayUnits weighted by their
+ * occurrences over all warps. The segmentation is structural: it
+ * depends only on the kernel and the trace, never on the scheme.
  */
 
 #ifndef RFH_SIM_TRACE_H
@@ -59,6 +69,27 @@ enum ReplayFlags : std::uint8_t
     kReplayExecuted = 1u << 0,
     /** A conditional/unconditional branch was taken. */
     kReplayBranchTaken = 1u << 1,
+};
+
+/**
+ * One unit of trace replay: the records [begin, end) of the flat
+ * arrays, the linear index that follows them, and how often the unit
+ * occurs over all warps.
+ */
+struct ReplayUnit
+{
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    /**
+     * For a stream, its end lin (DecodedTrace::streamEndLin). For a
+     * segment, the lin of the record whose deschedule closes it, or
+     * -1 when the stream ends.
+     */
+    std::int32_t closeLin = -1;
+    /** Occurrences over all warps (>= 1). */
+    std::uint64_t weight = 0;
+
+    bool operator==(const ReplayUnit &) const = default;
 };
 
 /**
@@ -121,6 +152,18 @@ struct DecodedTrace
      */
     std::vector<std::uint64_t> llWords;
 
+    /**
+     * The distinct deschedule segments, in order of first appearance.
+     * Each distinct stream is cut before every record that touches
+     * the pending set — the destinations of the llWords records since
+     * the stream's start or its last cut — and the pending set is
+     * then emptied. A segment's range is that of its first
+     * occurrence; its weight sums its occurrences times the
+     * multiplicity of the stream they lie in, so the weights times
+     * the lengths add up to instructions().
+     */
+    std::vector<ReplayUnit> segments;
+
     int
     numWarps() const
     {
@@ -142,6 +185,14 @@ struct DecodedTrace
             n += std::uint64_t{streamBegin[s + 1] - streamBegin[s]} *
                 multiplicity[s];
         return n;
+    }
+
+    /** Stream @p s as a replay unit weighted by its multiplicity. */
+    ReplayUnit
+    streamUnit(int s) const
+    {
+        return {streamBegin[s], streamBegin[s + 1], streamEndLin[s],
+                multiplicity[s]};
     }
 
     /**

@@ -13,10 +13,16 @@
  * drivers, the software hierarchy's fast path against its verifying
  * executors), the memoization of the recorded stream itself, and the
  * interning of identical warp streams (one shared stream, all
- * distinct streams, a run that first fails at a later warp).
+ * distinct streams, a run that first fails at a later warp), and the
+ * per-segment replay of the schemes that reset at a deschedule.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "compiler/allocator.h"
 #include "core/experiment.h"
@@ -423,6 +429,132 @@ out:
     ASSERT_FALSE(violations.empty());
     EXPECT_EQ(violations.front(),
               "@lin 4: write to ORF entry 3 exceeds capacity 3");
+}
+
+// ---- Deschedule segments: hw2, hw3, ccrfc and regdem ----
+
+/** 8 kernels per builtin profile plus the checked-in rptx corpus. */
+std::vector<Workload>
+segmentKernels()
+{
+    std::vector<Workload> ws;
+    for (const ScenarioProfile &p : allProfiles())
+        for (int i = 0; i < 8; i++)
+            ws.push_back(corpusWorkload(p, 1, i));
+    std::vector<std::filesystem::path> files;
+    for (const auto &e : std::filesystem::recursive_directory_iterator(
+             std::string(RFH_SOURCE_DIR) + "/tests/corpus"))
+        if (e.path().extension() == ".rptx")
+            files.push_back(e.path());
+    std::sort(files.begin(), files.end());
+    for (const std::filesystem::path &f : files) {
+        std::ifstream in(f);
+        std::ostringstream text;
+        text << in.rdbuf();
+        ParseResult parsed = parseKernel(text.str());
+        EXPECT_TRUE(parsed.ok) << f << ": " << parsed.error;
+        if (!parsed.ok)
+            continue;
+        Workload w;
+        w.name = parsed.kernel.name;
+        w.kernel = parsed.kernel;
+        ws.push_back(std::move(w));
+    }
+    return ws;
+}
+
+/**
+ * Expect REPLAY, which replays @p token per deschedule segment, to
+ * report exactly what DIRECT does on @p w at each of @p entries.
+ */
+void
+expectSegmentReplayMatchesDirect(const Workload &w, const char *token,
+                                 std::initializer_list<int> entries,
+                                 bool flushOnBackwardBranch = false)
+{
+    const SchemeInfo *si = SchemeRegistry::instance().findToken(token);
+    ASSERT_NE(si, nullptr) << token;
+    for (int e : entries) {
+        ExperimentConfig cfg;
+        cfg.scheme = si->scheme;
+        cfg.entries = e;
+        cfg.hwFlushOnBackwardBranch = flushOnBackwardBranch;
+        cfg.engine = ExecEngine::DIRECT;
+        const RunOutcome direct = runScheme(w, cfg);
+        EXPECT_TRUE(direct.ok()) << w.name << " " << token << ": "
+                                 << direct.error;
+        cfg.engine = ExecEngine::REPLAY;
+        EXPECT_EQ(outcomeToJson(runScheme(w, cfg)), outcomeToJson(direct))
+            << w.name << " " << token << "@" << e;
+    }
+}
+
+TEST(Replay, SegmentReplayMatchesDirect)
+{
+    for (const Workload &w : segmentKernels())
+        for (const char *token : {"hw2", "hw3", "ccrfc", "regdem"})
+            expectSegmentReplayMatchesDirect(w, token, {1, 2, 3, 4, 6, 8});
+}
+
+TEST(Replay, BackwardBranchFlushSegmentsMatchDirect)
+{
+    // The flush on a taken backward branch keeps the pending set, so
+    // the variant deschedules at the same records and replays per
+    // segment too (the Section 7 limit study runs it).
+    for (const Workload &w : segmentKernels())
+        for (const char *token : {"hw2", "hw3"})
+            expectSegmentReplayMatchesDirect(w, token, {1, 3, 8},
+                                             /*flushOnBackwardBranch=*/true);
+}
+
+TEST(Replay, SharedSegmentsAcrossDistinctStreams)
+{
+    // Warp w runs the loop w + 1 times, and each iteration's load is
+    // read at the top of the next: four distinct streams, whose 14
+    // segments are three distinct ones.
+    Workload w;
+    w.name = "shared_segments";
+    w.kernel = parseKernelOrDie(R"(.kernel shared_segments
+entry:
+    iadd R1, R0, #1
+    ld.global R3, [R0]
+body:
+    iadd R4, R3, #1
+    isub R1, R1, #1
+    ld.global R3, [R0]
+    setgt R2, R1, #0
+    @R2 bra body
+out:
+    st.global [R0], R4
+    exit
+)");
+    w.run.numWarps = 4;
+    const DecodedTrace trace = recordDecodedTrace(w.kernel, w.run);
+    ASSERT_EQ(trace.numStreams(), 4);
+    std::uint64_t segments = 0;
+    for (const ReplayUnit &u : trace.segments)
+        segments += u.weight;
+    EXPECT_LT(trace.segments.size(), segments);
+
+    for (const char *token : {"hw2", "hw3", "ccrfc", "regdem"})
+        expectSegmentReplayMatchesDirect(w, token, {1, 3});
+    for (bool flush : {false, true})
+        expectSegmentReplayMatchesDirect(w, "hw3", {1, 3}, flush);
+
+    // Every segment but the last of a warp ends in a deschedule; the
+    // hardware cache counts each, register demotion none.
+    AccessCounts hw;
+    HwCacheConfig hc;
+    hc.rfcEntries = 3;
+    makeHwCacheAccounting(w.kernel, hc, nullptr, nullptr, hw)
+        ->replay(trace);
+    EXPECT_EQ(hw.deschedules, segments - 4);
+    AccessCounts regdem;
+    RegDemConfig rd;
+    rd.entries = 1;
+    makeRegDemAccounting(w.kernel, rd, nullptr, regdem)->replay(trace);
+    EXPECT_EQ(regdem.deschedules, 0u);
+    EXPECT_EQ(regdem.instructions, trace.instructions());
 }
 
 // ---- Property: per-executor count equality on random kernels ----

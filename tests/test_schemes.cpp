@@ -80,7 +80,7 @@ class EchoAccounting final : public AccountingOf<EchoWarp>
 
   protected:
     std::unique_ptr<EchoWarp>
-    newWarp(int /*warp*/) override
+    newWarp() override
     {
         return std::make_unique<EchoWarp>(k_, counts_);
     }
@@ -423,8 +423,9 @@ TEST(SchemeLeaderboard, RanksEveryRegisteredScheme)
     // baseline must sit at normalised energy 1.
     EXPECT_EQ(lb.rows.front().token, "sw3");
     for (const LeaderboardRow &row : lb.rows) {
-        if (row.token == "baseline")
+        if (row.token == "baseline") {
             EXPECT_DOUBLE_EQ(row.outcome.normalizedEnergy(), 1.0);
+        }
         EXPECT_TRUE(row.outcome.ok())
             << row.token << ": " << row.outcome.error;
     }

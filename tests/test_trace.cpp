@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for decoded-trace recording: every warp's record stream must
- * be a legal execution of the recorded kernel, and identical warp
- * streams are stored once with the right multiplicity.
+ * be a legal execution of the recorded kernel, identical warp
+ * streams are stored once with the right multiplicity, and the
+ * deschedule segments partition every stream.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 
 #include "core/metrics.h"
@@ -364,6 +366,151 @@ out:
     EXPECT_EQ(streams.value() - s0, 2u);
     EXPECT_EQ(distinct.value() - d0, 11u);
     EXPECT_EQ(t.lin.size(), 11u);
+}
+
+/** A segment's identity: its (lin, flags) records and closing lin. */
+using SegmentKey =
+    std::pair<std::vector<std::pair<std::int32_t, std::uint8_t>>,
+              std::int32_t>;
+
+SegmentKey
+segmentKey(const DecodedTrace &t, std::uint32_t b, std::uint32_t e,
+           std::int32_t closeLin)
+{
+    SegmentKey key{{}, closeLin};
+    for (std::uint32_t i = b; i < e; i++)
+        key.first.emplace_back(t.lin[i], t.flags[i]);
+    return key;
+}
+
+TEST(Trace, SegmentsPartitionEveryStream)
+{
+    for (const Workload &w : interningWorkloads()) {
+        const Kernel &k = w.kernel;
+        DecodedTrace t = recordDecodedTrace(k, w.run);
+        ASSERT_EQ(streamError(k, t), "") << w.name;
+
+        // Every stored segment is distinct, and its weights times its
+        // lengths account for every record of every warp.
+        std::map<SegmentKey, std::size_t> index;
+        std::uint64_t records = 0;
+        for (std::size_t i = 0; i < t.segments.size(); i++) {
+            const ReplayUnit &u = t.segments[i];
+            ASSERT_LT(u.begin, u.end) << w.name;
+            ASSERT_GE(u.weight, 1u) << w.name;
+            records += (u.end - u.begin) * u.weight;
+            EXPECT_TRUE(
+                index.emplace(segmentKey(t, u.begin, u.end, u.closeLin), i)
+                    .second)
+                << w.name << ": segment " << i << " stored twice";
+        }
+        EXPECT_EQ(records, t.instructions()) << w.name;
+
+        // Re-cut each stream here: a segment ends right before the
+        // first record that touches a destination of an executed
+        // long-latency record since the segment began. Concatenating
+        // the stored segments the pieces name must give the stream
+        // back, and their occurrences must add up to the weights.
+        std::vector<std::uint64_t> weight(t.segments.size(), 0);
+        for (int s = 0; s < t.numStreams(); s++) {
+            const std::uint32_t b = t.streamBegin[s];
+            const std::uint32_t e = t.streamBegin[s + 1];
+            std::vector<std::pair<std::int32_t, std::uint8_t>> rebuilt;
+            auto piece = [&](std::uint32_t pb, std::uint32_t pe,
+                             std::int32_t closeLin) {
+                auto it = index.find(segmentKey(t, pb, pe, closeLin));
+                ASSERT_NE(it, index.end())
+                    << w.name << ": stream " << s << " piece at " << pb
+                    << " is not stored";
+                const ReplayUnit &u = t.segments[it->second];
+                weight[it->second] += t.multiplicity[s];
+                for (std::uint32_t i = u.begin; i < u.end; i++)
+                    rebuilt.emplace_back(t.lin[i], t.flags[i]);
+            };
+            RegSet pending;
+            std::uint32_t start = b;
+            for (std::uint32_t i = b; i < e; i++) {
+                const Instruction &in = k.instr(t.lin[i]);
+                if (((usedRegs(in) | definedRegs(in)) & pending).any()) {
+                    piece(start, i, t.lin[i]);
+                    start = i;
+                    pending.reset();
+                }
+                if (in.longLatency() && in.dst &&
+                    (t.flags[i] & kReplayExecuted))
+                    pending |= definedRegs(in);
+            }
+            piece(start, e, -1);
+            EXPECT_EQ(rebuilt, segmentKey(t, b, e, -1).first)
+                << w.name << ": stream " << s;
+        }
+        for (std::size_t i = 0; i < t.segments.size(); i++)
+            EXPECT_EQ(weight[i], t.segments[i].weight)
+                << w.name << ": segment " << i;
+
+        // Every closing lin meets the pending set its segment built.
+        for (const ReplayUnit &u : t.segments) {
+            if (u.closeLin < 0)
+                continue;
+            RegSet pending;
+            for (std::uint32_t i = u.begin; i < u.end; i++) {
+                const Instruction &in = k.instr(t.lin[i]);
+                if (in.longLatency() && in.dst &&
+                    (t.flags[i] & kReplayExecuted))
+                    pending |= definedRegs(in);
+            }
+            const Instruction &close = k.instr(u.closeLin);
+            EXPECT_TRUE(
+                ((usedRegs(close) | definedRegs(close)) & pending).any())
+                << w.name << ": segment closed at " << u.closeLin;
+        }
+    }
+}
+
+TEST(Trace, DivergentStreamsShareSegments)
+{
+    // Warp w runs the loop w + 1 times. Every iteration's load result
+    // is read at the top of the next iteration (or of the first), so
+    // every iteration is its own segment: the four streams are
+    // distinct, but their 14 segments are three distinct ones (the
+    // entry, a taken iteration, the exiting one).
+    Kernel k = parseKernelOrDie(R"(.kernel shared_segments
+entry:
+    iadd R1, R0, #1
+    ld.global R3, [R0]
+body:
+    iadd R4, R3, #1
+    isub R1, R1, #1
+    ld.global R3, [R0]
+    setgt R2, R1, #0
+    @R2 bra body
+out:
+    st.global [R0], R4
+    exit
+)");
+    Counter &segments = globalMetrics().counter("trace.segments");
+    Counter &records = globalMetrics().counter("trace.segmentRecords");
+    const std::uint64_t s0 = segments.value();
+    const std::uint64_t r0 = records.value();
+    RunConfig cfg;
+    cfg.numWarps = 4;
+    DecodedTrace t = recordDecodedTrace(k, cfg);
+    ASSERT_EQ(streamError(k, t), "");
+    EXPECT_EQ(t.numStreams(), 4);
+    ASSERT_EQ(t.segments.size(), 3u);
+    std::uint64_t total = 0;
+    for (const ReplayUnit &u : t.segments)
+        total += u.weight;
+    EXPECT_EQ(total, 14u);
+    EXPECT_EQ(t.segments[0], (ReplayUnit{0, 2, 2, 4}));
+    // Warp 0 exits from its first iteration, so the exiting segment
+    // appears before the taken one.
+    EXPECT_EQ(t.segments[1].closeLin, -1);
+    EXPECT_EQ(t.segments[1].weight, 4u);
+    EXPECT_EQ(t.segments[2].closeLin, 2);
+    EXPECT_EQ(t.segments[2].weight, 6u);
+    EXPECT_EQ(segments.value() - s0, 3u);
+    EXPECT_EQ(records.value() - r0, 2u + 5u + 7u);
 }
 
 } // namespace
