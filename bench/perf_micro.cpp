@@ -155,10 +155,8 @@ BM_ExecDirect(benchmark::State &state)
     opts.splitLRF = true;
     HierarchyAllocator alloc(EnergyParams{}, opts);
     alloc.run(k);
-    SwExecConfig sc;
-    sc.run = w.run;
     for (auto _ : state) {
-        SwExecResult r = runSwHierarchy(k, opts, sc);
+        SwExecResult r = runSwHierarchy(k, opts, w.run);
         benchmark::DoNotOptimize(r.counts.instructions);
         state.SetItemsProcessed(state.items_processed() +
                                 r.counts.instructions);

@@ -31,9 +31,7 @@ energyOf(const Kernel &kernel, const RunConfig &run,
     Kernel k = kernel;
     HierarchyAllocator alloc(params, opts);
     alloc.run(k);
-    SwExecConfig sc;
-    sc.run = run;
-    SwExecResult res = runSwHierarchy(k, opts, sc);
+    SwExecResult res = runSwHierarchy(k, opts, run);
     if (!res.ok()) {
         std::fprintf(stderr, "verification failure: %s\n",
                      res.error.c_str());

@@ -211,9 +211,11 @@ if [[ "$run_asan" == 1 ]]; then
     # The recording walk, the pre-decoded SoA buffers, and every
     # replay executor's pointer-walking hot loop.
     # Memo.* and Sweep.* cover the per-kernel memo entry, which a run
-    # holds across a concurrent clear().
+    # holds across a concurrent clear(). SwExec.* and SwExecSimt.*
+    # feed the value oracles tampered annotations, whose out-of-range
+    # ORF/LRF indexes must come back as errors, not heap overflows.
     "$repo/build-asan/tests/rfh_tests" \
-        --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:Memo.*:Sweep.*'
+        --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:Memo.*:Sweep.*:SwExec.*:SwExecSimt.*'
     # The scheme accountants: the hw2/hw3/ccrfc/regdem replay engine,
     # the software hierarchy's accountant, and the pipeline driving
     # them at issue. SwFailingRun.* and OneVerdict.* walk structural
@@ -251,7 +253,7 @@ if [[ "$run_ubsan" == 1 ]]; then
     # allocator passes, the scheme executors, and the JSON parser and
     # service protocol over hostile input.
     "$repo/build-ubsan/tests/rfh_tests" \
-        --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:Memo.*:Sweep.*:Strand.*:Instances.*:Intervals.*:Allocator.*:VariableAllocation.*:HwCache.*:SwExec.*:Json*.*:ServiceProtocol.*:ServiceServer.*:StreamStat.*:WireRound.*'
+        --gtest_filter='Trace.*:Replay.*:Seeds/ReplayProperty.*:Memo.*:Sweep.*:Strand.*:Instances.*:Intervals.*:Allocator.*:VariableAllocation.*:HwCache.*:SwExec.*:SwExecSimt.*:Json*.*:ServiceProtocol.*:ServiceServer.*:StreamStat.*:WireRound.*'
     # The differential oracle and invariant checker, then a short
     # fixed-seed fuzz campaign through the same instrumented build.
     "$repo/build-ubsan/tests/rfh_verify_tests"

@@ -41,16 +41,12 @@ struct AllocOptions
     bool partialRanges = true;
     /** Enable read-operand allocation (Section 4.4). */
     bool readOperands = true;
-    /** Strand-formation rules. */
-    StrandOptions strandOptions;
     /**
-     * Section 7 "never flush" idealisation: upper-level contents
-     * survive deschedules and strand boundaries, and touching an
-     * outstanding long-latency value deschedules the warp instead of
-     * being a structural error. The allocation check and every
-     * executor read this one field.
+     * Strand-formation rules, and the Section 7 "never flush" model
+     * (StrandOptions::idealNoFlush) that the allocation check and
+     * every executor read.
      */
-    bool idealNoFlush = false;
+    StrandOptions strandOptions;
     /**
      * Variable allocation (Section 7): per-strand ORF entry budgets.
      * Empty = every strand may use all orfEntries. When set, strand s

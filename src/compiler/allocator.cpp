@@ -153,7 +153,7 @@ AllocationPlan::AllocationPlan(const Kernel &k, const Cfg &cfg,
                     [&] { return StrandAnalysis(k, cfg, opts); })),
       instances(timed(allocMetrics().instances, [&] {
           return InstanceAnalysis(k, cfg, strands, rd,
-                                  !opts.cutAtLongLatency);
+                                  opts.idealNoFlush);
       }))
 {
 }

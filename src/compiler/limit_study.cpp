@@ -133,9 +133,7 @@ runLimitStudy(const EnergyParams &params)
             ao.perStrandEntries = budget;
             HierarchyAllocator alloc(params, ao);
             alloc.run(kk, analyses.get(), plan.get());
-            SwExecConfig sc;
-            sc.run = w.run;
-            SwExecResult res = runSwHierarchy(kk, ao, sc, analyses.get(),
+            SwExecResult res = runSwHierarchy(kk, ao, w.run, analyses.get(),
                                               &plan->strands);
             EnergyModel em(params, 3, true);
             e[i] = res.counts.totalEnergyPJ(em);
@@ -180,9 +178,7 @@ runLimitStudy(const EnergyParams &params)
     // ---- Never flush across deschedules / strand boundaries ----
     {
         ExperimentConfig cfg = best;
-        cfg.idealNoFlush = true;
-        cfg.strandOptions.cutAtBackwardBranch = false;
-        cfg.strandOptions.cutAtLongLatency = false;
+        cfg.strandOptions.idealNoFlush = true;
         cfg.strandOptions.cutAtUncertainMerge = false;
         r.neverFlush = normEnergy(cfg);
     }

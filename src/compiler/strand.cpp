@@ -9,6 +9,7 @@ namespace rfh {
 
 StrandAnalysis::StrandAnalysis(const Kernel &k, const Cfg &cfg,
                                const StrandOptions &opts)
+    : idealNoFlush_(opts.idealNoFlush)
 {
     int nblocks = cfg.numBlocks();
     int ninstrs = k.numInstrs();
@@ -35,7 +36,7 @@ StrandAnalysis::StrandAnalysis(const Kernel &k, const Cfg &cfg,
         int start = k.blockStart(b);
         int end = start + static_cast<int>(k.blocks[b].instrs.size()) - 1;
 
-        if (cfg.isBackwardTarget(b) && opts.cutAtBackwardBranch)
+        if (cfg.isBackwardTarget(b) && !idealNoFlush_)
             add_cut(start, StrandEndReason::BACKWARD_TARGET);
 
         // Merge the pending state from layout-earlier predecessors. An
@@ -79,14 +80,14 @@ StrandAnalysis::StrandAnalysis(const Kernel &k, const Cfg &cfg,
         for (int lin = start; lin <= end; lin++) {
             const Instruction &in = k.instr(lin);
             RegSet touched = usedRegs(in) | definedRegs(in);
-            if ((touched & pending).any() && opts.cutAtLongLatency) {
+            if ((touched & pending).any() && !idealNoFlush_) {
                 add_cut(lin, StrandEndReason::LONG_LATENCY);
                 pending.reset();
             }
             if (in.longLatency() && in.dst)
                 pending |= definedRegs(in);
             if (in.op == Opcode::BRA && in.branchTarget <= b &&
-                opts.cutAtBackwardBranch) {
+                !idealNoFlush_) {
                 add_cut(lin + 1, StrandEndReason::BACKWARD_BRANCH);
                 pending.reset();
             }

@@ -14,6 +14,10 @@
  *  - at the start of merge blocks where the set of pending long-latency
  *    operations differs between incoming paths (Figure 5(b)).
  *
+ * The Section 7 "never flush" model (StrandOptions::idealNoFlush)
+ * drops the long-latency and backward-branch endpoints, keeps the
+ * merge rule, and makes no transfer a crossing.
+ *
  * Values may never be communicated through the ORF or LRF across a
  * strand endpoint. Strands are contiguous ranges of the kernel's layout
  * order; all control flow inside a strand is forward.
@@ -25,7 +29,8 @@
  * jumps between strands synchronises as part of the transfer. At a
  * synchronisation point the ORF and LRF become invalid for the warp,
  * and the two-level scheduler deschedules it if any long-latency
- * operation is outstanding.
+ * operation is outstanding. StrandAnalysis::crosses() is that rule,
+ * the one every executor and the allocation check apply.
  */
 
 #ifndef RFH_COMPILER_STRAND_H
@@ -75,18 +80,16 @@ struct StrandOptions
     bool cutAtUncertainMerge = true;
 
     /**
-     * Treat backward branches as strand endpoints (Section 4.1). The
-     * Section 7 limit study disables this to measure the value of
-     * allocating past backward branches.
+     * Section 7 "never flush" idealisation: upper-level contents
+     * survive deschedules and strand boundaries, so strands are not
+     * cut before the consumer of an in-strand long-latency result nor
+     * at backward branches, a touch of an outstanding long-latency
+     * value deschedules the warp instead of being a structural error,
+     * and long-latency results may be allocated to the upper levels.
+     * The allocator, the allocation check and every executor read
+     * this one field.
      */
-    bool cutAtBackwardBranch = true;
-
-    /**
-     * End a strand before the first consumer of an in-strand
-     * long-latency result (Section 4.1). The Section 7 "never flush"
-     * idealisation disables this (upper levels survive deschedules).
-     */
-    bool cutAtLongLatency = true;
+    bool idealNoFlush = false;
 
     /** Ordered, so options can key a memo table. */
     auto operator<=>(const StrandOptions &) const = default;
@@ -128,9 +131,23 @@ class StrandAnalysis
         return strands_;
     }
 
+    /**
+     * Does control passing from @p lin to @p next synchronise the
+     * warp, flushing the ORF and LRF? It does when it enters another
+     * strand or re-enters the current one through a backward edge;
+     * never under the ideal model.
+     */
+    bool
+    crosses(int lin, int next) const
+    {
+        return !idealNoFlush_ &&
+            (strandOf_[next] != strandOf_[lin] || next <= lin);
+    }
+
   private:
     std::vector<Strand> strands_;
     std::vector<int> strandOf_;
+    bool idealNoFlush_ = false;
 };
 
 /**

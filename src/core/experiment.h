@@ -75,14 +75,6 @@ struct ExperimentConfig
      * (0 = entries). Used by the Section 7 idealisations.
      */
     int orfPriceEntries = 0;
-    /**
-     * Section 7 "never flush" idealisation: ORF/LRF contents survive
-     * deschedules and strand boundaries, and a touch of an outstanding
-     * long-latency value deschedules. Copied into
-     * AllocOptions::idealNoFlush, which the allocation check and the
-     * executors read.
-     */
-    bool idealNoFlush = false;
     /** Split the LRF per operand slot (SW three-level only). */
     bool splitLRF = true;
     /** Let SFU/MEM/TEX results enter the LRF (non-Figure-4 variant). */
@@ -91,7 +83,10 @@ struct ExperimentConfig
     bool partialRanges = true;
     /** Read-operand allocation (Section 4.4). */
     bool readOperands = true;
-    /** Strand-formation rules (Section 4.1 / Section 7 variants). */
+    /**
+     * Strand-formation rules (Section 4.1), and the Section 7 "never
+     * flush" model (StrandOptions::idealNoFlush).
+     */
     StrandOptions strandOptions;
     /** Hardware variant: flush the RFC at backward branches. */
     bool hwFlushOnBackwardBranch = false;

@@ -20,7 +20,6 @@ SchemeBackend::allocOptions(const ExperimentConfig &cfg) const
     a.partialRanges = cfg.partialRanges;
     a.readOperands = cfg.readOperands;
     a.strandOptions = cfg.strandOptions;
-    a.idealNoFlush = cfg.idealNoFlush;
     return a;
 }
 

@@ -161,10 +161,8 @@ class SwHierarchyScheme : public SchemeBackend
                                          strands);
             return r;
         }
-        SwExecConfig sc;
-        sc.run = ctx.workload->run;
-        SwExecResult res =
-            runSwHierarchy(*ctx.kernel, ao, sc, ctx.analyses, strands);
+        SwExecResult res = runSwHierarchy(*ctx.kernel, ao, ctx.workload->run,
+                                          ctx.analyses, strands);
         r.counts = res.counts;
         r.error = res.error;
         return r;

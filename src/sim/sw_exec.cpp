@@ -51,12 +51,13 @@ noteSwRun(const AccessCounts &counts, bool replay, bool failed)
 
 SwExecResult
 runSwHierarchy(const Kernel &k, const AllocOptions &opts,
-               const SwExecConfig &cfg, const AnalysisBundle *analyses,
+               const RunConfig &run, const AnalysisBundle *analyses,
                const StrandAnalysis *sharedStrands)
 {
     SwExecResult result;
     AccessCounts &counts = result.counts;
     int lrf_banks = opts.useLRF ? (opts.splitLRF ? 3 : 1) : 0;
+    const bool ideal = opts.strandOptions.idealNoFlush;
     std::optional<StrandAnalysis> localStrands;
     const StrandAnalysis &strands =
         strandsOf(k, opts.strandOptions, analyses ? &analyses->cfg : nullptr,
@@ -75,7 +76,7 @@ runSwHierarchy(const Kernel &k, const AllocOptions &opts,
     std::vector<std::pair<int, Reg>> deposits;
     deposits.reserve(kMaxSrcs + 1);
 
-    for (int w = 0; w < cfg.run.numWarps && result.ok(); w++) {
+    for (int w = 0; w < run.numWarps && result.ok(); w++) {
         WarpContext warp;
         warp.reset(static_cast<std::uint32_t>(w));
 
@@ -86,7 +87,7 @@ runSwHierarchy(const Kernel &k, const AllocOptions &opts,
         RegSet pending;
         std::uint64_t executed = 0;
 
-        while (!warp.done && executed < cfg.run.maxInstrsPerWarp &&
+        while (!warp.done && executed < run.maxInstrsPerWarp &&
                result.ok()) {
             int lin = warp.pc(k);
             const Instruction &in = k.instr(lin);
@@ -98,7 +99,7 @@ runSwHierarchy(const Kernel &k, const AllocOptions &opts,
             // end-of-strand marker.
             RegSet touched = usedRegs(in) | definedRegs(in);
             if ((touched & pending).any()) {
-                if (opts.idealNoFlush) {
+                if (ideal) {
                     // Warp deschedules; entries persist (Section 7).
                     counts.deschedules++;
                     pending.reset();
@@ -113,6 +114,11 @@ runSwHierarchy(const Kernel &k, const AllocOptions &opts,
             deposits.clear();
             auto read_one = [&](Reg r, const ReadAnnotation &ra) {
                 std::uint32_t arch = warp.regs[r];
+                if ((ra.level == Level::ORF || ra.depositToORF) &&
+                    ra.entry >= orf.size()) {
+                    fail(lin, "ORF entry out of range");
+                    return;
+                }
                 switch (ra.level) {
                   case Level::MRF:
                     counts.read(Level::MRF, dp);
@@ -184,8 +190,7 @@ runSwHierarchy(const Kernel &k, const AllocOptions &opts,
             if (in.dst && enabled) {
                 const WriteAnnotation &wa = in.writeAnno;
                 int halves = in.wide ? 2 : 1;
-                if (in.longLatency() && wa.anyUpper() &&
-                    !opts.idealNoFlush) {
+                if (in.longLatency() && wa.anyUpper() && !ideal) {
                     fail(lin, "long-latency result annotated to an "
                          "upper level");
                     break;
@@ -193,6 +198,10 @@ runSwHierarchy(const Kernel &k, const AllocOptions &opts,
                 if (wa.toLRF) {
                     if (in.wide || lrf.empty()) {
                         fail(lin, "invalid LRF write annotation");
+                        break;
+                    }
+                    if (wa.lrfBank >= lrf.size()) {
+                        fail(lin, "LRF bank out of range");
                         break;
                     }
                     Slot &s = lrf[wa.lrfBank];
@@ -234,14 +243,7 @@ runSwHierarchy(const Kernel &k, const AllocOptions &opts,
             // the current strand through a backward edge — invalidates
             // the upper levels and deschedules the warp if a
             // long-latency operation is outstanding.
-            bool crossing = false;
-            if (!warp.done && !opts.idealNoFlush) {
-                int next = warp.pc(k);
-                crossing = strands.strandOf(next) != strands.strandOf(lin)
-                    || (next <= lin &&
-                        opts.strandOptions.cutAtBackwardBranch);
-            }
-            if (crossing) {
+            if (!warp.done && strands.crosses(lin, warp.pc(k))) {
                 if (pending.any()) {
                     counts.deschedules++;
                     pending.reset();
@@ -338,10 +340,8 @@ class SwWarpAccountant final : public WarpAccountant
 {
   public:
     SwWarpAccountant(const Kernel &k, const ReplayDecode &dec,
-                     const AllocOptions &opts,
                      const StrandAnalysis &strands, AccessCounts &counts)
-        : k_(k), dec_(dec), opts_(opts), strands_(strands),
-          counts_(counts)
+        : k_(k), dec_(dec), strands_(strands), counts_(counts)
     {
     }
 
@@ -394,13 +394,8 @@ class SwWarpAccountant final : public WarpAccountant
         }
 
         // ---- Strand boundary ----
-        bool crossing = false;
-        if (nextLin >= 0 && !opts_.idealNoFlush)
-            crossing =
-                strands_.strandOf(nextLin) != strands_.strandOf(lin) ||
-                (nextLin <= lin &&
-                 opts_.strandOptions.cutAtBackwardBranch);
-        if (crossing && pending_.any()) {
+        if (pending_.any() && nextLin >= 0 &&
+            strands_.crosses(lin, nextLin)) {
             counts_.deschedules++;
             pending_.reset();
         }
@@ -409,7 +404,6 @@ class SwWarpAccountant final : public WarpAccountant
   private:
     const Kernel &k_;
     const ReplayDecode &dec_;
-    const AllocOptions &opts_;
     const StrandAnalysis &strands_;
     AccessCounts &counts_;
     RegSet pending_;
@@ -422,7 +416,7 @@ class SwAccounting final : public AccountingOf<SwWarpAccountant>
     SwAccounting(const Kernel &k, const AllocOptions &opts,
                  const AnalysisBundle *analyses, const ReplayDecode *dec,
                  const StrandAnalysis *strands, AccessCounts &counts)
-        : AccountingOf(counts), k_(k), opts_(opts),
+        : AccountingOf(counts), k_(k),
           strands_(strandsOf(k, opts.strandOptions,
                              analyses ? &analyses->cfg : nullptr, strands,
                              localStrands_)),
@@ -434,13 +428,12 @@ class SwAccounting final : public AccountingOf<SwWarpAccountant>
     std::unique_ptr<SwWarpAccountant>
     newWarp() override
     {
-        return std::make_unique<SwWarpAccountant>(k_, *dec_, opts_,
-                                                  strands_, counts_);
+        return std::make_unique<SwWarpAccountant>(k_, *dec_, strands_,
+                                                  counts_);
     }
 
   private:
     const Kernel &k_;
-    AllocOptions opts_;
     std::optional<StrandAnalysis> localStrands_;
     const StrandAnalysis &strands_;
     std::optional<ReplayDecode> localDec_;
@@ -480,7 +473,6 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
     // other record is a no-op for this pass, so skip between set bits.
     // The allocation check leaves a mid-strand touch of an outstanding
     // register to the ideal model, where it deschedules.
-    const bool cut_backward = opts.strandOptions.cutAtBackwardBranch;
     for (int s = 0; s < trace.numStreams(); s++) {
         const std::uint32_t end = trace.streamBegin[s + 1];
         std::uint32_t t = trace.streamBegin[s];
@@ -500,11 +492,9 @@ replaySwHierarchy(const Kernel &k, const AllocOptions &opts,
             }
             if ((trace.llWords[t / 64] >> (t % 64)) & 1u)
                 pending |= dec.defined[lin];
-            if (!opts.idealNoFlush && pending.any()) {
+            if (pending.any()) {
                 const std::int32_t next = trace.nextLin(s, t);
-                if (next >= 0 &&
-                    (strands.strandOf(next) != strands.strandOf(lin) ||
-                     (next <= lin && cut_backward))) {
+                if (next >= 0 && strands.crosses(lin, next)) {
                     deschedules++;
                     pending.reset();
                 }

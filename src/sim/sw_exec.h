@@ -28,16 +28,6 @@
 
 namespace rfh {
 
-/**
- * Software-executor configuration. The Section 7 "never flush"
- * idealisation is AllocOptions::idealNoFlush, the one field the
- * allocation check and every executor read.
- */
-struct SwExecConfig
-{
-    RunConfig run;
-};
-
 /** Result of a software-hierarchy execution. */
 struct SwExecResult
 {
@@ -58,7 +48,8 @@ struct SwExecResult
  * @param k kernel previously processed by HierarchyAllocator; any
  *        annotations, checked or not.
  * @param opts the allocation options the kernel was compiled with
- *        (the physical ORF/LRF sizes and idealNoFlush).
+ *        (the physical ORF/LRF sizes and strandOptions.idealNoFlush).
+ * @param run the warps to execute and the per-warp instruction cap.
  * @param analyses optional precomputed analyses of a kernel with
  *        @p k's structure (the pristine, un-annotated kernel is
  *        fine); computed locally when null.
@@ -67,7 +58,7 @@ struct SwExecResult
  *        AllocationPlan's is fine); computed locally when null.
  */
 SwExecResult runSwHierarchy(const Kernel &k, const AllocOptions &opts,
-                            const SwExecConfig &cfg = {},
+                            const RunConfig &run = {},
                             const AnalysisBundle *analyses = nullptr,
                             const StrandAnalysis *strands = nullptr);
 

@@ -86,7 +86,6 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
             LaneMask mask = warp.activeMask();
             Datapath dp = datapathOf(in.unit());
             bool shared = isSharedUnit(in.unit());
-            int strand = strands.strandOf(lin);
 
             // Per-lane strand-crossing invalidation along each lane's
             // own dynamic path.
@@ -94,14 +93,9 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
                 if (!((mask >> l) & 1u))
                     continue;
                 LaneState &ls = lanes[l];
-                if (ls.lastActiveLin >= 0) {
-                    bool crossing =
-                        strands.strandOf(ls.lastActiveLin) != strand ||
-                        (lin <= ls.lastActiveLin &&
-                         opts.strandOptions.cutAtBackwardBranch);
-                    if (crossing)
-                        ls.invalidate();
-                }
+                if (ls.lastActiveLin >= 0 &&
+                    strands.crosses(ls.lastActiveLin, lin))
+                    ls.invalidate();
                 ls.lastActiveLin = lin;
             }
 
@@ -144,6 +138,15 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
             deposits.clear();
             auto read_one = [&](Reg r, const ReadAnnotation &ra) {
                 counts.read(ra.level, dp);
+                if ((ra.level == Level::ORF || ra.depositToORF) &&
+                    ra.entry >= opts.orfEntries) {
+                    fail(lin, -1, "ORF entry out of range");
+                    return;
+                }
+                if (ra.level == Level::LRF && ra.lrfBank >= lrf_banks) {
+                    fail(lin, -1, "LRF bank out of range");
+                    return;
+                }
                 if (ra.depositToORF) {
                     deposits.push_back({ra.entry, r});
                     counts.write(Level::ORF, dp);
@@ -237,6 +240,14 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
             if (in.dst) {
                 const WriteAnnotation &wa = in.writeAnno;
                 int halves = in.wide ? 2 : 1;
+                if (wa.toLRF && wa.lrfBank >= lrf_banks) {
+                    fail(lin, -1, "LRF bank out of range");
+                    break;
+                }
+                if (wa.toORF && wa.orfEntry + halves > opts.orfEntries) {
+                    fail(lin, -1, "ORF entry out of range");
+                    break;
+                }
                 bool any = false;
                 for (int l = 0; l < cfg.width; l++) {
                     if (!was_enabled[l])

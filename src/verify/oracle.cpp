@@ -86,62 +86,38 @@ struct Bind
 /**
  * The instructions that may touch an outstanding long-latency register
  * inside a strand, on any CFG path. Like StrandAnalysis, the pending
- * set of a block is the union over its predecessor edges that stay
- * inside a strand; unlike its layout walk, this one also follows the
- * in-strand back edges (a backward branch that is no crossing when
- * cutAtBackwardBranch is off), iterating to a fixpoint. An edge stays
- * inside a strand exactly when the executors do not synchronise on
- * it; a strand change inside a block synchronises too.
+ * set of a block is the union over its predecessor edges that do not
+ * cross (StrandAnalysis::crosses), and a strand change inside a block
+ * synchronises too. Outside the ideal model every back edge crosses,
+ * so every in-strand predecessor comes first in layout and one pass in
+ * layout order joins every path.
  */
 std::vector<bool>
 pendingTouches(const Kernel &k, const Cfg &cfg,
-               const StrandAnalysis &strands, const StrandOptions &so)
+               const StrandAnalysis &strands)
 {
-    const int nblocks = cfg.numBlocks();
     auto last_lin = [&](int b) {
         return k.blockStart(b) +
             static_cast<int>(k.blocks[b].instrs.size()) - 1;
     };
-    auto in_strand = [&](int p, int b) {
-        const int from = last_lin(p);
-        const int to = k.blockStart(b);
-        return strands.strandOf(to) == strands.strandOf(from) &&
-            !(to <= from && so.cutAtBackwardBranch);
-    };
-    std::vector<RegSet> pending_out(nblocks);
+    std::vector<RegSet> pending_out(cfg.numBlocks());
     std::vector<bool> touches(k.numInstrs(), false);
-    // pending_out only grows, so a touch seen before the fixpoint is
-    // also one at the fixpoint. Without an in-strand back edge every
-    // in-strand predecessor comes first in layout, and one pass is
-    // the fixpoint.
-    bool back_edge = false;
-    for (bool changed = true; changed;) {
-        changed = false;
-        for (int b = 0; b < nblocks; b++) {
-            RegSet pending;
-            for (int p : cfg.preds(b)) {
-                if (in_strand(p, b)) {
-                    pending |= pending_out[p];
-                    back_edge |= p >= b;
-                }
-            }
-            for (int lin = k.blockStart(b); lin <= last_lin(b); lin++) {
-                if (lin > k.blockStart(b) &&
-                    strands.strandOf(lin) != strands.strandOf(lin - 1))
-                    pending.reset();
-                const Instruction &in = k.instr(lin);
-                if (pending.any() &&
-                    ((usedRegs(in) | definedRegs(in)) & pending).any())
-                    touches[lin] = true;
-                if (in.longLatency() && in.dst)
-                    pending |= definedRegs(in);
-            }
-            if (pending != pending_out[b]) {
-                pending_out[b] = pending;
-                changed = true;
-            }
+    for (int b = 0; b < cfg.numBlocks(); b++) {
+        RegSet pending;
+        for (int p : cfg.preds(b))
+            if (!strands.crosses(last_lin(p), k.blockStart(b)))
+                pending |= pending_out[p];
+        for (int lin = k.blockStart(b); lin <= last_lin(b); lin++) {
+            if (lin > k.blockStart(b) && strands.crosses(lin - 1, lin))
+                pending.reset();
+            const Instruction &in = k.instr(lin);
+            if (pending.any() &&
+                ((usedRegs(in) | definedRegs(in)) & pending).any())
+                touches[lin] = true;
+            if (in.longLatency() && in.dst)
+                pending |= definedRegs(in);
         }
-        changed &= back_edge;
+        pending_out[b] = pending;
     }
     return touches;
 }
@@ -232,9 +208,10 @@ checkAllocationInvariants(const Kernel &k, const AllocOptions &opts,
     };
     // Outside the ideal model a touch of an outstanding long-latency
     // value must sit behind a strand crossing.
-    const std::vector<bool> touches = opts.idealNoFlush
+    const bool ideal = opts.strandOptions.idealNoFlush;
+    const std::vector<bool> touches = ideal
         ? std::vector<bool>(k.numInstrs(), false)
-        : pendingTouches(k, analyses.cfg, strands, opts.strandOptions);
+        : pendingTouches(k, analyses.cfg, strands);
 
     for (int s = 0; s < strands.numStrands(); s++) {
         const Strand &st = strands.strand(s);
@@ -362,7 +339,7 @@ checkAllocationInvariants(const Kernel &k, const AllocOptions &opts,
             }
             if (wa.toORF && wa.toLRF)
                 violate(lin, "value written to both ORF and LRF");
-            if (in.longLatency() && wa.anyUpper() && !opts.idealNoFlush)
+            if (in.longLatency() && wa.anyUpper() && !ideal)
                 violate(lin,
                         "long-latency result annotated to an upper "
                         "level");
@@ -616,10 +593,8 @@ runOracle(const Kernel &k, const OracleOptions &opts)
             finding(FindingKind::INVARIANT, tag + "/invariants", v);
         report.invariantSites += sites;
 
-        SwExecConfig sc;
-        sc.run = opts.run;
         SwExecResult scalar =
-            runSwHierarchy(annotated, ao, sc, bundle.get());
+            runSwHierarchy(annotated, ao, opts.run, bundle.get());
         if (!scalar.ok())
             finding(FindingKind::EXEC_ERROR, tag + "/scalar",
                     scalar.error);

@@ -143,11 +143,11 @@ OracleReport runOracle(const Kernel &k, const OracleOptions &opts = {});
  *    out of its strand (checked against the global liveness);
  *  - the end-of-strand bit marks exactly the last instruction of each
  *    strand;
- *  - unless opts.idealNoFlush, no long-latency result is annotated to
- *    an upper level, and no instruction touches a long-latency
- *    destination that may be outstanding inside its strand (pending
- *    sets joined over every in-strand CFG edge, back edges included,
- *    to a fixpoint).
+ *  - unless opts.strandOptions.idealNoFlush, no long-latency result
+ *    is annotated to an upper level, and no instruction touches a
+ *    long-latency destination that may be outstanding inside its
+ *    strand (pending sets joined over every CFG edge that does not
+ *    cross, in one layout pass: every back edge crosses).
  *
  * runScheme runs this check after every allocation, before either
  * engine executes, so production runs fail on a violation too. It is

@@ -133,8 +133,8 @@ entry:
         Kernel kk = k;
         HierarchyAllocator alloc(EnergyParams{}, opts);
         alloc.run(kk);
-        SwExecConfig cfg;
-        cfg.run.numWarps = 8;
+        RunConfig cfg;
+        cfg.numWarps = 8;
         SwExecResult r = runSwHierarchy(kk, opts, cfg);
         EXPECT_TRUE(r.ok()) << r.error;
     }
@@ -192,8 +192,8 @@ entry:
     HierarchyAllocator alloc(EnergyParams{}, opts);
     Kernel kk = k;
     alloc.run(kk);
-    SwExecConfig cfg;
-    cfg.run.numWarps = 8;  // some warps load, some do not
+    RunConfig cfg;
+    cfg.numWarps = 8;  // some warps load, some do not
     SwExecResult r = runSwHierarchy(kk, opts, cfg);
     EXPECT_TRUE(r.ok()) << r.error;
 }

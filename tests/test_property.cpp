@@ -81,8 +81,8 @@ TEST_P(HierarchyProperty, SwExecutionVerifiesClean)
     HierarchyAllocator alloc(EnergyParams{}, opts);
     alloc.run(k);
 
-    SwExecConfig cfg;
-    cfg.run.numWarps = 3;
+    RunConfig cfg;
+    cfg.numWarps = 3;
     SwExecResult r = runSwHierarchy(k, opts, cfg);
     EXPECT_TRUE(r.ok()) << r.error;
 
@@ -190,8 +190,8 @@ TEST_P(HierarchyProperty, FullPipelineVerifiesClean)
     opts.readOperands = c.readOperands;
     HierarchyAllocator alloc(EnergyParams{}, opts);
     alloc.run(k);
-    SwExecConfig cfg;
-    cfg.run.numWarps = 2;
+    RunConfig cfg;
+    cfg.numWarps = 2;
     SwExecResult r = runSwHierarchy(k, opts, cfg);
     EXPECT_TRUE(r.ok()) << r.error;
 }
@@ -213,8 +213,8 @@ TEST_P(EntriesSweep, EveryWorkloadVerifiesClean)
         Kernel k = generateSynthetic("sweep", paramsFor(seed));
         HierarchyAllocator alloc(EnergyParams{}, opts);
         alloc.run(k);
-        SwExecConfig cfg;
-        cfg.run.numWarps = 2;
+        RunConfig cfg;
+        cfg.numWarps = 2;
         SwExecResult r = runSwHierarchy(k, opts, cfg);
         EXPECT_TRUE(r.ok()) << "seed " << seed << ": " << r.error;
     }

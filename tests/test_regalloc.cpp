@@ -183,8 +183,8 @@ TEST(RegAlloc, TightBudgetStillRunsThroughHierarchy)
         allocateRegisters(k, ro);
         HierarchyAllocator alloc(EnergyParams{}, ao);
         alloc.run(k);
-        SwExecConfig cfg;
-        cfg.run.numWarps = 2;
+        RunConfig cfg;
+        cfg.numWarps = 2;
         SwExecResult r = runSwHierarchy(k, ao, cfg);
         EXPECT_TRUE(r.ok()) << "seed " << seed << ": " << r.error;
     }

@@ -409,15 +409,15 @@ out:
     wa.toMRF = true;
     wa.orfEntry = static_cast<std::uint8_t>(opts.orfEntries);
 
-    SwExecConfig sc;
-    sc.run.numWarps = 8;
-    const DecodedTrace trace = recordDecodedTrace(k, sc.run);
+    RunConfig run;
+    run.numWarps = 8;
+    const DecodedTrace trace = recordDecodedTrace(k, run);
     ASSERT_EQ(trace.numStreams(), 2);
     ASSERT_EQ(trace.multiplicity, std::vector<std::uint32_t>({7, 1}));
 
     // The verifying executor walks every warp in order, as the trace
     // driver did before warps shared streams.
-    SwExecResult direct = runSwHierarchy(k, opts, sc);
+    SwExecResult direct = runSwHierarchy(k, opts, run);
     ASSERT_NE(direct.error.find("ORF entry out of range"),
               std::string::npos)
         << direct.error;
@@ -612,9 +612,9 @@ TEST_P(ReplayProperty, SwCountsMatchDirect)
     HierarchyAllocator alloc(EnergyParams{}, opts);
     alloc.run(k);
 
-    SwExecConfig sc;
-    DecodedTrace trace = recordDecodedTrace(k, sc.run);
-    SwExecResult direct = runSwHierarchy(k, opts, sc);
+    RunConfig run;
+    DecodedTrace trace = recordDecodedTrace(k, run);
+    SwExecResult direct = runSwHierarchy(k, opts, run);
     ASSERT_EQ(direct.error, "") << "seed=" << seed;
     EXPECT_EQ(countsJson(direct.counts),
               countsJson(replaySwHierarchy(k, opts, trace)))
@@ -628,7 +628,7 @@ TEST_P(ReplayProperty, SwCountsMatchDirect)
     make(traced)->replay(trace);
     EXPECT_EQ(countsJson(traced), countsJson(direct.counts))
         << "seed=" << seed;
-    expectDriversAgree(k, sc.run, trace, make,
+    expectDriversAgree(k, run, trace, make,
                        "sw seed=" + std::to_string(seed));
 }
 
@@ -707,10 +707,10 @@ TEST_P(ReplayProperty, SimtCountsMatchDirect)
 
     SimtExecConfig simt;
     simt.width = 1;
-    SwExecConfig sc;
-    sc.run.numWarps = simt.numWarps;
-    sc.run.maxInstrsPerWarp = simt.maxInstrsPerWarp;
-    DecodedTrace trace = recordDecodedTrace(k, sc.run);
+    RunConfig run;
+    run.numWarps = simt.numWarps;
+    run.maxInstrsPerWarp = simt.maxInstrsPerWarp;
+    DecodedTrace trace = recordDecodedTrace(k, run);
     SwExecResult direct = runSwHierarchySimt(k, opts, simt);
     ASSERT_EQ(direct.error, "") << "seed=" << seed;
     EXPECT_EQ(countsJson(direct.counts),

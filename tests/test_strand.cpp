@@ -102,10 +102,14 @@ loop:
 out:
     exit
 )");
+    // The never-flush model drops the backward-branch cuts.
     StrandOptions opts;
-    opts.cutAtBackwardBranch = false;
+    opts.idealNoFlush = true;
     StrandAnalysis sa = analyze(k, opts);
     EXPECT_EQ(sa.numStrands(), 1);
+    // ...and no transfer crosses, the back edge included.
+    EXPECT_FALSE(sa.crosses(3, 1));
+    EXPECT_TRUE(analyze(k, {}).crosses(3, 1));
 }
 
 TEST(Strand, Figure5aShape)

@@ -30,8 +30,8 @@ struct Compiled
     SwExecResult
     run(int warps = 1) const
     {
-        SwExecConfig cfg;
-        cfg.run.numWarps = warps;
+        RunConfig cfg;
+        cfg.numWarps = warps;
         return runSwHierarchy(kernel, opts, cfg);
     }
 };
@@ -259,10 +259,7 @@ merge:
 TEST(SwExec, IdealNoFlushKeepsValuesAcrossDeschedule)
 {
     AllocOptions opts;
-    opts.strandOptions.cutAtBackwardBranch = false;
-    opts.strandOptions.cutAtLongLatency = false;
-    opts.strandOptions.cutAtUncertainMerge = false;
-    opts.idealNoFlush = true;
+    opts.strandOptions.idealNoFlush = true;
     Compiled c(R"(.kernel ideal
 entry:
     iadd R1, R0, #1
@@ -271,10 +268,10 @@ entry:
     st.shared [R0], R3
     exit
 )", opts);
-    SwExecConfig cfg;
-    cfg.run.numWarps = 1;
-    SwExecResult r = runSwHierarchy(c.kernel, opts, cfg);
+    SwExecResult r = c.run();
     ASSERT_TRUE(r.ok()) << r.error;
+    // One strand: the load's consumer is no endpoint.
+    EXPECT_FALSE(c.kernel.instr(1).endOfStrand);
     // R1's cross-"strand" read can now come from the ORF.
     EXPECT_EQ(c.kernel.instr(2).readAnno[1].level, Level::ORF);
     EXPECT_EQ(r.counts.deschedules, 1u);

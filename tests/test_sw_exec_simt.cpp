@@ -145,6 +145,76 @@ entry:
     EXPECT_NE(r.error.find("lane"), std::string::npos);
 }
 
+TEST(SwExecSimt, OutOfRangeUpperIndexesAreErrors)
+{
+    // Every ORF/LRF index an annotation names is range-checked by both
+    // value oracles, so an allocator capacity bug is a finding, not an
+    // access past the end of the entry vector.
+    AllocOptions opts;
+    opts.useLRF = true;  // one unsplit bank
+    const Kernel clean = [&] {
+        Kernel k = parseKernelOrDie(R"(.kernel range
+entry:
+    iadd R1, R0, #1
+    iadd R2, R1, #2
+    st.shared [R0], R2
+    exit
+)");
+        HierarchyAllocator(EnergyParams{}, opts).run(k);
+        return k;
+    }();
+    const auto entries = static_cast<std::uint8_t>(opts.orfEntries);
+    struct Tamper
+    {
+        const char *name;
+        const char *expect;
+        void (*apply)(Kernel &k, std::uint8_t entries);
+    };
+    const Tamper tampers[] = {
+        {"ORF read", "ORF entry out of range",
+         [](Kernel &k, std::uint8_t e) {
+             k.instr(1).readAnno[0] = ReadAnnotation{};
+             k.instr(1).readAnno[0].level = Level::ORF;
+             k.instr(1).readAnno[0].entry = e;
+         }},
+        {"ORF deposit", "ORF entry out of range",
+         [](Kernel &k, std::uint8_t e) {
+             k.instr(0).readAnno[0] = ReadAnnotation{};
+             k.instr(0).readAnno[0].depositToORF = true;
+             k.instr(0).readAnno[0].entry = e;
+         }},
+        {"ORF write", "ORF entry out of range",
+         [](Kernel &k, std::uint8_t e) {
+             k.instr(0).writeAnno.toORF = true;
+             k.instr(0).writeAnno.toLRF = false;
+             k.instr(0).writeAnno.orfEntry = e;
+         }},
+        {"LRF read", "LRF bank out of range",
+         [](Kernel &k, std::uint8_t) {
+             k.instr(1).readAnno[0] = ReadAnnotation{};
+             k.instr(1).readAnno[0].level = Level::LRF;
+             k.instr(1).readAnno[0].lrfBank = 1;
+         }},
+        {"LRF write", "LRF bank out of range",
+         [](Kernel &k, std::uint8_t) {
+             k.instr(0).writeAnno.toLRF = true;
+             k.instr(0).writeAnno.toORF = false;
+             k.instr(0).writeAnno.lrfBank = 1;
+         }},
+    };
+    for (const Tamper &t : tampers) {
+        SCOPED_TRACE(t.name);
+        Kernel k = clean;
+        t.apply(k, entries);
+        SwExecResult simt = runSwHierarchySimt(k, opts);
+        EXPECT_NE(simt.error.find(t.expect), std::string::npos)
+            << simt.error;
+        SwExecResult scalar = runSwHierarchy(k, opts);
+        EXPECT_NE(scalar.error.find(t.expect), std::string::npos)
+            << scalar.error;
+    }
+}
+
 TEST(SwExecSimt, AllWorkloadsVerifyDivergently)
 {
     for (const Workload &w : allWorkloads()) {

@@ -354,9 +354,7 @@ TEST(Memo, AllocationPlanComputedOncePerKernelAndStrandOptions)
 
     // Other strand options get their own slots.
     BatchItem ideal = cell(Scheme::SW_THREE_LEVEL, 3);
-    ideal.cfg.idealNoFlush = true;
-    ideal.cfg.strandOptions.cutAtBackwardBranch = false;
-    ideal.cfg.strandOptions.cutAtLongLatency = false;
+    ideal.cfg.strandOptions.idealNoFlush = true;
     ideal.cfg.strandOptions.cutAtUncertainMerge = false;
     BatchItem uncut = cell(Scheme::SW_TWO_LEVEL, 3);
     uncut.cfg.strandOptions.cutAtUncertainMerge = false;
@@ -424,11 +422,10 @@ TEST(Memo, SharedPlanAllocatesLikeALocalPlan)
     ExperimentCache cache;
     for (const Kernel &k : kernels) {
         ExperimentCache::Inputs in = cache.inputs(k);
-        for (int mask = 0; mask < 8; mask++) {
+        for (int mask = 0; mask < 4; mask++) {
             StrandOptions so;
             so.cutAtUncertainMerge = (mask & 1) != 0;
-            so.cutAtBackwardBranch = (mask & 2) != 0;
-            so.cutAtLongLatency = (mask & 4) != 0;
+            so.idealNoFlush = (mask & 2) != 0;
             std::shared_ptr<const AllocationPlan> plan =
                 in.allocationPlan(so);
             for (Scheme scheme :
