@@ -167,10 +167,13 @@ if [[ "$run_corpus" == 1 ]]; then
     # driver on mixed shared and distinct streams. Three entries
     # sizes and both sw schemes give each kernel six sw cells that
     # share one memoized allocation plan across the worker threads.
+    # The flat schemes replay the same trace their baseline counts
+    # were replayed from.
     c1="$(mktemp)"; c4="$(mktemp)"
     for perf in "" --perf; do
         corpus_args=(corpus --profiles balanced,divergent,wild,high-pressure
-                     --n 64 --schemes sw2,sw3,hw2,hw3,ccrfc,regdem
+                     --n 64
+                     --schemes baseline,greener,sw2,sw3,hw2,hw3,ccrfc,regdem
                      --entries 1,3,8 --json $perf)
         RFH_THREADS=1 "$repo/build/examples/rfhc" "${corpus_args[@]}" \
             >"$c1"

@@ -206,8 +206,21 @@ runSchemeWith(const Workload &w, const ExperimentConfig &cfg,
     if (cancelled())
         return out;
 
-    // ---- Analyze: structural analyses + baseline execution, both
-    // memoized (configuration-independent) ----
+    // ---- Trace: the pre-decoded dynamic stream, recorded once per
+    // (kernel, RunConfig) and shared by every replay grid cell and the
+    // baseline below, so this phase times the recording ----
+    std::shared_ptr<const DecodedTrace> trace;
+    if (plan.trace) {
+        trace = in.trace();
+        out.phases.traceSec = watch.lap();
+        recordPhaseSpan("trace", w.name, out.phases.traceSec);
+    }
+    if (cancelled())
+        return out;
+
+    // ---- Analyze: structural analyses + the baseline counts, both
+    // memoized (configuration-independent); the baseline replays the
+    // trace, recording it when the run has no trace phase ----
     std::shared_ptr<const AnalysisBundle> analyses;
     if (plan.analyses)
         analyses = in.analyses();
@@ -215,17 +228,6 @@ runSchemeWith(const Workload &w, const ExperimentConfig &cfg,
     out.baselineEnergyPJ = base.totalEnergyPJ(em);
     out.phases.analyzeSec = watch.lap();
     recordPhaseSpan("analyze", w.name, out.phases.analyzeSec);
-    if (cancelled())
-        return out;
-
-    // ---- Trace: the pre-decoded dynamic stream, recorded once per
-    // (kernel, RunConfig) and shared by every replay grid cell ----
-    std::shared_ptr<const DecodedTrace> trace;
-    if (plan.trace) {
-        trace = in.trace();
-        out.phases.traceSec = watch.lap();
-        recordPhaseSpan("trace", w.name, out.phases.traceSec);
-    }
     if (cancelled())
         return out;
 
@@ -419,7 +421,6 @@ replayBatch(const std::vector<BatchItem> &items, ThreadPool *pool)
         Warm &e = warm[it->second];
         const RunPlan plan = planRun(si->caps, items[i].cfg);
         e.need.analyses |= plan.analyses;
-        e.need.trace |= plan.trace;
         e.need.decode |= plan.decode;
         if (si->caps.usesAllocator) {
             const StrandOptions so =
@@ -431,11 +432,10 @@ replayBatch(const std::vector<BatchItem> &items, ThreadPool *pool)
     }
     p.parallelFor(static_cast<int>(warm.size()), [&](int i) {
         const Warm &e = warm[i];
+        // The baseline replays the trace, recording it first.
         e.in->baseline();
         if (e.need.analyses || e.need.decode)
             e.in->analyses();
-        if (e.need.trace)
-            e.in->trace();
         if (e.need.decode)
             e.in->decode();
         for (const StrandOptions &so : e.plans)

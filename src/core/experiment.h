@@ -170,7 +170,7 @@ struct RunOutcome
  * Run @p w under configuration @p cfg.
  *
  * Configuration-independent work is memoized in the process-wide
- * ExperimentCache: the baseline functional execution is computed once
+ * ExperimentCache: the trace and the baseline replayed from it once
  * per (kernel, RunConfig), and the CFG/liveness/reaching-defs bundle
  * once per kernel, then shared read-only by the allocator and both
  * executors. Thread-safe; results are identical to an uncached run.

@@ -6,6 +6,7 @@
 
 #include "compiler/allocator.h"
 #include "core/metrics.h"
+#include "sim/pipeline_account.h"
 
 namespace rfh {
 
@@ -41,7 +42,7 @@ memoMetrics()
 
 } // namespace
 
-/** The baseline and trace of one kernel under one RunConfig. */
+/** The trace of one kernel under one RunConfig, and its baseline. */
 struct ExperimentCache::RunEntry
 {
     explicit RunEntry(const RunConfig &r) : run(r) {}
@@ -161,8 +162,11 @@ ExperimentCache::inputs(const Kernel &k, const RunConfig *run)
 const AccessCounts &
 ExperimentCache::Inputs::baseline() const
 {
-    return cache_->fill(run_->baseline, BASELINE, *entry_,
-                        [&] { return runBaseline(*kernel_, run_->run); });
+    return cache_->fill(run_->baseline, BASELINE, *entry_, [&] {
+        AccessCounts counts;
+        makeFlatAccounting(*kernel_, nullptr, counts)->replay(*trace());
+        return counts;
+    });
 }
 
 std::shared_ptr<const AnalysisBundle>

@@ -13,16 +13,15 @@
  *    compiler/allocator.h) depends only on that structure and the
  *    StrandOptions, not on the ORF size, the LRF split or the energy
  *    prices; and
- *  - the baseline functional execution (flat-MRF AccessCounts) and the
- *    recorded dynamic stream depend only on the kernel and its
- *    RunConfig.
+ *  - the recorded dynamic stream, and the flat-MRF baseline counts
+ *    replayed from it, depend only on the kernel and its RunConfig.
  *
  * ExperimentCache keeps one entry per kernel, keyed by a structural
  * fingerprint of the kernel (not its address) plus its instruction
  * count, so distinct kernels that happen to reuse storage can never
  * alias, and annotated copies of a cached kernel hit the same entry.
  * The entry holds the analyses and the decode, per StrandOptions the
- * allocation plan, and per RunConfig the baseline and the trace; each
+ * allocation plan, and per RunConfig the trace and the baseline; each
  * is computed exactly once per process and then served to every later
  * request, including concurrent ones from the parallel sweep. A run
  * hashes its kernel once: it fetches the entry through inputs() and
@@ -77,7 +76,7 @@ class ExperimentCache
     class Inputs
     {
       public:
-        /** Flat-MRF baseline counts; needs a RunConfig handle. */
+        /** Flat-MRF counts replayed over trace(); needs a RunConfig. */
         const AccessCounts &baseline() const;
 
         /** Shared immutable CFG/liveness/reaching-defs analyses. */
@@ -150,8 +149,9 @@ class ExperimentCache
     /**
      * Pre-decoded dynamic stream of @p k under @p run, recorded by a
      * single functional execution and then shared read-only by every
-     * replay-mode grid cell. Annotated copies of a cached kernel hit
-     * the same entry, since annotations never change the dynamic path.
+     * replay-mode grid cell and the baseline. Annotated copies of a
+     * cached kernel hit the same entry, since annotations never change
+     * the dynamic path.
      */
     std::shared_ptr<const DecodedTrace>
     trace(const Kernel &k, const RunConfig &run)

@@ -116,9 +116,9 @@ struct SchemeCaps
     bool usesAnalyses = true;
     /**
      * Has a replay-engine path consuming the pre-decoded dynamic
-     * stream (DecodedTrace). Schemes without one are executed the
-     * same way under both engines, and the oracle's direct-vs-replay
-     * pair degenerates to a determinism check.
+     * stream (DecodedTrace), as every builtin has. Schemes without
+     * one run the same way under both engines, and the oracle's
+     * direct-vs-replay pair degenerates to a determinism check.
      */
     bool usesTrace = true;
     /** Replay wants the shared per-kernel ReplayDecode table. */
@@ -188,7 +188,7 @@ struct SchemeRunContext
      * StrandOptions); may be null (consumers then build their own).
      */
     const AllocationPlan *plan = nullptr;
-    /** Memoized flat-MRF counts of this workload; never null. */
+    /** Memoized flat-MRF counts (never null); no builtin reads them. */
     const AccessCounts *baseline = nullptr;
 };
 
@@ -272,8 +272,7 @@ class SchemeBackend
      * with the trace driver on REPLAY (ctx.trace) or the
      * functional-machine driver on DIRECT (sim/pipeline_account.h), so
      * one per-warp state machine serves every engine. Backends with
-     * their own executors (a memoized count set, a value-verifying
-     * interpreter) override it.
+     * their own executors (a value-verifying interpreter) override it.
      */
     virtual SchemeSimResult simulate(const SchemeRunContext &ctx) const;
 

@@ -3,8 +3,8 @@
  * Wall-clock phase accounting for the experiment engine.
  *
  * Every runScheme call is split into four phases — analyze (CFG /
- * liveness / reaching-defs bundle plus the baseline functional
- * execution), trace (recording the pre-decoded dynamic stream, replay
+ * liveness / reaching-defs bundle plus the baseline replayed from the
+ * trace), trace (recording the pre-decoded dynamic stream, replay
  * engine only), allocate (the compile-time allocator), and execute
  * (the managed-hierarchy or hardware-cache simulation) — and the
  * engine aggregates these per sweep point. Timing never feeds back
@@ -28,7 +28,8 @@ namespace rfh {
 /** Wall-clock seconds spent per engine phase. */
 struct PhaseTimes
 {
-    double analyzeSec = 0.0;   ///< Analyses + baseline execution.
+    /** Analyses + baseline (a trace replay; the record too if untraced). */
+    double analyzeSec = 0.0;
     double traceSec = 0.0;     ///< Decoded-stream recording (replay).
     double allocateSec = 0.0;  ///< HierarchyAllocator::run.
     double executeSec = 0.0;   ///< SW/HW hierarchy simulation.

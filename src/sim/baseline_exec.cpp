@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/machine.h"
+#include "sim/pipeline_account.h"
 
 namespace rfh {
 
@@ -10,24 +11,7 @@ AccessCounts
 runBaseline(const Kernel &k, const RunConfig &cfg)
 {
     AccessCounts counts;
-    for (int w = 0; w < cfg.numWarps; w++) {
-        WarpContext warp;
-        warp.reset(static_cast<std::uint32_t>(w));
-        std::uint64_t executed = 0;
-        while (!warp.done && executed < cfg.maxInstrsPerWarp) {
-            const Instruction &in = k.instr(warp.pc(k));
-            Datapath dp = datapathOf(in.unit());
-            // Operands are fetched before the predicate squashes the
-            // instruction; only the writeback is suppressed.
-            bool enabled = !in.pred || warp.regs[*in.pred] != 0;
-            counts.read(Level::MRF, dp, in.numRegReads());
-            if (enabled)
-                counts.write(Level::MRF, dp, in.numRegWrites());
-            counts.instructions++;
-            step(k, warp);
-            executed++;
-        }
-    }
+    makeFlatAccounting(k, nullptr, counts)->execute(k, cfg);
     return counts;
 }
 

@@ -2,9 +2,10 @@
  * @file
  * Baseline single-level execution and register-usage profiling.
  *
- * The baseline executor counts every register operand as an MRF access;
- * all normalized results in the paper (Figures 11-15) are relative to
- * it. The usage profiler reproduces the measurements behind Figure 2:
+ * The baseline counts every register operand as an MRF access (the
+ * flat accountant of sim/pipeline_account.h); all normalized results
+ * in the paper (Figures 11-15) are relative to it. The usage profiler
+ * reproduces the measurements behind Figure 2:
  * how often each dynamic value is read, and the lifetime of values that
  * are read exactly once.
  */
@@ -28,7 +29,10 @@ struct RunConfig
     std::uint64_t maxInstrsPerWarp = 1u << 20;
 };
 
-/** Execute @p k against a flat MRF and count accesses. */
+/**
+ * Execute @p k and count its accesses against a flat MRF: the flat
+ * accountant under the functional-machine driver (the memo replays it).
+ */
 AccessCounts runBaseline(const Kernel &k, const RunConfig &cfg = {});
 
 /** Dynamic register-usage statistics (Figure 2). */

@@ -6,7 +6,7 @@ namespace rfh {
 
 namespace {
 
-/** Flat-MRF accounting; counts mirror runBaseline exactly. */
+/** Flat-MRF accounting: every register operand is an MRF access. */
 class FlatWarpAccountant final : public WarpAccountant
 {
   public:

@@ -246,9 +246,9 @@ class AccountingOf : public PipelineAccounting
 
 /**
  * Flat single-level accounting: every register operand is an MRF
- * access (the baseline and GREENER schemes — identical counts to
- * runBaseline). @p dec may be null (a private decode is built);
- * @p k and @p counts must outlive the returned object.
+ * access: the one counting model of the baseline and GREENER schemes,
+ * runBaseline and the memoized baseline. @p dec may be null (a private
+ * decode is built); @p k and @p counts must outlive the returned object.
  */
 std::unique_ptr<PipelineAccounting> makeFlatAccounting(
     const Kernel &k, const ReplayDecode *dec, AccessCounts &counts);

@@ -23,18 +23,10 @@ namespace rfh {
 
 namespace {
 
-/** Flat single-level MRF: the memoized baseline counts verbatim. */
+/** Flat single-level MRF: every register operand is an MRF access. */
 class BaselineScheme : public SchemeBackend
 {
   public:
-    SchemeSimResult
-    simulate(const SchemeRunContext &ctx) const override
-    {
-        SchemeSimResult r;
-        r.counts = *ctx.baseline;
-        return r;
-    }
-
     std::unique_ptr<PipelineAccounting>
     makePipelineAccounting(const PipelineBuildContext &ctx) const override
     {
@@ -341,13 +333,12 @@ class GreenerScheme : public BaselineScheme
     }
 };
 
-/** Flat-MRF traffic: no analyses, no trace path, no entries axis. */
+/** Flat-MRF traffic: no analyses, no decode, no entries axis. */
 SchemeCaps
 flatCaps()
 {
     SchemeCaps c;
     c.usesAnalyses = false;
-    c.usesTrace = false;
     c.sweepsEntries = false;
     c.pipelined = true;
     return c;

@@ -45,6 +45,7 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
     SwExecResult result;
     AccessCounts &counts = result.counts;
     int lrf_banks = opts.useLRF ? (opts.splitLRF ? 3 : 1) : 0;
+    const bool ideal = opts.strandOptions.idealNoFlush;
 
     Cfg cfg_graph(k);
     StrandAnalysis strands(k, cfg_graph, opts.strandOptions);
@@ -104,10 +105,12 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
             // taken backward branch, resolves outstanding long-latency
             // loads — descheduling the warp (flushing every lane) when
             // any are pending. Serialised hammock sides switch the
-            // execution point within one strand and do not sync.
-            bool warp_sync = prev_taken_backward ||
-                (prev_lin >= 0 && lin > prev_lin &&
-                 strands.strandOf(lin) != strands.strandOf(prev_lin));
+            // execution point within one strand and do not sync; nor
+            // does the never-flush model.
+            bool warp_sync = !ideal &&
+                (prev_taken_backward ||
+                 (prev_lin >= 0 && lin > prev_lin &&
+                  strands.strandOf(lin) != strands.strandOf(prev_lin)));
             if (warp_sync && pending.any()) {
                 counts.deschedules++;
                 pending.reset();
@@ -116,12 +119,17 @@ runSwHierarchySimt(const Kernel &k, const AllocOptions &opts,
             }
 
             // A touch of a still-outstanding long-latency register
-            // inside a strand means the compiler missed an endpoint.
+            // inside a strand means the compiler missed an endpoint;
+            // the never-flush model deschedules, keeping every entry.
             RegSet touched = usedRegs(in) | definedRegs(in);
             if ((touched & pending).any()) {
-                fail(lin, -1, "instruction touches an outstanding "
-                     "long-latency register inside a strand");
-                break;
+                if (!ideal) {
+                    fail(lin, -1, "instruction touches an outstanding "
+                         "long-latency register inside a strand");
+                    break;
+                }
+                counts.deschedules++;
+                pending.reset();
             }
 
             // Per-lane enable (active + predicate).

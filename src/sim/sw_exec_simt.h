@@ -12,7 +12,9 @@
  * upper levels invalidate when that lane's consecutive active
  * instructions cross strands (or loop backwards), and a warp-level
  * deschedule (outstanding long-latency touch) invalidates every lane.
- * Any allocation that is only correct for converged warps fails here
+ * Under StrandOptions::idealNoFlush nothing invalidates: the touch
+ * deschedules, as in the scalar executor. Any allocation that is only
+ * correct for converged warps fails here
  * with a lane-precise diagnostic.
  */
 

@@ -9,9 +9,9 @@
  * dynamic instruction stream that drives the replay executors and the
  * cycle-level pipeline. It is recorded once per (kernel, RunConfig) —
  * the functional machine runs exactly once — and then replayed by
- * every (scheme x entries) grid cell doing only hierarchy state
- * updates and access counting: no opcode dispatch, no value
- * computation, no branch evaluation.
+ * every (scheme x entries) grid cell and the baseline counts, doing
+ * only hierarchy state updates and access counting: no opcode
+ * dispatch, no value computation, no branch evaluation.
  *
  * The dynamic stream is a structure-of-arrays: one int32 linear
  * instruction index and one flags byte per dynamic instruction.

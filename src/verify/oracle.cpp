@@ -1,5 +1,6 @@
 #include "verify/oracle.h"
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
 
@@ -481,14 +482,17 @@ runOracle(const Kernel &k, const OracleOptions &opts)
     w.kernel = k;
     w.run = opts.run;
 
-    // A kernel that hits the per-warp instruction cap is truncated:
-    // the engines cut the dynamic stream at slightly different
-    // points, so counts are not comparable and there is no verdict.
-    // Generated fuzz kernels always terminate; a shrink candidate
-    // whose loop exit got demoted away lands here and is rejected as
-    // "not failing" rather than producing a bogus repro.
-    if (runBaseline(k, opts.run).instructions >=
-        opts.run.maxInstrsPerWarp) {
+    // A kernel whose trace has a stream cut by the per-warp cap (one
+    // with an end lin) is truncated: the engines cut the dynamic
+    // stream at slightly different points, so counts are not
+    // comparable and there is no verdict. Generated fuzz kernels
+    // always terminate; a shrink candidate whose loop exit got demoted
+    // away lands here and is rejected as "not failing" rather than
+    // producing a bogus repro.
+    const std::shared_ptr<const DecodedTrace> trace =
+        globalExperimentCache().trace(k, opts.run);
+    if (std::any_of(trace->streamEndLin.begin(), trace->streamEndLin.end(),
+                    [](std::int32_t end) { return end >= 0; })) {
         report.truncated = true;
         return report;
     }

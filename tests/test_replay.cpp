@@ -431,7 +431,7 @@ out:
               "@lin 4: write to ORF entry 3 exceeds capacity 3");
 }
 
-// ---- Deschedule segments: hw2, hw3, ccrfc and regdem ----
+// ---- Deschedule segments: hw2, hw3, ccrfc and regdem; flat streams ----
 
 /** 8 kernels per builtin profile plus the checked-in rptx corpus. */
 std::vector<Workload>
@@ -491,9 +491,14 @@ expectSegmentReplayMatchesDirect(const Workload &w, const char *token,
 
 TEST(Replay, SegmentReplayMatchesDirect)
 {
-    for (const Workload &w : segmentKernels())
+    // The flat schemes replay per distinct warp stream; they have no
+    // entries axis.
+    for (const Workload &w : segmentKernels()) {
         for (const char *token : {"hw2", "hw3", "ccrfc", "regdem"})
             expectSegmentReplayMatchesDirect(w, token, {1, 2, 3, 4, 6, 8});
+        for (const char *token : {"baseline", "greener"})
+            expectSegmentReplayMatchesDirect(w, token, {3});
+    }
 }
 
 TEST(Replay, BackwardBranchFlushSegmentsMatchDirect)

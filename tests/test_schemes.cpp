@@ -238,8 +238,10 @@ TEST(SchemeRegistry, MacroRegisteredSchemeIsEnumerated)
 TEST(SchemeCapsTest, BuiltinsDescribeTheirEngineNeeds)
 {
     SchemeRegistry &reg = SchemeRegistry::instance();
+    // The flat schemes replay the trace like every other builtin.
     const SchemeCaps base = reg.find(Scheme::BASELINE)->caps;
-    EXPECT_FALSE(base.usesTrace);
+    EXPECT_TRUE(base.usesTrace);
+    EXPECT_FALSE(base.wantsDecode);
     EXPECT_FALSE(base.usesAllocator);
     EXPECT_FALSE(base.sweepsEntries);
 
@@ -256,7 +258,7 @@ TEST(SchemeCapsTest, BuiltinsDescribeTheirEngineNeeds)
 
     EXPECT_TRUE(reg.findToken("ccrfc")->caps.hwManaged);
     EXPECT_FALSE(reg.findToken("regdem")->caps.hwManaged);
-    EXPECT_FALSE(reg.findToken("greener")->caps.usesTrace);
+    EXPECT_TRUE(reg.findToken("greener")->caps.usesTrace);
 }
 
 TEST(SchemeCapsTest, AllocOptionsComeFromTheBackend)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "compiler/allocator.h"
+#include "core/json.h"
 #include "ir/parser.h"
 #include "sim/sw_exec_simt.h"
 #include "workloads/registry.h"
@@ -212,6 +213,54 @@ entry:
         SwExecResult scalar = runSwHierarchy(k, opts);
         EXPECT_NE(scalar.error.find(t.expect), std::string::npos)
             << scalar.error;
+    }
+}
+
+TEST(SwExecSimt, IdealNoFlushMatchesScalarCounts)
+{
+    // Under the never-flush model (Section 7) the consumer of an
+    // outstanding load deschedules the warp and every lane keeps its
+    // entries, as in the scalar executor.
+    std::vector<Workload> ws = allWorkloads();
+    Workload ll;
+    ll.name = "ll_ideal";
+    ll.kernel = parseKernelOrDie(R"(.kernel ll_ideal
+entry:
+    iadd R1, R0, #1
+    ld.global R2, [R1]
+    iadd R3, R2, R1
+    st.shared [R1], R3
+    exit
+)");
+    ws.insert(ws.begin(), ll);
+    AllocOptions opts;
+    opts.useLRF = true;
+    opts.splitLRF = true;
+    opts.strandOptions.idealNoFlush = true;
+    SimtExecConfig simt;
+    RunConfig run;
+    run.numWarps = simt.numWarps;
+    run.maxInstrsPerWarp = simt.maxInstrsPerWarp;
+    for (const Workload &w : ws) {
+        SCOPED_TRACE(w.name);
+        Kernel k = w.kernel;
+        HierarchyAllocator(EnergyParams{}, opts).run(k);
+        SwExecResult scalar = runSwHierarchy(k, opts, run);
+        ASSERT_TRUE(scalar.ok()) << scalar.error;
+        if (w.name == ll.name) {
+            EXPECT_EQ(scalar.counts.deschedules,
+                      static_cast<std::uint64_t>(run.numWarps));
+        }
+        simt.width = 1;
+        SwExecResult narrow = runSwHierarchySimt(k, opts, simt);
+        ASSERT_TRUE(narrow.ok()) << narrow.error;
+        JsonWriter a, b;
+        writeJson(a, narrow.counts);
+        writeJson(b, scalar.counts);
+        EXPECT_EQ(a.str(), b.str());
+        simt.width = 8;
+        SwExecResult wide = runSwHierarchySimt(k, opts, simt);
+        EXPECT_TRUE(wide.ok()) << wide.error;
     }
 }
 

@@ -188,6 +188,33 @@ TEST(VerifyOracle, InfiniteLoopIsTruncatedNotJudged)
     EXPECT_EQ(rep.pairsChecked, 0);
 }
 
+TEST(VerifyOracle, LongTerminatingLoopGetsAVerdict)
+{
+    // 12,002 instructions per warp: under the per-warp cap, though the
+    // eight warps together run past it. Only a warp that hits the cap
+    // truncates the run.
+    Kernel k = parseKernelOrDie(R"(.kernel long_loop
+entry:
+    mov R2, #3000
+loop:
+    iadd R1, R1, #1
+    isub R2, R2, #1
+    setgt R3, R2, #0
+    @R3 bra loop
+done:
+    exit
+)");
+    OracleOptions oo = testOracleOptions();
+    oo.run.numWarps = 8;
+    ASSERT_GT(12002u * oo.run.numWarps, oo.run.maxInstrsPerWarp);
+    OracleReport rep = runOracle(k, oo);
+    EXPECT_FALSE(rep.truncated);
+    EXPECT_GT(rep.pairsChecked, 0);
+    EXPECT_TRUE(rep.ok()) << (rep.findings.empty()
+                                  ? ""
+                                  : rep.findings.front().detail);
+}
+
 // ---- Static invariant checker: known-bad annotations must fail ----
 
 /** Allocate @p k and return the annotated copy. */
